@@ -12,9 +12,18 @@ Pi(mu, nu) by solving the lifted linear program in the pair (pi, Theta):
 ``solve_msp`` generalizes to a spectral grid: one shared pi with a tail
 variable Theta^k per grid level, objective z0 E_pi[L] + sum_k w_k (L.Theta^k).
 The u = 0 atom is always carried by the expectation term, never by a level.
+MES is MSP on the Dirac grid at alpha, and both share one solve path.
 
-Every solve returns a dual certificate (phi, psi, rho, beta) that is checked
-against weak duality; ``brute_force_mes`` provides the independent oracle
+Neither program is handed to the solver whole.  Column generation starts
+from the comonotone staircase of cells, solves the program restricted to the
+active cells, and prices every cell with the restricted dual: a cell left
+out can raise the optimum only if C^beta_ij > phi_i + psi_j.  Violated cells
+join the active set until none is left, so the final dual certifies the
+whole instance (Schmitzer 2016's shielding uses the same pricing).
+
+Every solve returns a dual certificate (phi, psi, rho, beta) and ends in
+``verify_duality`` on the original instance; ``brute_force_mes`` provides
+the independent oracle
 
     min over beta of  beta + (1-alpha)^{-1} * OTmax(mu, nu, (L - beta)+)
 
@@ -25,10 +34,12 @@ instances.  The two routes share no LP assembly.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from .core import (
     AlphaOutOfRange,
@@ -50,6 +61,8 @@ MSP_MAX_CELLS_TIMES_LEVELS = 5_000_000
 _WEAK_DUALITY_TOL = 1e-9
 _GAP_TOL = 1e-7
 _CERT_FEAS_TOL = 1e-8
+
+log = logging.getLogger("riskbound")
 
 
 # ---------------------------------------------------------------------------
@@ -105,6 +118,8 @@ class MesSolution:
     certificate: DualCertificate
     gap: float
     alpha: float
+    rounds: int = 0             # column-generation rounds (0: not recorded)
+    active_cells: int = 0       # cells in the last restricted master
 
     def __post_init__(self) -> None:
         inv = 1.0 / (1.0 - self.alpha)
@@ -131,6 +146,8 @@ class MspSolution:
     certificate: DualCertificate
     gap: float
     grid: SpectralGrid
+    rounds: int = 0             # column-generation rounds (0: not recorded)
+    active_cells: int = 0       # cells in the last restricted master
 
     def __post_init__(self) -> None:
         if self.gap > _GAP_TOL:
@@ -150,65 +167,221 @@ def _require_alpha(alpha: float) -> float:
 
 def build_mes_lp(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMatrix,
                  alpha: float) -> LinearProgram:
-    """The lifted MES linear program; variables ordered (pi, Theta) row-major."""
-    check_instance(mu, nu, loss)
-    a = _require_alpha(alpha)
-    nx, ny = loss.shape
-    n = nx * ny
-    inv = 1.0 / (1.0 - a)
-    rows = np.concatenate([
-        np.repeat(np.arange(nx), ny),            # row sums of pi
-        nx + np.tile(np.arange(ny), nx),         # column sums of pi
-        np.full(n, nx + ny),                     # total Theta mass
-    ])
-    cols = np.concatenate([np.arange(n), np.arange(n), n + np.arange(n)])
-    a_eq = sp.csr_matrix((np.ones(3 * n), (rows, cols)), shape=(nx + ny + 1, 2 * n))
-    b_eq = np.concatenate([mu.weights, nu.weights, [1.0]])
-    r = np.repeat(np.arange(n), 2)
-    c = np.empty(2 * n, dtype=np.int64)
-    c[0::2] = np.arange(n)
-    c[1::2] = n + np.arange(n)
-    v = np.empty(2 * n)
-    v[0::2] = -inv
-    v[1::2] = 1.0
-    a_ub = sp.csr_matrix((v, (r, c)), shape=(n, 2 * n))
-    obj = np.concatenate([np.zeros(n), loss.values.ravel()])
-    return LinearProgram(sense="max", c=obj, a_ub=a_ub, b_ub=np.zeros(n),
-                         a_eq=a_eq, b_eq=b_eq)
+    """The lifted MES linear program: :func:`build_msp_lp` on the Dirac grid
+    at ``alpha``; variables ordered (pi, Theta) row-major."""
+    return build_msp_lp(mu, nu, loss, SpectralGrid.dirac(_require_alpha(alpha)))
 
 
 def build_msp_lp(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMatrix,
-                  grid: SpectralGrid) -> LinearProgram:
-    """Single-pi, per-level-Theta lift of the spectral objective."""
+                 grid: SpectralGrid, cells=None) -> LinearProgram:
+    """Single-pi, per-level-Theta lift of the spectral objective.
+
+    Variables are pi, then Theta^1 .. Theta^K, each over the same cells;
+    rows are the row and column sums of pi, one Theta-mass row per level,
+    then one density row Theta^k <= (1-u_k)^{-1} pi per level and cell.
+    ``cells = (I, J)`` restricts the program to those cells, in that order
+    (the column-generation master); the default is every cell, row-major.
+    """
+    check_instance(mu, nu, loss)
     nx, ny = loss.shape
-    n = nx * ny
+    if cells is None:
+        ci, cj = np.divmod(np.arange(nx * ny), ny)
+    else:
+        ci, cj = (np.asarray(c, dtype=np.int64) for c in cells)
+        if ci.shape != cj.shape or ci.ndim != 1:
+            raise DimensionMismatch("cells must be two index arrays of one length")
+        if ci.size and (ci.min() < 0 or ci.max() >= nx or cj.min() < 0 or cj.max() >= ny):
+            raise DimensionMismatch("cells index outside the loss matrix")
+    n = ci.size
     K = grid.n_levels
-    lvec = loss.values.ravel()
+    lvec = loss.values[ci, cj]
     nvar = (K + 1) * n
-    eq_rows = [np.repeat(np.arange(nx), ny), nx + np.tile(np.arange(ny), nx)]
-    eq_cols = [np.arange(n), np.arange(n)]
-    for k in range(K):
-        eq_rows.append(np.full(n, nx + ny + k))
-        eq_cols.append((k + 1) * n + np.arange(n))
-    a_eq = sp.csr_matrix(
-        (np.ones((K + 2) * n), (np.concatenate(eq_rows), np.concatenate(eq_cols))),
-        shape=(nx + ny + K, nvar))
+    eq_rows = np.concatenate([ci, nx + cj, nx + ny + np.repeat(np.arange(K), n)])
+    eq_cols = np.concatenate([np.arange(n), np.arange(n), n + np.arange(K * n)])
+    a_eq = sp.csr_matrix((np.ones((K + 2) * n), (eq_rows, eq_cols)),
+                         shape=(nx + ny + K, nvar))
     b_eq = np.concatenate([mu.weights, nu.weights, np.ones(K)])
-    ub_r = np.repeat(np.arange(K * n), 2)
     ub_c = np.empty(2 * K * n, dtype=np.int64)
-    ub_v = np.empty(2 * K * n)
-    for k in range(K):
-        inv = 1.0 / (1.0 - grid.levels[k])
-        s = slice(2 * k * n, 2 * (k + 1) * n)
-        cc = ub_c[s]; vv = ub_v[s]
-        cc[0::2] = np.arange(n)
-        cc[1::2] = (k + 1) * n + np.arange(n)
-        vv[0::2] = -inv
-        vv[1::2] = 1.0
-    a_ub = sp.csr_matrix((ub_v, (ub_r, ub_c)), shape=(K * n, nvar))
+    ub_c[0::2] = np.tile(np.arange(n), K)
+    ub_c[1::2] = n + np.arange(K * n)
+    ub_v = np.ones(2 * K * n)
+    ub_v[0::2] = -np.repeat(1.0 / (1.0 - grid.levels), n)
+    a_ub = sp.csr_matrix((ub_v, (np.repeat(np.arange(K * n), 2), ub_c)), shape=(K * n, nvar))
     obj = np.concatenate([grid.z0 * lvec] + [w * lvec for w in grid.weights])
     return LinearProgram(sense="max", c=obj, a_ub=a_ub, b_ub=np.zeros(K * n),
                          a_eq=a_eq, b_eq=b_eq)
+
+
+# ---------------------------------------------------------------------------
+# The certified column-generation solve shared by MES and MSP
+# ---------------------------------------------------------------------------
+
+
+def _staircase(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMatrix):
+    """Cells of the north-west corner plan after sorting rows and columns by
+    mean loss: the comonotone coupling of the two orders.  It is feasible for
+    any marginals, and optimal for supermodular losses (Tchen 1980).  Where
+    a row and a column run out together the staircase still takes a single
+    step, so it spans every row and column in m + n - 1 cells and the
+    master's potentials are determined."""
+    rows = np.argsort(loss.values @ nu.weights, kind="stable")
+    cols = np.argsort(mu.weights @ loss.values, kind="stable")
+    a = np.cumsum(mu.weights[rows])
+    b = np.cumsum(nu.weights[cols])
+    # each breakpoint of either cumulative sum opens the next cell
+    t = np.union1d(0.0, np.union1d(a[:-1], b[:-1]))
+    i = np.minimum(np.searchsorted(a, t, side="right"), a.size - 1)
+    j = np.minimum(np.searchsorted(b, t, side="right"), b.size - 1)
+    diag = (np.diff(i) > 0) & (np.diff(j) > 0)
+    i = np.concatenate([i, i[1:][diag]])
+    j = np.concatenate([j, j[:-1][diag]])
+    flat = np.unique(rows[i] * b.size + cols[j])
+    return np.divmod(flat, b.size)
+
+
+def _component_shifts(ci: np.ndarray, cj: np.ndarray, support: np.ndarray,
+                      price: np.ndarray):
+    """Row and column potential shifts that make a master's dual cover every
+    cell, or None when no such shifts exist.
+
+    A cell with positive mass pins phi_i + psi_j, but only inside each
+    connected component of the support graph (rows and columns joined by
+    such cells).  A zero-mass cell of a degenerate basis, such as a
+    staircase link where a row and a column run out together, leaves one
+    free constant per component, and the solver's choice of constants need
+    not cover the cells between components.  Adding s_c to phi and
+    subtracting it from psi on component c keeps the dual value (a
+    component's row and column masses agree) and the prices of the cells
+    inside it; s_c >= s_d + max price over rows of c and columns of d for
+    all c != d is a longest-path problem, solved by Bellman-Ford.
+    """
+    mm, nn = price.shape
+    graph = sp.csr_matrix((np.ones(int(support.sum())), (ci[support], mm + cj[support])),
+                          shape=(mm + nn, mm + nn))
+    nc, label = connected_components(graph, directed=False)
+    row_c, col_c = label[:mm], label[mm:]
+    by_row = np.full((nc, nn), -np.inf)
+    np.maximum.at(by_row, row_c, price)
+    w = np.full((nc, nc), -np.inf)              # w[c, d]: rows of c, columns of d
+    np.maximum.at(w.T, col_c, by_row.T)
+    np.fill_diagonal(w, -np.inf)
+    s = np.zeros(nc)
+    changed = np.arange(nc)
+    for _ in range(nc + 1):
+        cand = (w[:, changed] + s[changed][None, :]).max(axis=1)
+        up = cand > s + 0.1 * _CERT_FEAS_TOL
+        if not up.any():
+            return s[row_c], s[col_c]
+        s[up] = cand[up]
+        changed = np.nonzero(up)[0]
+    return None                                 # a positive cycle
+
+
+@dataclass(frozen=True)
+class _LiftedSolve:
+    """Full-instance primal and certificate data of one lifted solve."""
+
+    value: float
+    pi: np.ndarray
+    thetas: np.ndarray          # (K, N_X, N_Y)
+    phi: np.ndarray
+    psi: np.ndarray
+    beta: np.ndarray            # per level, beta(u_k)
+    beta0: float
+    rounds: int
+    active_cells: int
+
+
+def _solve_lifted(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMatrix,
+                  grid: SpectralGrid, engine: str) -> _LiftedSolve:
+    """Column generation on the lifted program of a grid with K >= 1 levels.
+
+    Zero-mass atoms are dropped.  Each round solves the restricted master on
+    the active cells, reads phi, psi and beta off its row duals and prices
+    every cell at once by  C^beta_ij - phi_i - psi_j.  The most-violated
+    inactive cell of each row and of each column joins the active set; the
+    loop stops when no cell is violated by more than ``_CERT_FEAS_TOL``, so
+    the master's dual covers the whole kept instance.  Dropped atoms get the
+    smallest potentials that cover their cells.  Potentials are normalized
+    to phi[0] = 0.
+    """
+    nx, ny = loss.shape
+    K = grid.n_levels
+    keep_i = np.nonzero(mu.weights > 0.0)[0]
+    keep_j = np.nonzero(nu.weights > 0.0)[0]
+    mu_r = ProbabilityVector(mu.weights[keep_i])
+    nu_r = ProbabilityVector(nu.weights[keep_j])
+    loss_r = LossMatrix(loss.values[np.ix_(keep_i, keep_j)])
+    mm, nn = loss_r.shape
+    # the u = 0 atom is covered exactly by any beta0 below the whole loss range
+    beta0 = float(loss.values.min() - 1.0)
+    lead = [beta0] if grid.z0 > 0.0 else []
+    ci, cj = _staircase(mu_r, nu_r, loss_r)
+    active = np.zeros((mm, nn), dtype=bool)
+    active[ci, cj] = True
+    rounds = 0
+    while True:
+        rounds += 1
+        sol = solve_lp(build_msp_lp(mu_r, nu_r, loss_r, grid, cells=(ci, cj)), engine=engine)
+        if sol.status != "optimal":
+            raise NumericalFailure(f"lifted master LP terminated with status {sol.status}")
+        phi_r = sol.duals_eq[:mm] - grid.z0 * beta0
+        psi_r = sol.duals_eq[mm:mm + nn]
+        beta = sol.duals_eq[mm + nn:] / grid.weights
+        price = (c_beta_evaluate(loss_r, grid, np.concatenate([lead, beta])).values
+                 - phi_r[:, None] - psi_r[None, :])
+        if price[~active].max(initial=-np.inf) > _CERT_FEAS_TOL:
+            shift = _component_shifts(ci, cj, sol.x[:ci.size] > 0.0, price)
+            if shift is not None:
+                phi_r = phi_r + shift[0]
+                psi_r = psi_r - shift[1]
+                price += shift[1][None, :] - shift[0][:, None]
+        price[active] = -np.inf
+        best_j = price.argmax(axis=1)
+        best_i = price.argmax(axis=0)
+        new_i = np.concatenate([np.arange(mm), best_i])
+        new_j = np.concatenate([best_j, np.arange(nn)])
+        hit = price[new_i, new_j] > _CERT_FEAS_TOL
+        if not hit.any():
+            break
+        flat = np.unique(new_i[hit] * nn + new_j[hit])
+        add_i, add_j = np.divmod(flat, nn)
+        active[add_i, add_j] = True
+        ci = np.concatenate([ci, add_i])
+        cj = np.concatenate([cj, add_j])
+    n = ci.size
+    keep_rows = keep_i[ci]
+    keep_cols = keep_j[cj]
+    pi = np.zeros((nx, ny))
+    pi[keep_rows, keep_cols] = sol.x[:n]
+    thetas = np.zeros((K, nx, ny))
+    for k in range(K):
+        thetas[k][keep_rows, keep_cols] = sol.x[(k + 1) * n:(k + 2) * n]
+    phi = np.zeros(nx)
+    psi = np.zeros(ny)
+    phi[keep_i] = phi_r
+    psi[keep_j] = psi_r
+    cover = c_beta_evaluate(loss, grid, np.concatenate([lead, beta])).values
+    drop_i = np.setdiff1d(np.arange(nx), keep_i)
+    drop_j = np.setdiff1d(np.arange(ny), keep_j)
+    if drop_i.size:
+        phi[drop_i] = (cover[drop_i][:, keep_j] - psi[keep_j][None, :]).max(axis=1)
+    if drop_j.size:
+        psi[drop_j] = (cover[:, drop_j] - phi[:, None]).max(axis=0)
+    shift = phi[0]
+    return _LiftedSolve(value=float(sol.objective), pi=pi, thetas=thetas,
+                        phi=phi - shift, psi=psi + shift, beta=beta, beta0=beta0,
+                        rounds=rounds, active_cells=n)
+
+
+def _certified(sol, loss: LossMatrix, mu: ProbabilityVector, nu: ProbabilityVector):
+    """The exit gate of every solve: ``verify_duality`` on the original
+    instance, then one info line on what the solve did."""
+    report = verify_duality(sol, loss, mu, nu)
+    log.info("%s: %d round(s), %d of %d cells active, worst cover residual %.3e",
+             type(sol).__name__, sol.rounds, sol.active_cells, loss.values.size,
+             report.dual_residuals["cover"])
+    return sol
 
 
 # ---------------------------------------------------------------------------
@@ -216,60 +389,28 @@ def build_msp_lp(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMatrix,
 # ---------------------------------------------------------------------------
 
 
-def _split_support(mu: ProbabilityVector, nu: ProbabilityVector):
-    keep_i = np.nonzero(mu.weights > 0.0)[0]
-    keep_j = np.nonzero(nu.weights > 0.0)[0]
-    return keep_i, keep_j
-
-
 def solve_mes(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMatrix,
-              alpha: float, engine: str = "auto") -> MesSolution:
+              alpha: float, engine: str = "highs") -> MesSolution:
     """Maximum Expected Shortfall with a certified dual and zero LP gap.
 
-    Zero-mass atoms are dropped before assembly; the returned coupling,
-    tail measure, and certificate are re-expanded so the certificate covers
-    every cell of the original instance.  Potentials are normalized to
-    phi[0] = 0.
+    Solved as the lifted program on the Dirac grid at ``alpha`` by the
+    column generation of :func:`_solve_lifted`; ``engine`` solves each
+    restricted master.  The returned coupling, tail measure and certificate
+    cover every cell of the original instance, zero-mass atoms included:
+    ``rho = (L - beta)+`` and the solution has passed :func:`verify_duality`.
+    Potentials are normalized to phi[0] = 0.
     """
     check_instance(mu, nu, loss)
     a = _require_alpha(alpha)
-    nx, ny = loss.shape
-    keep_i, keep_j = _split_support(mu, nu)
-    mu_r = ProbabilityVector(mu.weights[keep_i])
-    nu_r = ProbabilityVector(nu.weights[keep_j])
-    loss_r = LossMatrix(loss.values[np.ix_(keep_i, keep_j)])
-    lp = build_mes_lp(mu_r, nu_r, loss_r, a)
-    sol = solve_lp(lp, engine=engine)
-    if sol.status != "optimal":
-        raise NumericalFailure(f"MES LP terminated with status {sol.status}")
-    mm, nn = loss_r.shape
-    n = mm * nn
-    pi = np.zeros((nx, ny))
-    th = np.zeros((nx, ny))
-    pi[np.ix_(keep_i, keep_j)] = sol.x[:n].reshape(mm, nn)
-    th[np.ix_(keep_i, keep_j)] = sol.x[n:].reshape(mm, nn)
-    phi = np.zeros(nx)
-    psi = np.zeros(ny)
-    phi[keep_i] = sol.duals_eq[:mm]
-    psi[keep_j] = sol.duals_eq[mm:mm + nn]
-    beta = float(sol.duals_eq[mm + nn])
-    rho = np.maximum(loss.values - beta, 0.0)
-    rho[np.ix_(keep_i, keep_j)] = sol.duals_ub.reshape(mm, nn)
-    inv = 1.0 / (1.0 - a)
-    drop_i = np.setdiff1d(np.arange(nx), keep_i)
-    drop_j = np.setdiff1d(np.arange(ny), keep_j)
-    if drop_i.size:
-        phi[drop_i] = (inv * rho[drop_i][:, keep_j] - psi[keep_j][None, :]).max(axis=1)
-    if drop_j.size:
-        psi[drop_j] = (inv * rho[:, drop_j] - phi[:, None]).max(axis=0)
-    shift = phi[0]
-    phi = phi - shift
-    psi = psi + shift
-    cert = DualCertificate(phi=phi, psi=psi, beta=beta, rho=rho)
-    value = float(sol.objective)
-    gap = abs(cert.value(mu, nu) - value)
-    return MesSolution(value=value, coupling=Coupling(pi), theta=th,
-                       certificate=cert, gap=gap, alpha=a)
+    res = _solve_lifted(mu, nu, loss, SpectralGrid.dirac(a), engine)
+    beta = float(res.beta[0])
+    cert = DualCertificate(phi=res.phi, psi=res.psi, beta=beta,
+                           rho=np.maximum(loss.values - beta, 0.0))
+    gap = abs(cert.value(mu, nu) - res.value)
+    sol = MesSolution(value=res.value, coupling=Coupling(res.pi), theta=res.thetas[0],
+                      certificate=cert, gap=gap, alpha=a, rounds=res.rounds,
+                      active_cells=res.active_cells)
+    return _certified(sol, loss, mu, nu)
 
 
 def bracket_beta(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMatrix,
@@ -366,12 +507,15 @@ def c_beta_evaluate(loss: LossMatrix, grid: SpectralGrid, beta) -> LossMatrix:
 
 
 def solve_msp(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMatrix,
-              grid: SpectralGrid, engine: str = "auto") -> MspSolution:
+              grid: SpectralGrid, engine: str = "highs") -> MspSolution:
     """Maximum spectral measure against a grid, with an LP-certified dual.
 
-    The certificate's per-level beta comes from the Theta-mass row duals
-    (rescaled by the level weights); its phi absorbs the u = 0 atom through
-    beta0 = min L - 1, which is exact on a finite support.
+    Solved by the column generation of :func:`_solve_lifted`; ``engine``
+    solves each restricted master.  The certificate's per-level beta comes
+    from the Theta-mass row duals (rescaled by the level weights); its phi
+    absorbs the u = 0 atom through beta0 = min L - 1, which is exact on a
+    finite support.  A grid without levels is plain optimal transport.  The
+    solution has passed :func:`verify_duality` on the original instance.
     """
     check_instance(mu, nu, loss)
     nx, ny = loss.shape
@@ -384,53 +528,21 @@ def solve_msp(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMatrix,
         beta0 = float(loss.values.min() - 1.0)
         cert = DualCertificate(phi=phi - beta0, psi=psi, beta=np.zeros(0), beta0=beta0)
         gap = abs(cert.value(mu, nu, grid) - value)
-        return MspSolution(value=value, coupling=plan, thetas=np.zeros((0, nx, ny)),
-                           betas=np.zeros(0), certificate=cert, gap=gap, grid=grid)
-    keep_i, keep_j = _split_support(mu, nu)
-    mu_r = ProbabilityVector(mu.weights[keep_i])
-    nu_r = ProbabilityVector(nu.weights[keep_j])
-    loss_r = LossMatrix(loss.values[np.ix_(keep_i, keep_j)])
-    mm, nn = loss_r.shape
-    n = mm * nn
-    lp = build_msp_lp(mu_r, nu_r, loss_r, grid)
-    sol = solve_lp(lp, engine=engine)
-    if sol.status != "optimal":
-        raise NumericalFailure(f"MSP LP terminated with status {sol.status}")
-    pi = np.zeros((nx, ny))
-    pi[np.ix_(keep_i, keep_j)] = sol.x[:n].reshape(mm, nn)
-    thetas = np.zeros((K, nx, ny))
-    for k in range(K):
-        thetas[k][np.ix_(keep_i, keep_j)] = sol.x[(k + 1) * n:(k + 2) * n].reshape(mm, nn)
-    phi = np.zeros(nx)
-    psi = np.zeros(ny)
-    phi[keep_i] = sol.duals_eq[:mm]
-    psi[keep_j] = sol.duals_eq[mm:mm + nn]
-    beta_lp = sol.duals_eq[mm + nn:]
-    beta_levels = beta_lp / grid.weights
-    beta0 = float(loss.values.min() - 1.0)
-    if grid.z0 > 0.0:
-        phi = phi - grid.z0 * beta0
-        cert_beta_full = np.concatenate([[beta0], beta_levels])
-    else:
-        cert_beta_full = beta_levels
-    cover = c_beta_evaluate(loss, grid, cert_beta_full).values
-    drop_i = np.setdiff1d(np.arange(nx), keep_i)
-    drop_j = np.setdiff1d(np.arange(ny), keep_j)
-    if drop_i.size:
-        phi[drop_i] = (cover[drop_i][:, keep_j] - psi[keep_j][None, :]).max(axis=1)
-    if drop_j.size:
-        psi[drop_j] = (cover[:, drop_j] - phi[:, None]).max(axis=0)
-    shift = phi[0]
-    phi = phi - shift
-    psi = psi + shift
-    cert = DualCertificate(phi=phi, psi=psi, beta=beta_levels,
-                           beta0=beta0 if grid.z0 > 0.0 else None)
-    value = float(sol.objective)
-    gap = abs(cert.value(mu, nu, grid) - value)
-    law = law_from_coupling(loss, Coupling(pi))
+        kept = int(np.count_nonzero(mu.weights) * np.count_nonzero(nu.weights))
+        sol = MspSolution(value=value, coupling=plan, thetas=np.zeros((0, nx, ny)),
+                          betas=np.zeros(0), certificate=cert, gap=gap, grid=grid,
+                          rounds=1, active_cells=kept)
+        return _certified(sol, loss, mu, nu)
+    res = _solve_lifted(mu, nu, loss, grid, engine)
+    cert = DualCertificate(phi=res.phi, psi=res.psi, beta=res.beta,
+                           beta0=res.beta0 if grid.z0 > 0.0 else None)
+    gap = abs(cert.value(mu, nu, grid) - res.value)
+    law = law_from_coupling(loss, Coupling(res.pi))
     betas = np.array([var(law, float(u)) for u in grid.levels])
-    return MspSolution(value=value, coupling=Coupling(pi), thetas=thetas, betas=betas,
-                       certificate=cert, gap=gap, grid=grid)
+    sol = MspSolution(value=res.value, coupling=Coupling(res.pi), thetas=res.thetas,
+                      betas=betas, certificate=cert, gap=gap, grid=grid,
+                      rounds=res.rounds, active_cells=res.active_cells)
+    return _certified(sol, loss, mu, nu)
 
 
 # ---------------------------------------------------------------------------
@@ -523,6 +635,8 @@ def mes_solution_to_dict(sol: MesSolution) -> dict:
             "beta": float(sol.certificate.beta),
             "rho": sol.certificate.rho.tolist(),
         },
+        "rounds": sol.rounds,
+        "active_cells": sol.active_cells,
     }
 
 
@@ -535,7 +649,9 @@ def mes_solution_from_dict(d: dict) -> MesSolution:
     )
     return MesSolution(value=float(d["value"]), coupling=Coupling(np.asarray(d["coupling"])),
                        theta=np.asarray(d["theta"], dtype=float), certificate=cert,
-                       gap=float(d["gap"]), alpha=float(d["alpha"]))
+                       gap=float(d["gap"]), alpha=float(d["alpha"]),
+                       rounds=int(d.get("rounds", 0)),
+                       active_cells=int(d.get("active_cells", 0)))
 
 
 def msp_solution_to_dict(sol: MspSolution) -> dict:
@@ -556,6 +672,8 @@ def msp_solution_to_dict(sol: MspSolution) -> dict:
         "theta": sol.thetas.tolist(),
         "betas": sol.betas.tolist(),
         "certificate": cert,
+        "rounds": sol.rounds,
+        "active_cells": sol.active_cells,
     }
 
 
@@ -576,7 +694,9 @@ def msp_solution_from_dict(d: dict) -> MspSolution:
     return MspSolution(value=float(d["value"]), coupling=Coupling(np.asarray(d["coupling"])),
                        thetas=thetas,
                        betas=np.asarray(d["betas"], dtype=float), certificate=cert,
-                       gap=float(d["gap"]), grid=grid)
+                       gap=float(d["gap"]), grid=grid,
+                       rounds=int(d.get("rounds", 0)),
+                       active_cells=int(d.get("active_cells", 0)))
 
 
 __all__ = [

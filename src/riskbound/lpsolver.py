@@ -13,10 +13,13 @@ Engines
     stall is detected (which restores the anti-cycling guarantee).
     Intended for desk-scale instances; dense basis algebra.
 ``highs``
-    scipy's HiGHS dual simplex, used for instances whose basis would be too
-    large for the dense engine.  Same certification applies.
+    scipy's HiGHS dual simplex, used for every program past the dense
+    engine's size.  Same certification applies.
 ``auto``
-    simplex below ``SIMPLEX_MAX_ROWS`` rows, highs above.
+    simplex for programs of at most ``SIMPLEX_MAX_VARS`` variables, highs
+    above: the dense engine keeps the oracle's transports of at most 8x8
+    cells, and its cost grows with the square of the row count, so larger
+    programs go to HiGHS.
 
 Dual sign convention: duals are reported for the problem *as posed*, so
 that  objective == duals_eq . b_eq + duals_ub . b_ub + bound terms.  For a
@@ -42,7 +45,7 @@ from .core import (
     ProblemTooLarge,
 )
 
-SIMPLEX_MAX_ROWS = 220          # auto engine cut-over (basis is dense)
+SIMPLEX_MAX_VARS = 64           # auto engine cut-over (basis is dense)
 TRANSPORT_MAX_CELLS = 2_000 * 2_000
 
 _FEAS_TOL = 1e-9                # phase-1 infeasibility threshold
@@ -468,10 +471,9 @@ _HIGHS_OPTIONS = {
 
 def _solve_highs(lp: LinearProgram) -> LpSolution:
     sign = 1.0 if lp.sense == "min" else -1.0
-    bounds = [(None if not np.isfinite(l) else l, None if not np.isfinite(u) else u)
-              for l, u in zip(lp.lb, lp.ub)]
     res = _scipy_linprog(sign * lp.c, A_ub=lp.a_ub, b_ub=lp.b_ub,
-                         A_eq=lp.a_eq, b_eq=lp.b_eq, bounds=bounds,
+                         A_eq=lp.a_eq, b_eq=lp.b_eq,
+                         bounds=np.column_stack([lp.lb, lp.ub]),
                          method="highs-ds", options=_HIGHS_OPTIONS)
     if res.status == 2:
         return LpSolution(status="infeasible", objective=np.nan, x=None, duals_ub=None,
@@ -544,7 +546,7 @@ def solve_lp(lp: LinearProgram, engine: str = "auto") -> LpSolution:
     residual contract (the failing residuals are reported in the message).
     """
     if engine == "auto":
-        engine = "simplex" if lp.n_rows <= SIMPLEX_MAX_ROWS else "highs"
+        engine = "simplex" if lp.n_vars <= SIMPLEX_MAX_VARS else "highs"
     if engine == "simplex":
         sol = _solve_simplex(lp)
     elif engine == "highs":
@@ -662,66 +664,61 @@ def transport_polytope_vertices(mu: ProbabilityVector, nu: ProbabilityVector):
 # ---------------------------------------------------------------------------
 
 
-def write_mps(lp: LinearProgram, path, name: str = "RISKLP") -> None:
-    """Dump the program in fixed MPS format (objective always minimized;
-    a maximization is negated and flagged in a comment)."""
+def write_mps(lp: LinearProgram, path, name: str = "RISKLP", exact: bool = False) -> None:
+    """Dump the program in MPS format (objective always minimized; a
+    maximization is negated and flagged in a comment).
+
+    By default every number keeps six significant digits in its fixed-format
+    field.  With ``exact=True`` every coefficient, right-hand side and bound
+    is printed as ``repr(float(v))``, which reads back bit for bit; such a
+    file is free MPS, because a number may outgrow its fixed field.
+    """
     sign = 1.0 if lp.sense == "min" else -1.0
-    lines = [f"* sense: {lp.sense}" + (" (objective negated)" if sign < 0 else ""),
+    fmt = (lambda v: repr(float(v))) if exact else (lambda v: f"{v:.6G}")
+    lines = [f"* sense: {lp.sense}" + (" (objective negated)" if sign < 0 else "")
+             + ("; free MPS, exact floats" if exact else ""),
              f"NAME          {name:<8s}", "ROWS", " N  COST"]
-    rows = []
-    if lp.a_eq is not None:
-        for i in range(lp.a_eq.shape[0]):
-            rows.append((f"E{i + 1:07d}", "E"))
-    if lp.a_ub is not None:
-        for i in range(lp.a_ub.shape[0]):
-            rows.append((f"L{i + 1:07d}", "L"))
-    for rname, kind in rows:
-        lines.append(f" {kind}  {rname}")
+    m_eq = lp.a_eq.shape[0] if lp.a_eq is not None else 0
+    m_ub = lp.a_ub.shape[0] if lp.a_ub is not None else 0
+    rnames = [f"E{i + 1:07d}" for i in range(m_eq)] + [f"L{i + 1:07d}" for i in range(m_ub)]
+    lines += [f" {r[0]}  {r}" for r in rnames]
     lines.append("COLUMNS")
-    a_all = []
-    if lp.a_eq is not None:
-        a_all.append(lp.a_eq)
-    if lp.a_ub is not None:
-        a_all.append(lp.a_ub)
-    stacked = sp.vstack(a_all, format="csc") if a_all else sp.csc_matrix((0, lp.n_vars))
+    blocks = [a for a in (lp.a_eq, lp.a_ub) if a is not None]
+    stacked = sp.vstack(blocks, format="csc") if blocks else sp.csc_matrix((0, lp.n_vars))
+    stacked.eliminate_zeros()
+    stacked.sort_indices()
+    indptr = stacked.indptr.tolist()
+    indices = stacked.indices.tolist()
+    data = stacked.data.tolist()
+    cost = (sign * lp.c).tolist()
     for j in range(lp.n_vars):
-        entries = []
-        cj = sign * lp.c[j]
-        if cj != 0.0:
-            entries.append(("COST", cj))
-        col = stacked[:, [j]].tocoo()
-        for r, v in sorted(zip(col.row, col.data)):
-            entries.append((rows[r][0], v))
+        entries = [("COST", cost[j])] if cost[j] != 0.0 else []
+        entries += [(rnames[indices[k]], data[k]) for k in range(indptr[j], indptr[j + 1])]
         xname = f"X{j + 1:07d}"
         for k in range(0, len(entries), 2):
-            chunk = entries[k:k + 2]
-            line = f"    {xname:<8s}  {chunk[0][0]:<8s}  {chunk[0][1]:<12.6G}"
-            if len(chunk) == 2:
-                line += f"   {chunk[1][0]:<8s}  {chunk[1][1]:<12.6G}"
+            line = f"    {xname:<8s}  {entries[k][0]:<8s}  {fmt(entries[k][1]):<12s}"
+            if k + 1 < len(entries):
+                line += f"   {entries[k + 1][0]:<8s}  {fmt(entries[k + 1][1]):<12s}"
             lines.append(line)
     lines.append("RHS")
-    b_all = np.concatenate([
-        lp.b_eq if lp.b_eq is not None else np.zeros(0),
-        lp.b_ub if lp.b_ub is not None else np.zeros(0),
-    ])
-    for (rname, _), bv in zip(rows, b_all):
+    b_all = [b for b in (lp.b_eq, lp.b_ub) if b is not None]
+    for rname, bv in zip(rnames, np.concatenate(b_all).tolist() if b_all else []):
         if bv != 0.0:
-            lines.append(f"    RHS       {rname:<8s}  {bv:<12.6G}")
+            lines.append(f"    RHS       {rname:<8s}  {fmt(bv):<12s}")
     lines.append("BOUNDS")
-    for j in range(lp.n_vars):
+    # variables with the MPS default bounds [0, inf) are not listed
+    for j in np.nonzero((lp.lb != 0.0) | np.isfinite(lp.ub))[0].tolist():
         xname = f"X{j + 1:07d}"
         l, u = lp.lb[j], lp.ub[j]
-        if l == 0.0 and not np.isfinite(u):
-            continue  # MPS default
         if not np.isfinite(l) and not np.isfinite(u):
             lines.append(f" FR BND       {xname:<8s}")
             continue
         if not np.isfinite(l):
             lines.append(f" MI BND       {xname:<8s}")
         elif l != 0.0:
-            lines.append(f" LO BND       {xname:<8s}  {l:<12.6G}")
+            lines.append(f" LO BND       {xname:<8s}  {fmt(l):<12s}")
         if np.isfinite(u):
-            lines.append(f" UP BND       {xname:<8s}  {u:<12.6G}")
+            lines.append(f" UP BND       {xname:<8s}  {fmt(u):<12s}")
     lines.append("ENDATA")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -731,7 +728,7 @@ __all__ = [
     "GAP_TOL",
     "LinearProgram",
     "LpSolution",
-    "SIMPLEX_MAX_ROWS",
+    "SIMPLEX_MAX_VARS",
     "solve_lp",
     "solve_transport",
     "transport_polytope_vertices",

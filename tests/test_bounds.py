@@ -6,9 +6,12 @@ import pytest
 from riskbound.core import (
     AlphaOutOfRange,
     CertificateInvalid,
+    DimensionMismatch,
     LossMatrix,
     ProblemTooLarge,
+    SpectralFunction,
     SpectralGrid,
+    discretize_spectrum,
     validate_marginal,
 )
 from riskbound.bounds import (
@@ -16,13 +19,22 @@ from riskbound.bounds import (
     bracket_beta,
     brute_force_mes,
     build_mes_lp,
+    build_msp_lp,
     c_beta_evaluate,
+    mes_solution_from_dict,
+    mes_solution_to_dict,
+    msp_solution_from_dict,
+    msp_solution_to_dict,
     solve_mes,
     solve_msp,
     verify_duality,
 )
+from riskbound.losses import DEFAULT_CCR_PARAMS, build_ccr_instance, build_gaussian_linear_instance
 from riskbound.riskmeasures import DiscreteLaw, es_tail_average
 from riskbound.lpsolver import solve_lp
+
+# the mixed grid of acceptance criterion C2: a u = 0 atom plus two levels
+C2_GRID = SpectralGrid(z0=0.4, levels=np.array([0.3, 0.7]), weights=np.array([0.3, 0.3]))
 
 
 def two_by_two_sum():
@@ -53,6 +65,31 @@ def random_instance(rng, max_side=8):
     nu = validate_marginal(rng.dirichlet(np.ones(n)))
     loss = LossMatrix(rng.normal(size=(m, n)) * rng.uniform(0.5, 4.0))
     return mu, nu, loss
+
+
+def degenerate_instance(rng, max_side=8):
+    """Random instance with zero-mass atoms, a duplicated row and column of
+    the loss, tied loss values, and uniform marginals whose cumulative sums
+    meet (so a row and a column of the staircase run out together)."""
+    m, n = (int(v) for v in rng.integers(1, max_side + 1, size=2))
+    if rng.random() < 0.5:
+        loss = rng.integers(-3, 4, size=(m, n)).astype(float)
+    else:
+        loss = rng.normal(size=(m, n))
+    loss[int(rng.integers(m))] = loss[int(rng.integers(m))]
+    loss[:, int(rng.integers(n))] = loss[:, int(rng.integers(n))]
+    marginals = []
+    for size in (m, n):
+        w = np.full(size, 1.0 / size) if rng.random() < 0.3 else rng.dirichlet(np.ones(size))
+        w[rng.random(size) < 0.3] = 0.0
+        if w.sum() == 0.0:
+            w[int(rng.integers(size))] = 1.0
+        marginals.append(validate_marginal(w / w.sum()))
+    return marginals[0], marginals[1], LossMatrix(loss)
+
+
+def whole_lp_value(lp):
+    return solve_lp(lp, engine="highs").objective
 
 
 class TestBuildMesLp:
@@ -144,6 +181,71 @@ class TestSolveMes:
             v_scale = solve_mes(mu, nu, LossMatrix(lam * loss.values), a).value
             assert v_shift == pytest.approx(v + c, abs=1e-8)
             assert v_scale == pytest.approx(lam * v, abs=1e-8)
+
+
+class TestColumnGeneration:
+    def test_linear_gaussian_finishes_in_one_round(self):
+        mu, nu, loss = build_gaussian_linear_instance(200, 400, 701)
+        sol = solve_mes(mu, nu, loss, 0.9)
+        closed = sum(es_tail_average(DiscreteLaw(np.asarray(p.labels, dtype=float), p), 0.9)
+                     for p in (mu, nu))
+        assert sol.rounds == 1
+        assert sol.active_cells == 200 + 400 - 1
+        assert sol.value == pytest.approx(closed, abs=1e-6)
+
+    def test_degenerate_instances_match_whole_lp(self):
+        rng = np.random.default_rng(404)
+        for _ in range(50):
+            mu, nu, loss = degenerate_instance(rng)
+            a = float(rng.uniform(0.05, 0.95))
+            mes = solve_mes(mu, nu, loss, a)
+            assert mes.value == pytest.approx(whole_lp_value(build_mes_lp(mu, nu, loss, a)),
+                                              abs=1e-9)
+            assert np.array_equal(mes.certificate.rho, np.maximum(loss.values - mes.certificate.beta, 0.0))
+            msp = solve_msp(mu, nu, loss, C2_GRID)
+            assert msp.value == pytest.approx(
+                whole_lp_value(build_msp_lp(mu, nu, loss, C2_GRID)), abs=1e-9)
+            for sol in (mes, msp):
+                assert sol.rounds >= 1
+                assert 1 <= sol.active_cells <= loss.values.size
+                verify_duality(sol, loss, mu, nu)
+
+    def test_ccr_mes_matches_whole_lp(self):
+        mu, nu, loss = build_ccr_instance(DEFAULT_CCR_PARAMS, 100, 31)
+        sol = solve_mes(mu, nu, loss, 0.9)
+        assert sol.value == pytest.approx(whole_lp_value(build_mes_lp(mu, nu, loss, 0.9)),
+                                          abs=1e-9)
+
+    def test_ccr_msp_power_sqrt_matches_whole_lp(self):
+        mu, nu, loss = build_ccr_instance(DEFAULT_CCR_PARAMS, 40, 31)
+        grid = discretize_spectrum(SpectralFunction.power_sqrt(), 16)
+        sol = solve_msp(mu, nu, loss, grid)
+        assert sol.value == pytest.approx(whole_lp_value(build_msp_lp(mu, nu, loss, grid)),
+                                          abs=1e-9)
+
+    def test_restricted_program_keeps_rows_and_orders_cells(self):
+        mu, nu, loss = two_by_two_sum()
+        full = build_msp_lp(mu, nu, loss, C2_GRID)
+        part = build_msp_lp(mu, nu, loss, C2_GRID, cells=([1, 0], [1, 0]))
+        assert part.a_eq.shape == (full.a_eq.shape[0], 3 * 2)
+        assert part.a_ub.shape == (2 * 2, 3 * 2)
+        assert np.array_equal(part.c[:2], 0.4 * np.array([2.0, 0.0]))
+        with pytest.raises(DimensionMismatch):
+            build_msp_lp(mu, nu, loss, C2_GRID, cells=([2], [0]))
+
+    def test_solution_dicts_carry_and_default_the_solve_record(self):
+        mu, nu, loss = two_by_two_sum()
+        mes = solve_mes(mu, nu, loss, 0.5)
+        msp = solve_msp(mu, nu, loss, C2_GRID)
+        for sol, to_dict, from_dict in ((mes, mes_solution_to_dict, mes_solution_from_dict),
+                                        (msp, msp_solution_to_dict, msp_solution_from_dict)):
+            d = to_dict(sol)
+            back = from_dict(d)
+            assert (back.rounds, back.active_cells) == (sol.rounds, sol.active_cells)
+            del d["rounds"], d["active_cells"]
+            old = from_dict(d)
+            assert (old.rounds, old.active_cells) == (0, 0)
+            assert old.value == sol.value
 
 
 class TestBracketBeta:

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from riskbound import lpsolver
+from riskbound.bounds import build_mes_lp
 from riskbound.core import LossMatrix, ProblemTooLarge, validate_marginal
 from riskbound.lpsolver import (
     LinearProgram,
@@ -109,6 +111,25 @@ class TestSolveLp:
             assert sol.residuals["gap"] <= 1e-7
             assert sol.residuals["primal"] <= 1e-8
             assert sol.residuals["dual"] <= 1e-8
+
+
+class TestAutoEngine:
+    @pytest.mark.parametrize("side, engine", [(4, "simplex"), (60, "highs")])
+    def test_transport_cut_over(self, side, engine, monkeypatch):
+        engines = []
+        solve = lpsolver.solve_lp
+
+        def spy(lp, engine="auto"):
+            sol = solve(lp, engine=engine)
+            engines.append(sol.engine)
+            return sol
+
+        monkeypatch.setattr(lpsolver, "solve_lp", spy)
+        rng = np.random.default_rng(side)
+        mu = validate_marginal(rng.dirichlet(np.ones(side)))
+        nu = validate_marginal(rng.dirichlet(np.ones(side)))
+        solve_transport(mu, nu, LossMatrix(rng.normal(size=(side, side))), "min")
+        assert engines == [engine]
 
 
 class TestTransport:
@@ -226,3 +247,77 @@ class TestMpsDump:
         assert " N  COST" in text
         # row sections precede column data
         assert text.index("ROWS") < text.index("COLUMNS") < text.index("RHS")
+
+    def test_exact_export_reads_back_to_the_same_program(self, tmp_path):
+        rng = np.random.default_rng(5)
+        mu = validate_marginal(rng.dirichlet(np.ones(4)))
+        nu = validate_marginal(rng.dirichlet(np.ones(5)))
+        bounded = LinearProgram.from_rows(
+            "max", [3.0, 1.0 / 3.0], rows=[([0, 1], [1.0, 0.1], "<=", 2.0 / 3.0)],
+            lb=[0.0, -0.7], ub=[2.0, np.inf])
+        for lp in (build_mes_lp(mu, nu, LossMatrix(rng.normal(size=(4, 5))), 0.9), bounded):
+            path = tmp_path / "lp.mps"
+            write_mps(lp, path, exact=True)
+            back = read_mps(path)
+            # the file minimizes the negated objective of a maximization
+            assert np.array_equal(back.c, -lp.c)
+            for name in ("a_eq", "a_ub"):
+                if getattr(lp, name) is not None:
+                    assert np.array_equal(getattr(back, name).toarray(),
+                                          getattr(lp, name).toarray())
+                    rhs = "b" + name[1:]
+                    assert np.array_equal(getattr(back, rhs), getattr(lp, rhs))
+            assert np.array_equal(back.lb, lp.lb) and np.array_equal(back.ub, lp.ub)
+            assert -solve_lp(back, engine="highs").objective == pytest.approx(
+                solve_lp(lp, engine="highs").objective, abs=1e-9)
+
+
+def read_mps(path) -> LinearProgram:
+    """Parse a file written by ``write_mps`` back into a minimization."""
+    rows, entries, rhs, bound_lines = {}, [], {}, []
+    section = None
+    for line in path.read_text().splitlines():
+        if not line.strip() or line.startswith("*"):
+            continue
+        if not line[0].isspace():
+            section = line.split()[0]
+            continue
+        f = line.split()
+        if section == "ROWS":
+            rows[f[1]] = f[0]
+        elif section == "COLUMNS":
+            entries += [(f[0], f[k], float(f[k + 1])) for k in range(1, len(f), 2)]
+        elif section == "RHS":
+            rhs.update((f[k], float(f[k + 1])) for k in range(1, len(f), 2))
+        elif section == "BOUNDS":
+            bound_lines.append(f)
+    cols = {x: k for k, x in enumerate(sorted({e[0] for e in entries}))}
+    index = {kind: {r: k for k, r in enumerate(sorted(r for r, t in rows.items() if t == kind))}
+             for kind in ("E", "L")}
+    n = len(cols)
+    c = np.zeros(n)
+    mats = {kind: np.zeros((len(index[kind]), n)) for kind in ("E", "L")}
+    for x, r, v in entries:
+        if r == "COST":
+            c[cols[x]] = v
+        else:
+            mats[rows[r]][index[rows[r]][r], cols[x]] = v
+    lb, ub = np.zeros(n), np.full(n, np.inf)
+    for kind, _, x, *v in bound_lines:
+        if kind in ("FR", "MI"):
+            lb[cols[x]] = -np.inf
+        if kind == "FR":
+            ub[cols[x]] = np.inf
+        elif kind == "LO":
+            lb[cols[x]] = float(v[0])
+        elif kind == "UP":
+            ub[cols[x]] = float(v[0])
+    rhs_of = {kind: np.array([rhs.get(r, 0.0) for r in sorted(index[kind], key=index[kind].get)])
+              for kind in ("E", "L")}
+    return LinearProgram(
+        sense="min", c=c,
+        a_eq=sp.csr_matrix(mats["E"]) if index["E"] else None,
+        b_eq=rhs_of["E"] if index["E"] else None,
+        a_ub=sp.csr_matrix(mats["L"]) if index["L"] else None,
+        b_ub=rhs_of["L"] if index["L"] else None,
+        lb=lb, ub=ub)
