@@ -150,6 +150,12 @@ class MspSolution:
     active_cells: int = 0       # cells in the last restricted master
 
     def __post_init__(self) -> None:
+        shape = (self.grid.n_levels, *self.coupling.matrix.shape)
+        if np.shape(self.thetas) != shape:
+            raise DimensionMismatch(f"thetas has shape {np.shape(self.thetas)}, expected {shape}")
+        if np.shape(self.betas) != (self.grid.n_levels,):
+            raise DimensionMismatch(
+                f"betas has shape {np.shape(self.betas)} for {self.grid.n_levels} levels")
         if self.gap > _GAP_TOL:
             raise NumericalFailure(f"duality gap {self.gap} exceeds {_GAP_TOL}")
 
@@ -617,8 +623,47 @@ def verify_duality(sol: MesSolution | MspSolution, loss: LossMatrix,
 
 
 # ---------------------------------------------------------------------------
-# Solution (de)serialization: {value, gap, coupling, theta, certificate}
+# Solution (de)serialization: {value, gap, coupling, theta, certificate}.
+# Coupling-sized arrays are stored by their support as {shape, index, values}:
+# row-major flat indices of the nonzeros and their exact values.  Readers
+# also take the dense nested lists of older files.
 # ---------------------------------------------------------------------------
+
+
+def _encode_array(a: np.ndarray) -> dict:
+    flat = a.ravel()
+    index = np.flatnonzero(flat)
+    return {"shape": list(a.shape), "index": index.tolist(), "values": flat[index].tolist()}
+
+
+def _decode_array(obj, field: str, shape: tuple | None = None) -> np.ndarray:
+    """The dense array of a solution field, written by :func:`_encode_array`
+    or as a nested list; ``shape``, when given, is the one it must have.
+    Malformed input raises ``DimensionMismatch`` naming the field."""
+    try:
+        if isinstance(obj, dict):
+            out = np.zeros(tuple(int(s) for s in obj["shape"]))
+            index = np.asarray(obj["index"], dtype=np.int64)
+            values = np.asarray(obj["values"], dtype=float)
+            if list(out.shape) != list(obj["shape"]) or not np.array_equal(index, obj["index"]):
+                raise DimensionMismatch(f"{field}: shape and index must hold integers")
+            if index.ndim != 1 or index.shape != values.shape:
+                raise DimensionMismatch(
+                    f"{field}: {index.size} indices for {values.size} values")
+            if index.size and (index[0] < 0 or index[-1] >= out.size
+                               or np.any(np.diff(index) <= 0)):
+                raise DimensionMismatch(
+                    f"{field}: indices must increase strictly within [0, {out.size})")
+            out.flat[index] = values
+        else:
+            out = np.asarray(obj, dtype=float)
+            if out.size == 0 and shape is not None and 0 in shape:
+                out = out.reshape(shape)        # K = 0 tail measures were written as []
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DimensionMismatch(f"{field}: {type(exc).__name__}: {exc}") from exc
+    if shape is not None and out.shape != tuple(shape):
+        raise DimensionMismatch(f"{field} has shape {out.shape}, expected {tuple(shape)}")
+    return out
 
 
 def mes_solution_to_dict(sol: MesSolution) -> dict:
@@ -627,13 +672,13 @@ def mes_solution_to_dict(sol: MesSolution) -> dict:
         "alpha": sol.alpha,
         "value": sol.value,
         "gap": sol.gap,
-        "coupling": sol.coupling.matrix.tolist(),
-        "theta": sol.theta.tolist(),
+        "coupling": _encode_array(sol.coupling.matrix),
+        "theta": _encode_array(sol.theta),
         "certificate": {
             "phi": sol.certificate.phi.tolist(),
             "psi": sol.certificate.psi.tolist(),
             "beta": float(sol.certificate.beta),
-            "rho": sol.certificate.rho.tolist(),
+            "rho": _encode_array(sol.certificate.rho),
         },
         "rounds": sol.rounds,
         "active_cells": sol.active_cells,
@@ -641,14 +686,16 @@ def mes_solution_to_dict(sol: MesSolution) -> dict:
 
 
 def mes_solution_from_dict(d: dict) -> MesSolution:
+    coupling = Coupling(_decode_array(d["coupling"], "coupling"))
+    shape = coupling.matrix.shape
     cert = DualCertificate(
         phi=np.asarray(d["certificate"]["phi"], dtype=float),
         psi=np.asarray(d["certificate"]["psi"], dtype=float),
         beta=float(d["certificate"]["beta"]),
-        rho=np.asarray(d["certificate"]["rho"], dtype=float),
+        rho=_decode_array(d["certificate"]["rho"], "certificate.rho", shape),
     )
-    return MesSolution(value=float(d["value"]), coupling=Coupling(np.asarray(d["coupling"])),
-                       theta=np.asarray(d["theta"], dtype=float), certificate=cert,
+    return MesSolution(value=float(d["value"]), coupling=coupling,
+                       theta=_decode_array(d["theta"], "theta", shape), certificate=cert,
                        gap=float(d["gap"]), alpha=float(d["alpha"]),
                        rounds=int(d.get("rounds", 0)),
                        active_cells=int(d.get("active_cells", 0)))
@@ -668,8 +715,8 @@ def msp_solution_to_dict(sol: MspSolution) -> dict:
                  "weights": sol.grid.weights.tolist()},
         "value": sol.value,
         "gap": sol.gap,
-        "coupling": sol.coupling.matrix.tolist(),
-        "theta": sol.thetas.tolist(),
+        "coupling": _encode_array(sol.coupling.matrix),
+        "theta": _encode_array(sol.thetas),
         "betas": sol.betas.tolist(),
         "certificate": cert,
         "rounds": sol.rounds,
@@ -687,12 +734,9 @@ def msp_solution_from_dict(d: dict) -> MspSolution:
         beta=np.asarray(d["certificate"]["beta"], dtype=float),
         beta0=d["certificate"].get("beta0"),
     )
-    thetas = np.asarray(d["theta"], dtype=float)
-    if thetas.size == 0:
-        nx, ny = np.asarray(d["coupling"]).shape
-        thetas = thetas.reshape(0, nx, ny)
-    return MspSolution(value=float(d["value"]), coupling=Coupling(np.asarray(d["coupling"])),
-                       thetas=thetas,
+    coupling = Coupling(_decode_array(d["coupling"], "coupling"))
+    thetas = _decode_array(d["theta"], "theta", (grid.n_levels, *coupling.matrix.shape))
+    return MspSolution(value=float(d["value"]), coupling=coupling, thetas=thetas,
                        betas=np.asarray(d["betas"], dtype=float), certificate=cert,
                        gap=float(d["gap"]), grid=grid,
                        rounds=int(d.get("rounds", 0)),

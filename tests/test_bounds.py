@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from riskbound.core import (
 )
 from riskbound.bounds import (
     DualCertificate,
+    MesSolution,
     bracket_beta,
     brute_force_mes,
     build_mes_lp,
@@ -315,6 +318,181 @@ class TestCBeta:
             c_beta_evaluate(loss, grid, [1.0])
         out = c_beta_evaluate(loss, grid, [0.0, 1.0])
         assert out.values[0, 0] == pytest.approx(0.5 * 1.0 + 1.0 * 0.0)
+
+
+def json_round_trip(sol):
+    """The dict a solution writes to solution.json, read back through JSON
+    text, and the solution rebuilt from it."""
+    if isinstance(sol, MesSolution):
+        to_dict, from_dict = mes_solution_to_dict, mes_solution_from_dict
+    else:
+        to_dict, from_dict = msp_solution_to_dict, msp_solution_from_dict
+    d = json.loads(json.dumps(to_dict(sol)))
+    return d, from_dict(d)
+
+
+def solution_arrays(sol):
+    """Every array a solution.json must reproduce exactly."""
+    cert = sol.certificate
+    out = {"coupling": sol.coupling.matrix, "phi": cert.phi, "psi": cert.psi,
+           "beta": np.atleast_1d(cert.beta), "beta0": np.atleast_1d(cert.beta0 or 0.0)}
+    if isinstance(sol, MesSolution):
+        out.update(theta=sol.theta, rho=cert.rho)
+    else:
+        out.update(theta=sol.thetas, betas=sol.betas)
+    return out
+
+
+def encoded_fields(d):
+    """The support-encoded fields of a solution dict, by array name."""
+    out = {"coupling": d["coupling"], "theta": d["theta"]}
+    if d["kind"] == "mes":
+        out["rho"] = d["certificate"]["rho"]
+    return out
+
+
+def assert_exact_round_trip(sol, loss, mu, nu):
+    d, back = json_round_trip(sol)
+    want = solution_arrays(sol)
+    got = solution_arrays(back)
+    for name, arr in want.items():
+        assert got[name].shape == arr.shape, name
+        assert np.array_equal(got[name], arr), name
+    for name, field in encoded_fields(d).items():
+        assert field["shape"] == list(want[name].shape), name
+        assert len(field["index"]) == len(field["values"]) == np.count_nonzero(want[name]), name
+    assert (back.value, back.gap, back.rounds, back.active_cells) == (
+        sol.value, sol.gap, sol.rounds, sol.active_cells)
+    verify_duality(back, loss, mu, nu)
+
+
+# solution.json of two_by_two_sum() (MES at alpha 0.5, MSP on C2_GRID and on
+# the flat grid) as written when every array was a dense nested list
+LEGACY_MES = {
+    "kind": "mes", "alpha": 0.5, "value": 2.0, "gap": 0.0,
+    "coupling": [[0.5, 0.0], [0.0, 0.5]], "theta": [[-0.0, 0.0], [-0.0, 1.0]],
+    "certificate": {"phi": [0.0, 2.0], "psi": [0.0, 2.0], "beta": 0.0,
+                    "rho": [[0.0, 1.0], [1.0, 2.0]]},
+    "rounds": 1, "active_cells": 3,
+}
+LEGACY_MSP = {
+    "kind": "msp", "grid": {"z0": 0.4, "levels": [0.3, 0.7], "weights": [0.3, 0.3]},
+    "value": 1.4285714285714286, "gap": 2.220446049250313e-16,
+    "coupling": [[0.5, 0.0], [0.0, 0.5]],
+    "theta": [[[0.2857142857142857, 0.0], [-0.0, 0.7142857142857143]],
+              [[0.0, 0.0], [0.0, 1.0]]],
+    "betas": [0.0, 2.0],
+    "certificate": {"phi": [0.0, 0.8285714285714283], "psi": [0.4, 1.2285714285714286],
+                    "beta": [0.0, 2.0], "beta0": -1.0},
+    "rounds": 1, "active_cells": 3,
+}
+LEGACY_FLAT_MSP = {
+    "kind": "msp", "grid": {"z0": 1.0, "levels": [], "weights": []},
+    "value": 1.0, "gap": 0.0, "coupling": [[-0.0, 0.5], [0.5, 0.0]], "theta": [],
+    "betas": [], "certificate": {"phi": [1.0, 2.0], "psi": [0.0, 1.0], "beta": [], "beta0": -1.0},
+    "rounds": 1, "active_cells": 4,
+}
+
+
+def two_by_two_dicts():
+    """(kind, solution dict, reader) for MES at alpha 0.5 and MSP on C2_GRID."""
+    mu, nu, loss = two_by_two_sum()
+    return [("mes", mes_solution_to_dict(solve_mes(mu, nu, loss, 0.5)), mes_solution_from_dict),
+            ("msp", msp_solution_to_dict(solve_msp(mu, nu, loss, C2_GRID)),
+             msp_solution_from_dict)]
+
+
+class TestSolutionJson:
+    def test_ccr_mes_round_trip(self):
+        mu, nu, loss = build_ccr_instance(DEFAULT_CCR_PARAMS, 100, 31)
+        assert_exact_round_trip(solve_mes(mu, nu, loss, 0.9), loss, mu, nu)
+
+    def test_ccr_msp_power_sqrt_round_trip(self):
+        mu, nu, loss = build_ccr_instance(DEFAULT_CCR_PARAMS, 40, 31)
+        grid = discretize_spectrum(SpectralFunction.power_sqrt(), 16)
+        sol = solve_msp(mu, nu, loss, grid)
+        assert sol.thetas.shape == (16, 40, 40)
+        assert_exact_round_trip(sol, loss, mu, nu)
+
+    def test_transport_branch_round_trip(self):
+        rng = np.random.default_rng(21)
+        mu, nu, loss = random_instance(rng, max_side=6)
+        grid = SpectralGrid(z0=1.0, levels=np.array([]), weights=np.array([]))
+        sol = solve_msp(mu, nu, loss, grid)
+        assert sol.thetas.shape == (0, *loss.shape)
+        assert_exact_round_trip(sol, loss, mu, nu)
+
+    def test_degenerate_instances_round_trip(self):
+        rng = np.random.default_rng(404)
+        for _ in range(50):
+            mu, nu, loss = degenerate_instance(rng)
+            a = float(rng.uniform(0.05, 0.95))
+            assert_exact_round_trip(solve_mes(mu, nu, loss, a), loss, mu, nu)
+            assert_exact_round_trip(solve_msp(mu, nu, loss, C2_GRID), loss, mu, nu)
+
+    @pytest.mark.parametrize("legacy", [LEGACY_MES, LEGACY_MSP, LEGACY_FLAT_MSP],
+                             ids=["mes", "msp", "msp-flat"])
+    def test_dense_nested_list_files_still_load(self, legacy):
+        mu, nu, loss = two_by_two_sum()
+        reader = mes_solution_from_dict if legacy["kind"] == "mes" else msp_solution_from_dict
+        sol = reader(copy.deepcopy(legacy))
+        assert np.array_equal(sol.coupling.matrix, legacy["coupling"])
+        verify_duality(sol, loss, mu, nu)
+        d, back = json_round_trip(sol)
+        assert isinstance(d["coupling"], dict)
+        assert np.array_equal(back.coupling.matrix, sol.coupling.matrix)
+
+    @pytest.mark.parametrize("field", ["coupling", "theta", "certificate.rho"])
+    @pytest.mark.parametrize("fault", ["length", "negative", "beyond", "unsorted"])
+    def test_malformed_index_names_the_field(self, field, fault):
+        for kind, d, reader in two_by_two_dicts():
+            if field == "certificate.rho" and kind == "msp":
+                continue
+            d = copy.deepcopy(d)
+            enc = d["certificate"]["rho"] if field == "certificate.rho" else d[field]
+            size = int(np.prod(enc["shape"]))
+            if fault == "length":
+                enc["values"].append(1.0)
+            elif fault == "negative":
+                enc["index"][0] = -1
+            elif fault == "beyond":
+                enc["index"][-1] = size
+            else:
+                enc["index"].append(enc["index"][-1])
+                enc["values"].append(enc["values"][-1])
+            with pytest.raises(DimensionMismatch, match=field):
+                reader(d)
+
+    @pytest.mark.parametrize("field", ["theta", "certificate.rho"])
+    def test_shape_off_the_coupling_names_the_field(self, field):
+        for kind, d, reader in two_by_two_dicts():
+            if field == "certificate.rho" and kind == "msp":
+                continue
+            for legacy in (False, True):
+                d2 = copy.deepcopy(d)
+                parent = d2["certificate"] if field == "certificate.rho" else d2
+                key = field.split(".")[-1]
+                if legacy:
+                    dense = np.zeros(parent[key]["shape"])[..., :1]
+                    parent[key] = dense.tolist()
+                else:
+                    parent[key]["shape"][-1] = 3
+                with pytest.raises(DimensionMismatch, match=field):
+                    reader(d2)
+
+    def test_msp_solution_checks_theta_and_beta_shapes(self):
+        mu, nu, loss = two_by_two_sum()
+        sol = solve_msp(mu, nu, loss, C2_GRID)
+        with pytest.raises(DimensionMismatch, match="thetas"):
+            dataclasses.replace(sol, thetas=sol.thetas[:1])
+        with pytest.raises(DimensionMismatch, match="thetas"):
+            dataclasses.replace(sol, thetas=sol.thetas[:, :, :1])
+        with pytest.raises(DimensionMismatch, match="betas"):
+            dataclasses.replace(sol, betas=sol.betas[:1])
+        d = msp_solution_to_dict(sol)
+        d["betas"] = [0.0]
+        with pytest.raises(DimensionMismatch, match="betas"):
+            msp_solution_from_dict(d)
 
 
 class TestSolveMsp:
