@@ -109,8 +109,7 @@ class DualFace:
     """
 
     def __init__(self, mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMatrix,
-                 alpha: float, value: float | None = None, engine: str = "auto",
-                 face_tol: float = _FACE_TOL):
+                 alpha: float, value: float | None = None, face_tol: float = _FACE_TOL):
         check_instance(mu, nu, loss)
         if not (0.0 < alpha < 1.0):
             raise AlphaOutOfRange(f"alpha must lie in (0,1), got {alpha}")
@@ -118,9 +117,8 @@ class DualFace:
         self.nu = nu
         self.loss = loss
         self.alpha = float(alpha)
-        self.engine = engine
         if value is None:
-            value = solve_mes(mu, nu, loss, alpha, engine=engine).value
+            value = solve_mes(mu, nu, loss, alpha).value
         self.value = float(value)
         nx, ny = loss.shape
         n = nx * ny
@@ -174,7 +172,7 @@ class DualFace:
         c = np.concatenate([d_mu, d_nu, np.zeros(self._n + 1)])
         lp = LinearProgram(sense="min", c=c, a_ub=self._a_ub, b_ub=self._b_ub,
                            lb=self._lb, ub=self._ub)
-        sol = solve_lp(lp, engine=self.engine)
+        sol = solve_lp(lp)
         if sol.status != "optimal":
             raise NumericalFailure(f"dual-face LP terminated with status {sol.status}")
         return float(sol.objective)
@@ -199,10 +197,9 @@ class DualFace:
 
 
 def hadamard_derivative(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMatrix,
-                        alpha: float, d_mu, d_nu, value: float | None = None,
-                        engine: str = "auto") -> float:
+                        alpha: float, d_mu, d_nu, value: float | None = None) -> float:
     """Directional derivative of the optimal value along (d_mu, d_nu)."""
-    return DualFace(mu, nu, loss, alpha, value=value, engine=engine).derivative(
+    return DualFace(mu, nu, loss, alpha, value=value).derivative(
         np.asarray(d_mu, dtype=float), np.asarray(d_nu, dtype=float))
 
 
@@ -237,8 +234,7 @@ def _psd_factor(cov: np.ndarray) -> np.ndarray:
 def simulate_limit_distribution(mu: ProbabilityVector, nu: ProbabilityVector,
                                 loss: LossMatrix, alpha: float, R: int,
                                 rng: np.random.Generator | int,
-                                y_scale: float = 1.0,
-                                engine: str = "auto") -> LimitSample:
+                                y_scale: float = 1.0) -> LimitSample:
     """R draws of the limiting law: the dual-face derivative evaluated at
     independent centred Gaussians with multinomial covariance.
 
@@ -251,7 +247,7 @@ def simulate_limit_distribution(mu: ProbabilityVector, nu: ProbabilityVector,
         rng = make_rng(seed)
     if R < 1:
         raise DimensionMismatch("need at least one draw")
-    face = DualFace(mu, nu, loss, alpha, engine=engine)
+    face = DualFace(mu, nu, loss, alpha)
     ax = _psd_factor(multinomial_covariance(mu))
     ay = _psd_factor(multinomial_covariance(nu))
     pos_mu = mu.weights > 0.0

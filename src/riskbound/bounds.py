@@ -21,7 +21,7 @@ out can raise the optimum only if C^beta_ij > phi_i + psi_j.  Violated cells
 join the active set until none is left, so the final dual certifies the
 whole instance (Schmitzer 2016's shielding uses the same pricing).
 
-Every solve returns a dual certificate (phi, psi, rho, beta) and ends in
+Every solve returns a dual certificate (phi, psi, beta) and ends in
 ``verify_duality`` on the original instance; ``brute_force_mes`` provides
 the independent oracle
 
@@ -35,7 +35,7 @@ instances.  The two routes share no LP assembly.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -74,11 +74,13 @@ log = logging.getLogger("riskbound")
 class DualCertificate:
     """Feasible dual data proving an upper bound on the primal value.
 
-    For MES: scalar ``beta`` plus the slack matrix ``rho`` satisfying
-    (1-alpha)(phi_i + psi_j) >= rho_ij,  rho_ij + beta >= L_ij,  rho >= 0.
-    For MSP: ``beta`` holds one entry per grid level (as beta(u_k)), ``rho``
-    is None, and ``beta0`` covers the u = 0 atom whenever z0 > 0; the cover
-    condition is phi_i + psi_j >= C^beta(x_i, y_j).
+    The cover condition is phi_i + psi_j >= C^beta(x_i, y_j) on every cell.
+    ``beta`` holds one entry per grid level (as beta(u_k)), and ``beta0``
+    covers the u = 0 atom whenever z0 > 0.  For MES, the Dirac grid at
+    alpha, ``beta`` is a scalar and the condition reads
+    (1-alpha)(phi_i + psi_j) >= (L_ij - beta)+.  ``rho`` is never read: the
+    MES slack matrix of older certificates is always recoverable as
+    (L - beta)+, and the bound does not depend on it.
     """
 
     phi: np.ndarray
@@ -110,7 +112,8 @@ class GapReport:
 
 @dataclass(frozen=True)
 class MesSolution:
-    """Optimal value with primal pair (pi*, Theta*) and a dual certificate."""
+    """Optimal value with primal pair (pi*, Theta*) and a dual certificate;
+    ``grid`` is the Dirac grid at alpha, on which it is an MSP solution."""
 
     value: float
     coupling: Coupling
@@ -120,8 +123,10 @@ class MesSolution:
     alpha: float
     rounds: int = 0             # column-generation rounds (0: not recorded)
     active_cells: int = 0       # cells in the last restricted master
+    grid: SpectralGrid = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "grid", SpectralGrid.dirac(self.alpha))
         inv = 1.0 / (1.0 - self.alpha)
         th = np.asarray(self.theta, dtype=float)
         if th.shape != self.coupling.matrix.shape:
@@ -300,7 +305,8 @@ class _LiftedSolve:
 
 def _solve_lifted(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMatrix,
                   grid: SpectralGrid, engine: str) -> _LiftedSolve:
-    """Column generation on the lifted program of a grid with K >= 1 levels.
+    """Column generation on the lifted program of a grid; a grid without
+    levels (K = 0) is plain optimal transport, with pi as the only variable.
 
     Zero-mass atoms are dropped.  Each round solves the restricted master on
     the active cells, reads phi, psi and beta off its row duals and prices
@@ -402,16 +408,14 @@ def solve_mes(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMatrix,
     Solved as the lifted program on the Dirac grid at ``alpha`` by the
     column generation of :func:`_solve_lifted`; ``engine`` solves each
     restricted master.  The returned coupling, tail measure and certificate
-    cover every cell of the original instance, zero-mass atoms included:
-    ``rho = (L - beta)+`` and the solution has passed :func:`verify_duality`.
-    Potentials are normalized to phi[0] = 0.
+    cover every cell of the original instance, zero-mass atoms included,
+    and the solution has passed :func:`verify_duality`.  Potentials are
+    normalized to phi[0] = 0.
     """
     check_instance(mu, nu, loss)
     a = _require_alpha(alpha)
     res = _solve_lifted(mu, nu, loss, SpectralGrid.dirac(a), engine)
-    beta = float(res.beta[0])
-    cert = DualCertificate(phi=res.phi, psi=res.psi, beta=beta,
-                           rho=np.maximum(loss.values - beta, 0.0))
+    cert = DualCertificate(phi=res.phi, psi=res.psi, beta=float(res.beta[0]))
     gap = abs(cert.value(mu, nu) - res.value)
     sol = MesSolution(value=res.value, coupling=Coupling(res.pi), theta=res.thetas[0],
                       certificate=cert, gap=gap, alpha=a, rounds=res.rounds,
@@ -520,25 +524,13 @@ def solve_msp(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMatrix,
     solves each restricted master.  The certificate's per-level beta comes
     from the Theta-mass row duals (rescaled by the level weights); its phi
     absorbs the u = 0 atom through beta0 = min L - 1, which is exact on a
-    finite support.  A grid without levels is plain optimal transport.  The
-    solution has passed :func:`verify_duality` on the original instance.
+    finite support.  A grid without levels (sigma == 1) is plain optimal
+    transport and takes the same path.  The solution has passed
+    :func:`verify_duality` on the original instance.
     """
     check_instance(mu, nu, loss)
-    nx, ny = loss.shape
-    K = grid.n_levels
-    if loss.values.size * max(K, 1) > MSP_MAX_CELLS_TIMES_LEVELS:
+    if loss.values.size * max(grid.n_levels, 1) > MSP_MAX_CELLS_TIMES_LEVELS:
         raise ProblemTooLarge("cells x levels exceeds the desk-scale envelope")
-    if K == 0:
-        # sigma == 1: plain optimal transport in expectation
-        value, plan, (phi, psi) = solve_transport(mu, nu, loss, "max", engine=engine)
-        beta0 = float(loss.values.min() - 1.0)
-        cert = DualCertificate(phi=phi - beta0, psi=psi, beta=np.zeros(0), beta0=beta0)
-        gap = abs(cert.value(mu, nu, grid) - value)
-        kept = int(np.count_nonzero(mu.weights) * np.count_nonzero(nu.weights))
-        sol = MspSolution(value=value, coupling=plan, thetas=np.zeros((0, nx, ny)),
-                          betas=np.zeros(0), certificate=cert, gap=gap, grid=grid,
-                          rounds=1, active_cells=kept)
-        return _certified(sol, loss, mu, nu)
     res = _solve_lifted(mu, nu, loss, grid, engine)
     cert = DualCertificate(phi=res.phi, psi=res.psi, beta=res.beta,
                            beta0=res.beta0 if grid.z0 > 0.0 else None)
@@ -559,50 +551,41 @@ def solve_msp(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMatrix,
 def verify_duality(sol: MesSolution | MspSolution, loss: LossMatrix,
                    mu: ProbabilityVector, nu: ProbabilityVector) -> GapReport:
     """Recompute primal and dual values from raw solution data and check
-    weak duality and the gap tolerance; raise ``CertificateInvalid`` with
-    the violated constraints otherwise."""
+    the coupling's marginals, the tail measures, the cover condition
+    phi_i + psi_j >= C^beta_ij on every cell, weak duality and the gap
+    tolerance; raise ``CertificateInvalid`` with the violated constraints
+    otherwise.
+
+    An MES solution is checked as MSP on the Dirac grid at alpha, with its
+    tail measure as the only level.  Its cover residual is reported in loss
+    units, (1-alpha) max(C^beta - phi - psi), which is
+    max((L - beta)+ - (1-alpha)(phi + psi)) up to rounding.
+    """
     check_instance(mu, nu, loss)
-    violations: list[str] = []
+    grid = sol.grid
+    if isinstance(sol, MesSolution):
+        thetas, unit = sol.theta[None], 1.0 - sol.alpha
+    else:
+        thetas, unit = sol.thetas, 1.0
     cert = sol.certificate
     pi = sol.coupling.matrix
     row_res, col_res = sol.coupling.marginal_residuals(mu, nu)
-    if isinstance(sol, MesSolution):
-        inv = 1.0 / (1.0 - sol.alpha)
-        primal = float((loss.values * sol.theta).sum())
-        theta_box = float(np.maximum(sol.theta - inv * pi, 0.0).max(initial=0.0))
-        mass_res = abs(float(sol.theta.sum()) - 1.0)
-        dual = cert.value(mu, nu)
-        rho = cert.rho
-        lhs = (1.0 - sol.alpha) * (cert.phi[:, None] + cert.psi[None, :])
-        cover_res = float(np.maximum(rho - lhs, 0.0).max(initial=0.0))
-        slack_res = float(np.maximum(loss.values - rho - cert.beta, 0.0).max(initial=0.0))
-        rho_neg = float(np.maximum(-rho, 0.0).max(initial=0.0))
-        if cover_res > _CERT_FEAS_TOL:
-            violations.append(f"(1-a)(phi+psi) >= rho violated by {cover_res:.3e}")
-        if slack_res > _CERT_FEAS_TOL:
-            violations.append(f"rho + beta >= L violated by {slack_res:.3e}")
-        if rho_neg > _CERT_FEAS_TOL:
-            violations.append(f"rho >= 0 violated by {rho_neg:.3e}")
-        dual_res = {"cover": cover_res, "slack": slack_res, "rho_nonneg": rho_neg}
-    else:
-        grid = sol.grid
-        primal = grid.z0 * float((loss.values * pi).sum())
-        for k in range(grid.n_levels):
-            primal += grid.weights[k] * float((loss.values * sol.thetas[k]).sum())
-        theta_box = 0.0
-        mass_res = 0.0
-        for k in range(grid.n_levels):
-            invk = 1.0 / (1.0 - grid.levels[k])
-            theta_box = max(theta_box, float(np.maximum(sol.thetas[k] - invk * pi, 0.0).max(initial=0.0)))
-            mass_res = max(mass_res, abs(float(sol.thetas[k].sum()) - 1.0))
-        dual = cert.value(mu, nu, grid)
-        beta_full = (np.concatenate([[cert.beta0], np.atleast_1d(cert.beta)])
-                     if grid.z0 > 0.0 else np.atleast_1d(cert.beta))
-        cover = c_beta_evaluate(loss, grid, beta_full).values
-        cover_res = float(np.maximum(cover - cert.phi[:, None] - cert.psi[None, :], 0.0).max(initial=0.0))
-        if cover_res > _CERT_FEAS_TOL:
-            violations.append(f"phi + psi >= C^beta violated by {cover_res:.3e}")
-        dual_res = {"cover": cover_res}
+    primal = grid.z0 * float((loss.values * pi).sum())
+    for w, theta in zip(grid.weights, thetas):
+        primal += w * float((loss.values * theta).sum())
+    inv = 1.0 / (1.0 - grid.levels)
+    theta_box = float(np.maximum(thetas - inv[:, None, None] * pi, 0.0).max(initial=0.0))
+    mass_res = float(np.abs(thetas.sum(axis=(1, 2)) - 1.0).max(initial=0.0))
+    dual = cert.value(mu, nu, grid)
+    beta = np.atleast_1d(cert.beta)
+    if grid.z0 > 0.0:
+        beta = np.concatenate([[cert.beta0], beta])
+    cover = c_beta_evaluate(loss, grid, beta).values
+    cover_res = unit * float(np.maximum(cover - cert.phi[:, None] - cert.psi[None, :],
+                                        0.0).max(initial=0.0))
+    violations: list[str] = []
+    if cover_res > _CERT_FEAS_TOL:
+        violations.append(f"phi + psi >= C^beta violated by {cover_res:.3e}")
     if row_res > 1e-9 or col_res > 1e-9:
         violations.append(f"coupling marginals off by ({row_res:.3e}, {col_res:.3e})")
     if theta_box > 1e-9:
@@ -619,14 +602,15 @@ def verify_duality(sol: MesSolution | MspSolution, loss: LossMatrix,
     return GapReport(primal_value=primal, dual_value=dual, gap=gap,
                      primal_residuals={"row": row_res, "col": col_res,
                                        "theta_box": theta_box, "theta_mass": mass_res},
-                     dual_residuals=dual_res)
+                     dual_residuals={"cover": cover_res})
 
 
 # ---------------------------------------------------------------------------
 # Solution (de)serialization: {value, gap, coupling, theta, certificate}.
 # Coupling-sized arrays are stored by their support as {shape, index, values}:
 # row-major flat indices of the nonzeros and their exact values.  Readers
-# also take the dense nested lists of older files.
+# also take the dense nested lists of older files, and ignore the MES
+# certificate's rho that older files carry.
 # ---------------------------------------------------------------------------
 
 
@@ -678,22 +662,23 @@ def mes_solution_to_dict(sol: MesSolution) -> dict:
             "phi": sol.certificate.phi.tolist(),
             "psi": sol.certificate.psi.tolist(),
             "beta": float(sol.certificate.beta),
-            "rho": _encode_array(sol.certificate.rho),
         },
         "rounds": sol.rounds,
         "active_cells": sol.active_cells,
     }
 
 
+def _decode_potentials(cert: dict, shape: tuple) -> dict:
+    """A certificate's phi and psi, checked against the coupling's shape."""
+    return {"phi": _decode_array(cert["phi"], "certificate.phi", shape[:1]),
+            "psi": _decode_array(cert["psi"], "certificate.psi", shape[1:])}
+
+
 def mes_solution_from_dict(d: dict) -> MesSolution:
     coupling = Coupling(_decode_array(d["coupling"], "coupling"))
     shape = coupling.matrix.shape
-    cert = DualCertificate(
-        phi=np.asarray(d["certificate"]["phi"], dtype=float),
-        psi=np.asarray(d["certificate"]["psi"], dtype=float),
-        beta=float(d["certificate"]["beta"]),
-        rho=_decode_array(d["certificate"]["rho"], "certificate.rho", shape),
-    )
+    cert = DualCertificate(**_decode_potentials(d["certificate"], shape),
+                           beta=float(d["certificate"]["beta"]))
     return MesSolution(value=float(d["value"]), coupling=coupling,
                        theta=_decode_array(d["theta"], "theta", shape), certificate=cert,
                        gap=float(d["gap"]), alpha=float(d["alpha"]),
@@ -728,13 +713,10 @@ def msp_solution_from_dict(d: dict) -> MspSolution:
     grid = SpectralGrid(z0=float(d["grid"]["z0"]),
                         levels=np.asarray(d["grid"]["levels"], dtype=float),
                         weights=np.asarray(d["grid"]["weights"], dtype=float))
-    cert = DualCertificate(
-        phi=np.asarray(d["certificate"]["phi"], dtype=float),
-        psi=np.asarray(d["certificate"]["psi"], dtype=float),
-        beta=np.asarray(d["certificate"]["beta"], dtype=float),
-        beta0=d["certificate"].get("beta0"),
-    )
     coupling = Coupling(_decode_array(d["coupling"], "coupling"))
+    cert = DualCertificate(**_decode_potentials(d["certificate"], coupling.matrix.shape),
+                           beta=np.asarray(d["certificate"]["beta"], dtype=float),
+                           beta0=d["certificate"].get("beta0"))
     thetas = _decode_array(d["theta"], "theta", (grid.n_levels, *coupling.matrix.shape))
     return MspSolution(value=float(d["value"]), coupling=coupling, thetas=thetas,
                        betas=np.asarray(d["betas"], dtype=float), certificate=cert,

@@ -175,7 +175,7 @@ class LpSolution:
 
 
 # ---------------------------------------------------------------------------
-# Canonical assembly (shared by both engines)
+# Canonical assembly (the simplex engine's standard form)
 # ---------------------------------------------------------------------------
 
 
@@ -573,9 +573,10 @@ def solve_lp(lp: LinearProgram, engine: str = "auto") -> LpSolution:
 
 
 def solve_transport(mu: ProbabilityVector, nu: ProbabilityVector, cost: LossMatrix,
-                    sense: str = "max", engine: str = "auto"
+                    sense: str = "max"
                     ) -> tuple[float, Coupling, tuple[np.ndarray, np.ndarray]]:
-    """Extremal transport value over Pi(mu, nu) with Kantorovich potentials.
+    """Extremal transport value over Pi(mu, nu) with Kantorovich potentials,
+    solved whole by :func:`solve_lp`, whose size rule picks the engine.
 
     Zero-mass atoms are dropped before assembly and reinserted as zero
     rows/columns of the plan; their potentials are filled from the cover
@@ -599,7 +600,7 @@ def solve_transport(mu: ProbabilityVector, nu: ProbabilityVector, cost: LossMatr
     a_eq = sp.csr_matrix((np.ones(2 * ncell), (rows, cols)), shape=(mm + nn, ncell))
     b_eq = np.concatenate([mw, nw])
     lp = LinearProgram(sense=sense, c=cw.ravel(), a_eq=a_eq, b_eq=b_eq)
-    sol = solve_lp(lp, engine=engine)
+    sol = solve_lp(lp)
     if sol.status != "optimal":
         raise NumericalFailure(f"transport solve returned {sol.status}")
     plan = np.zeros((m, n))

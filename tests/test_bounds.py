@@ -34,10 +34,12 @@ from riskbound.bounds import (
 )
 from riskbound.losses import DEFAULT_CCR_PARAMS, build_ccr_instance, build_gaussian_linear_instance
 from riskbound.riskmeasures import DiscreteLaw, es_tail_average
-from riskbound.lpsolver import solve_lp
+from riskbound.lpsolver import solve_lp, solve_transport
 
 # the mixed grid of acceptance criterion C2: a u = 0 atom plus two levels
 C2_GRID = SpectralGrid(z0=0.4, levels=np.array([0.3, 0.7]), weights=np.array([0.3, 0.3]))
+# sigma == 1: the expectation alone, plain optimal transport
+FLAT_GRID = SpectralGrid(z0=1.0, levels=np.array([]), weights=np.array([]))
 
 
 def two_by_two_sum():
@@ -204,7 +206,6 @@ class TestColumnGeneration:
             mes = solve_mes(mu, nu, loss, a)
             assert mes.value == pytest.approx(whole_lp_value(build_mes_lp(mu, nu, loss, a)),
                                               abs=1e-9)
-            assert np.array_equal(mes.certificate.rho, np.maximum(loss.values - mes.certificate.beta, 0.0))
             msp = solve_msp(mu, nu, loss, C2_GRID)
             assert msp.value == pytest.approx(
                 whole_lp_value(build_msp_lp(mu, nu, loss, C2_GRID)), abs=1e-9)
@@ -218,6 +219,13 @@ class TestColumnGeneration:
         sol = solve_mes(mu, nu, loss, 0.9)
         assert sol.value == pytest.approx(whole_lp_value(build_mes_lp(mu, nu, loss, 0.9)),
                                           abs=1e-9)
+
+    def test_ccr_flat_grid_matches_transport(self):
+        mu, nu, loss = build_ccr_instance(DEFAULT_CCR_PARAMS, 100, 31)
+        sol = solve_msp(mu, nu, loss, FLAT_GRID)
+        v_ot, _, _ = solve_transport(mu, nu, loss, "max")
+        assert sol.value == pytest.approx(v_ot, abs=1e-9)
+        assert sol.active_cells < loss.values.size
 
     def test_ccr_msp_power_sqrt_matches_whole_lp(self):
         mu, nu, loss = build_ccr_instance(DEFAULT_CCR_PARAMS, 40, 31)
@@ -337,7 +345,7 @@ def solution_arrays(sol):
     out = {"coupling": sol.coupling.matrix, "phi": cert.phi, "psi": cert.psi,
            "beta": np.atleast_1d(cert.beta), "beta0": np.atleast_1d(cert.beta0 or 0.0)}
     if isinstance(sol, MesSolution):
-        out.update(theta=sol.theta, rho=cert.rho)
+        out.update(theta=sol.theta)
     else:
         out.update(theta=sol.thetas, betas=sol.betas)
     return out
@@ -345,14 +353,12 @@ def solution_arrays(sol):
 
 def encoded_fields(d):
     """The support-encoded fields of a solution dict, by array name."""
-    out = {"coupling": d["coupling"], "theta": d["theta"]}
-    if d["kind"] == "mes":
-        out["rho"] = d["certificate"]["rho"]
-    return out
+    return {"coupling": d["coupling"], "theta": d["theta"]}
 
 
 def assert_exact_round_trip(sol, loss, mu, nu):
     d, back = json_round_trip(sol)
+    assert "rho" not in d["certificate"]
     want = solution_arrays(sol)
     got = solution_arrays(back)
     for name, arr in want.items():
@@ -417,8 +423,7 @@ class TestSolutionJson:
     def test_transport_branch_round_trip(self):
         rng = np.random.default_rng(21)
         mu, nu, loss = random_instance(rng, max_side=6)
-        grid = SpectralGrid(z0=1.0, levels=np.array([]), weights=np.array([]))
-        sol = solve_msp(mu, nu, loss, grid)
+        sol = solve_msp(mu, nu, loss, FLAT_GRID)
         assert sol.thetas.shape == (0, *loss.shape)
         assert_exact_round_trip(sol, loss, mu, nu)
 
@@ -442,14 +447,12 @@ class TestSolutionJson:
         assert isinstance(d["coupling"], dict)
         assert np.array_equal(back.coupling.matrix, sol.coupling.matrix)
 
-    @pytest.mark.parametrize("field", ["coupling", "theta", "certificate.rho"])
+    @pytest.mark.parametrize("field", ["coupling", "theta"])
     @pytest.mark.parametrize("fault", ["length", "negative", "beyond", "unsorted"])
     def test_malformed_index_names_the_field(self, field, fault):
         for kind, d, reader in two_by_two_dicts():
-            if field == "certificate.rho" and kind == "msp":
-                continue
             d = copy.deepcopy(d)
-            enc = d["certificate"]["rho"] if field == "certificate.rho" else d[field]
+            enc = d[field]
             size = int(np.prod(enc["shape"]))
             if fault == "length":
                 enc["values"].append(1.0)
@@ -463,22 +466,34 @@ class TestSolutionJson:
             with pytest.raises(DimensionMismatch, match=field):
                 reader(d)
 
-    @pytest.mark.parametrize("field", ["theta", "certificate.rho"])
+    @pytest.mark.parametrize("field", ["theta"])
     def test_shape_off_the_coupling_names_the_field(self, field):
         for kind, d, reader in two_by_two_dicts():
-            if field == "certificate.rho" and kind == "msp":
-                continue
             for legacy in (False, True):
                 d2 = copy.deepcopy(d)
-                parent = d2["certificate"] if field == "certificate.rho" else d2
-                key = field.split(".")[-1]
                 if legacy:
-                    dense = np.zeros(parent[key]["shape"])[..., :1]
-                    parent[key] = dense.tolist()
+                    d2[field] = np.zeros(d2[field]["shape"])[..., :1].tolist()
                 else:
-                    parent[key]["shape"][-1] = 3
+                    d2[field]["shape"][-1] = 3
                 with pytest.raises(DimensionMismatch, match=field):
                     reader(d2)
+
+    @pytest.mark.parametrize("field", ["phi", "psi"])
+    def test_potential_length_off_the_coupling_names_the_field(self, field):
+        for kind, d, reader in two_by_two_dicts():
+            for length in (1, 3):
+                d2 = copy.deepcopy(d)
+                d2["certificate"][field] = [0.0] * length
+                with pytest.raises(DimensionMismatch, match=f"certificate.{field}"):
+                    reader(d2)
+
+    def test_rho_of_older_files_is_ignored(self):
+        mu, nu, loss = two_by_two_sum()
+        legacy = copy.deepcopy(LEGACY_MES)
+        legacy["certificate"]["rho"] = {"shape": [3], "index": [7], "values": [-1.0]}
+        sol = mes_solution_from_dict(legacy)
+        assert sol.certificate.rho is None
+        verify_duality(sol, loss, mu, nu)
 
     def test_msp_solution_checks_theta_and_beta_shapes(self):
         mu, nu, loss = two_by_two_sum()
@@ -506,12 +521,10 @@ class TestSolveMsp:
             assert abs(v_mes - v_msp) <= 1e-8
 
     def test_flat_grid_equals_transport(self):
-        from riskbound.lpsolver import solve_transport
         rng = np.random.default_rng(14)
         for _ in range(8):
             mu, nu, loss = random_instance(rng, max_side=5)
-            grid = SpectralGrid(z0=1.0, levels=np.array([]), weights=np.array([]))
-            v_msp = solve_msp(mu, nu, loss, grid)
+            v_msp = solve_msp(mu, nu, loss, FLAT_GRID)
             v_ot, _, _ = solve_transport(mu, nu, loss, "max")
             assert abs(v_msp.value - v_ot) <= 1e-8
             assert v_msp.gap <= 1e-7
@@ -561,7 +574,7 @@ class TestVerifyDuality:
         sol = solve_mes(mu, nu, loss, a)
         rho = np.maximum(loss.values, 0.0)
         phi = rho.max(axis=1) / (1.0 - a)
-        cert = DualCertificate(phi=phi, psi=np.zeros(2), beta=0.0, rho=rho)
+        cert = DualCertificate(phi=phi, psi=np.zeros(2), beta=0.0)
         # direct arithmetic: feasible, so its value upper-bounds the optimum
         assert ((1.0 - a) * (phi[:, None] + np.zeros(2)[None, :]) >= rho - 1e-12).all()
         assert (rho + 0.0 >= loss.values - 1e-12).all()
@@ -575,3 +588,39 @@ class TestVerifyDuality:
         bad = dataclasses.replace(sol, certificate=bad_cert)
         with pytest.raises(CertificateInvalid):
             verify_duality(bad, loss, mu, nu)
+
+    @pytest.mark.parametrize("alpha", [1e-6, 1.0 - 1e-8], ids=["alpha-1e-6", "alpha-1-1e-8"])
+    @pytest.mark.parametrize("kind", ["constant", "one-atom", "duplicated"])
+    def test_mes_cover_residual_is_in_loss_units(self, kind, alpha):
+        rng = np.random.default_rng(77)
+        if kind == "constant":
+            mu = validate_marginal(rng.dirichlet(np.ones(3)))
+            nu = validate_marginal(rng.dirichlet(np.ones(4)))
+            loss = LossMatrix(np.full((3, 4), 2.5))
+        elif kind == "one-atom":
+            mu = validate_marginal([0.0, 0.0, 1.0, 0.0])
+            nu = validate_marginal([0.0, 1.0, 0.0])
+            loss = LossMatrix(rng.normal(size=(4, 3)))
+        else:
+            values = rng.normal(size=(5, 6))
+            values[3] = values[0]
+            values[:, 4] = values[:, 1]
+            mu = validate_marginal(rng.dirichlet(np.ones(5)))
+            nu = validate_marginal(rng.dirichlet(np.ones(6)))
+            loss = LossMatrix(values)
+
+        def direct_residual(cert):
+            lhs = (1.0 - alpha) * (cert.phi[:, None] + cert.psi[None, :])
+            return max(float((np.maximum(loss.values - cert.beta, 0.0) - lhs).max()), 0.0)
+
+        sol = solve_mes(mu, nu, loss, alpha)
+        report = verify_duality(sol, loss, mu, nu)
+        assert report.dual_residuals["cover"] == pytest.approx(
+            direct_residual(sol.certificate), abs=1e-12)
+        # a certificate short by 1e-6 in loss units is reported in loss units
+        cert = dataclasses.replace(sol.certificate,
+                                   phi=sol.certificate.phi - 1e-6 / (1.0 - alpha))
+        with pytest.raises(CertificateInvalid, match="C\\^beta violated") as err:
+            verify_duality(dataclasses.replace(sol, certificate=cert), loss, mu, nu)
+        reported = float(str(err.value).split("violated by ")[1].split(";")[0])
+        assert reported == pytest.approx(direct_residual(cert), rel=1e-3)
