@@ -27,9 +27,11 @@ the independent oracle
 
     min over beta of  beta + (1-alpha)^{-1} * OTmax(mu, nu, (L - beta)+)
 
-evaluated by golden-section over the convex outer function, with the inner
-transport additionally verified by exhaustive vertex enumeration on tiny
-instances.  The two routes share no LP assembly.
+minimized exactly: the optimal transport plans give subgradients of the
+convex outer function, which steer a bisection over the loss values and then
+cutting planes between two adjacent ones, down to a certified lower bound.
+The inner transport is additionally verified by exhaustive vertex
+enumeration on tiny instances.  The two routes share no LP assembly.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ from .core import (
     CertificateInvalid,
     Coupling,
     DimensionMismatch,
-    InvalidParams,
     LossMatrix,
     NumericalFailure,
     ProbabilityVector,
@@ -61,6 +62,8 @@ MSP_MAX_CELLS_TIMES_LEVELS = 5_000_000
 _WEAK_DUALITY_TOL = 1e-9
 _GAP_TOL = 1e-7
 _CERT_FEAS_TOL = 1e-8
+_ORACLE_REL_TOL = 1e-12     # oracle stop: value minus lower bound, per max|L|/(1-alpha)
+_ORACLE_MAX_CUTS = 50
 
 log = logging.getLogger("riskbound")
 
@@ -433,12 +436,20 @@ def bracket_beta(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMatrix,
 
 
 def brute_force_mes(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMatrix,
-                    alpha: float, beta_grid_size: int = 33) -> float:
+                    alpha: float) -> float:
     """Independent MES oracle via the scalarized route.
 
-    Minimizes  f(beta) = beta + (1-alpha)^{-1} OTmax(mu, nu, (L-beta)+)
-    with a coarse grid bracket followed by golden-section (f is convex: a
-    pointwise maximum over couplings of convex functions of beta).  On
+    Minimizes the convex  f(beta) = beta + (1-alpha)^{-1} OTmax(mu, nu, (L-beta)+)
+    exactly.  An optimal plan p at beta gives the convex minorant
+    x + (1-alpha)^{-1} sum_ij p_ij (L_ij - x)+ of f that touches it at beta,
+    so 1 - (1-alpha)^{-1} P_p(L >= beta) and 1 - (1-alpha)^{-1} P_p(L > beta)
+    are subgradients of f there.  Bisection over the distinct loss values by
+    their signs either stops at a minimizing loss value or ends between two
+    adjacent ones.  There f is the maximum of one line per vertex plan: the
+    two bracketing lines are intersected, f is evaluated at the crossing, and
+    the new plan's line replaces the one on the side its slope points to,
+    until f at the crossing meets the lines' value (a certified lower bound)
+    to 1e-12 of max|L|/(1-alpha).  The smallest f evaluated is returned.  On
     instances of at most 16 cells the transport value at the returned beta
     is re-verified against exhaustive vertex enumeration.
     """
@@ -446,48 +457,71 @@ def brute_force_mes(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMatr
     a = _require_alpha(alpha)
     if loss.values.size > 100:
         raise ProblemTooLarge("brute-force oracle limited to 100 cells")
-    if beta_grid_size < 3:
-        raise InvalidParams("beta_grid_size must be at least 3")
     inv = 1.0 / (1.0 - a)
+    L = loss.values
+    # f adds inv times a transport value of up to max|L|: its rounding scale
+    tol = _ORACLE_REL_TOL * inv * float(np.abs(L).max())
+    evals = []  # (f, beta, transport value)
 
-    def f(beta: float) -> float:
-        value, _, _ = solve_transport(
-            mu, nu, LossMatrix(np.maximum(loss.values - beta, 0.0)), "max")
-        return beta + inv * value
+    def f(beta: float) -> tuple[float, np.ndarray]:
+        value, plan, _ = solve_transport(mu, nu, LossMatrix(np.maximum(L - beta, 0.0)), "max")
+        f_beta = beta + inv * value
+        evals.append((f_beta, beta, value))
+        return f_beta, plan.matrix
 
-    k_star, big_k = bracket_beta(mu, nu, loss, alpha)
-    grid = np.linspace(k_star, big_k, beta_grid_size)
-    vals = [f(b) for b in grid]
-    i = int(np.argmin(vals))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, beta_grid_size - 1)]
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    c = hi - invphi * (hi - lo)
-    d = lo + invphi * (hi - lo)
-    fc, fd = f(c), f(d)
-    best = min(vals[i], fc, fd)
-    while hi - lo > 1e-7:
-        if fc <= fd:
-            hi, d, fd = d, c, fc
-            c = hi - invphi * (hi - lo)
-            fc = f(c)
-            best = min(best, fc)
+    # (a) bisection over the loss values; f falls left of v[0] and rises
+    # right of v[-1], so the sentinels -1 and v.size are never evaluated
+    v = np.unique(L)
+    lo, hi = -1, v.size
+    lower = None
+    while hi - lo > 1:
+        k = (lo + hi) // 2
+        fk, p = f(float(v[k]))
+        s_minus = 1.0 - inv * (1.0 - p[L < v[k]].sum())
+        s_plus = 1.0 - inv * p[L > v[k]].sum()
+        if s_plus < 0.0:
+            lo, left = k, (float(v[k]), fk, s_plus)
+        elif s_minus > 0.0:
+            hi, right = k, (float(v[k]), fk, s_minus)
         else:
-            lo, c, fc = c, d, fd
-            d = lo + invphi * (hi - lo)
-            fd = f(d)
-            best = min(best, fd)
-    beta_hat = 0.5 * (lo + hi)
+            lower = fk
+            break
+    # (b) Kelley's cutting planes between v[lo] and v[hi]
+    if lower is None:
+        inside = L > v[lo]  # the cells where (L - x)+ > 0 inside the bracket
+        (x1, f1, s1), (x2, f2, s2) = left, right
+        for _ in range(_ORACLE_MAX_CUTS):
+            x = min(max(x1 + (f1 - f2 + s2 * (x2 - x1)) / (s2 - s1), x1), x2)
+            lower = max(f1 + s1 * (x - x1), f2 + s2 * (x - x2))
+            fx, q = f(x)
+            s = 1.0 - inv * q[inside].sum()
+            if s == 0.0:
+                lower = fx  # a zero subgradient: x minimizes f
+            if fx - lower <= tol:
+                break
+            if s < 0.0:
+                x1, f1, s1 = x, fx, s
+            else:
+                x2, f2, s2 = x, fx, s
+        else:
+            raise NumericalFailure(
+                f"MES oracle: no certified minimum after {_ORACLE_MAX_CUTS} cuts")
+    best, beta_hat, value = min(evals)
+    width = best - lower
+    if abs(width) > tol:
+        raise NumericalFailure(
+            f"MES oracle: value {best!r} and certified lower bound {lower!r} differ")
+    log.info("brute_force_mes: %d transport(s), beta %r, certified bracket width %.3e",
+             len(evals), float(beta_hat), width)
     if loss.values.size <= 16:
-        shifted = np.maximum(loss.values - beta_hat, 0.0)
-        lp_value, _, _ = solve_transport(mu, nu, LossMatrix(shifted), "max")
-        enum_value = max(float((shifted * v).sum())
-                         for v in transport_polytope_vertices(mu, nu))
-        if abs(lp_value - enum_value) > 1e-9:
+        shifted = np.maximum(L - beta_hat, 0.0)
+        enum_value = max(float((shifted * vert).sum())
+                         for vert in transport_polytope_vertices(mu, nu))
+        if abs(value - enum_value) > 1e-9:
             raise NumericalFailure(
                 f"transport vertex enumeration disagrees with the LP: "
-                f"{enum_value} vs {lp_value}")
-    return float(min(best, f(beta_hat)))
+                f"{enum_value} vs {value}")
+    return float(best)
 
 
 # ---------------------------------------------------------------------------

@@ -197,8 +197,7 @@ def cmd_msp(args) -> int:
 
 def cmd_oracle(args) -> int:
     mu, nu, loss, _ = load_instance(args.instance)
-    value = bounds.brute_force_mes(mu, nu, loss, args.alpha,
-                                   beta_grid_size=args.beta_grid)
+    value = bounds.brute_force_mes(mu, nu, loss, args.alpha)
     print(f"value = {value!r}")
     if args.out:
         _json_dump(_out_dir(args.out) / "oracle.json",
@@ -369,7 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="independent brute-force MES value")
     p.add_argument("instance")
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--beta-grid", type=int, default=33)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_oracle)
 

@@ -476,10 +476,20 @@ class SpectralGrid:
 
     @classmethod
     def dirac(cls, alpha: float) -> "SpectralGrid":
-        """Gamma = delta_alpha: the plain Expected Shortfall case."""
+        """Gamma = delta_alpha: the plain Expected Shortfall case.
+
+        Every solve builds one, so the fields are set directly: with alpha in
+        (0,1) the checks of ``__post_init__`` hold by construction."""
         if not (0.0 < alpha < 1.0):
             raise AlphaOutOfRange(f"alpha must lie in (0,1), got {alpha}")
-        return cls(z0=0.0, levels=np.array([alpha]), weights=np.array([1.0]))
+        u = np.array([float(alpha)])
+        w = np.ones(1)
+        grid = object.__new__(cls)
+        object.__setattr__(grid, "z0", 0.0)
+        object.__setattr__(grid, "levels", _freeze(u))
+        object.__setattr__(grid, "weights", _freeze(w))
+        object.__setattr__(grid, "gamma_weights", _freeze(w / (1.0 - u)))
+        return grid
 
 
 def discretize_spectrum(sigma: SpectralFunction, K: int) -> SpectralGrid:

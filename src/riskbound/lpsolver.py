@@ -29,7 +29,7 @@ maximization this makes duals of binding <=-rows nonnegative.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Sequence
 
 import numpy as np
@@ -47,6 +47,7 @@ from .core import (
 
 SIMPLEX_MAX_VARS = 64           # auto engine cut-over (basis is dense)
 TRANSPORT_MAX_CELLS = 2_000 * 2_000
+_VERTEX_CHUNK = 512             # candidate bases tested and solved per batch
 
 _FEAS_TOL = 1e-9                # phase-1 infeasibility threshold
 _RC_TOL = 1e-9                  # reduced-cost optimality threshold
@@ -630,34 +631,41 @@ def transport_polytope_vertices(mu: ProbabilityVector, nu: ProbabilityVector):
     """Yield every basic feasible plan of the transportation polytope.
 
     Basic solutions correspond to spanning forests with m+n-1 support cells.
-    Exponential: intended only for the oracle cross-checks on tiny instances.
+    Candidate supports are drawn in chunks of ``_VERTEX_CHUNK``, never all at
+    once (36 cells allow C(36, 11) of them), and each chunk is tested and
+    solved as one stacked batch.  The constraint matrix is totally
+    unimodular, so a candidate basis has determinant 0 or +-1 and the
+    determinant decides its rank exactly.  Exponential: intended only for
+    the oracle cross-checks on tiny instances.
     """
     m, n = mu.size, nu.size
     if m * n > 36:
         raise ProblemTooLarge("vertex enumeration limited to 36 cells")
-    cells = [(i, j) for i in range(m) for j in range(n)]
-    a_full = np.zeros((m + n, m * n))
-    for k, (i, j) in enumerate(cells):
-        a_full[i, k] = 1.0
-        a_full[m + j, k] = 1.0
-    b = np.concatenate([mu.weights, nu.weights])
+    r = m + n - 1
+    # row k: column k of the constraint matrix, less the redundant last column sum
+    cell_cols = np.hstack([np.repeat(np.eye(m), n, axis=0), np.tile(np.eye(n), (m, 1))])[:, :-1]
+    b = np.concatenate([mu.weights, nu.weights])[:-1]
     seen = set()
-    for combo in combinations(range(m * n), m + n - 1):
-        a = a_full[:-1, combo]  # drop one redundant row
-        if np.linalg.matrix_rank(a) < m + n - 1:
-            continue
-        flows = np.linalg.lstsq(a, b[:-1], rcond=None)[0]
-        if np.any(flows < -1e-10):
-            continue
-        full = np.zeros(m * n)
-        full[list(combo)] = flows
-        if abs(full.reshape(m, n).sum(axis=0) - nu.weights).max() > 1e-9:
-            continue
-        key = tuple(np.round(full, 12))
-        if key in seen:
-            continue
-        seen.add(key)
-        yield full.reshape(m, n)
+    combos = combinations(range(m * n), r)
+    while True:
+        chunk = np.array(list(islice(combos, _VERTEX_CHUNK)), dtype=int).reshape(-1, r)
+        if not chunk.size:
+            return
+        a = cell_cols[chunk].transpose(0, 2, 1)
+        basic = np.abs(np.linalg.det(a)) > 0.5
+        chunk, a = chunk[basic], a[basic]
+        flows = np.linalg.solve(a, np.broadcast_to(b, chunk.shape)[..., None])[..., 0]
+        ok = np.all(flows >= -1e-10, axis=1)
+        chunk, flows = chunk[ok], flows[ok]
+        plans = np.zeros((chunk.shape[0], m * n))
+        np.put_along_axis(plans, chunk, flows, axis=1)
+        plans = plans.reshape(-1, m, n)
+        ok = np.abs(plans.sum(axis=1) - nu.weights).max(axis=1, initial=0.0) <= 1e-9
+        for plan in plans[ok]:
+            key = tuple(np.round(plan.ravel(), 12))
+            if key not in seen:
+                seen.add(key)
+                yield plan
 
 
 # ---------------------------------------------------------------------------

@@ -299,6 +299,47 @@ class TestBruteForce:
             oracle = brute_force_mes(mu, nu, loss, a)
             assert abs(lp_value - oracle) <= 1e-5
 
+    def test_interior_minimizer(self):
+        # f(beta) = (26 - beta)/3 for beta <= 4 and (18 + beta)/3 for beta >= 4:
+        # the minimizer lies strictly between the loss values 1 and 6, where
+        # the maximizing plan switches from the comonotone to the other one
+        mu = validate_marginal([0.5, 0.5])
+        nu = validate_marginal([0.5, 0.5])
+        values = np.array([[1.0, 6.0], [7.0, 9.0]])
+        alpha = 0.25
+        plans = [np.diag([0.5, 0.5]), np.fliplr(np.diag([0.5, 0.5]))]
+
+        def f(beta):
+            return beta + max(float((p * np.maximum(values - beta, 0.0)).sum())
+                              for p in plans) / (1.0 - alpha)
+
+        assert f(4.0) == pytest.approx(22.0 / 3.0, abs=1e-12)
+        assert min(f(v) for v in np.unique(values)) == pytest.approx(8.0, abs=1e-12)
+        assert f(6.0) == pytest.approx(8.0, abs=1e-12)
+        loss = LossMatrix(values)
+        assert brute_force_mes(mu, nu, loss, alpha) == pytest.approx(22.0 / 3.0, abs=1e-12)
+        assert solve_mes(mu, nu, loss, alpha).value == pytest.approx(22.0 / 3.0, abs=1e-12)
+
+    def test_exact_against_lifted_lp_across_scales(self):
+        rng = np.random.default_rng(55)
+        for _ in range(60):
+            mu, nu, loss = degenerate_instance(rng)
+            loss = LossMatrix(loss.values * 10.0 ** rng.uniform(-3.0, 3.0))
+            a = float(rng.uniform(0.05, 0.95))
+            scale = max(1.0, float(np.abs(loss.values).max()))
+            oracle = brute_force_mes(mu, nu, loss, a)
+            assert abs(oracle - solve_mes(mu, nu, loss, a).value) <= 1e-10 * scale
+
+    def test_reports_transports_beta_and_bracket(self, caplog):
+        mu, nu, loss = two_by_two_sum()
+        with caplog.at_level("INFO", logger="riskbound"):
+            brute_force_mes(mu, nu, loss, 0.5)
+        lines = [r.getMessage() for r in caplog.records
+                 if r.getMessage().startswith("brute_force_mes:")]
+        assert len(lines) == 1
+        assert "transport(s)" in lines[0] and "beta 1.0" in lines[0]
+        assert "certified bracket width" in lines[0]
+
 
 class TestCBeta:
     def test_dirac_grid(self):

@@ -123,6 +123,18 @@ class TestOracleCommand:
         v = float(capsys.readouterr().out.splitlines()[0].split("=")[1])
         assert v == pytest.approx(2.0, abs=1e-5)
 
+    def test_prints_the_mes_value(self, comonotone_instance, tmp_path, capsys):
+        assert main(["mes", str(comonotone_instance), "--alpha", "0.3",
+                     "--out", str(tmp_path / "o")]) == 0
+        mes = float(capsys.readouterr().out.splitlines()[0].split("=")[1])
+        assert main(["oracle", str(comonotone_instance), "--alpha", "0.3"]) == 0
+        oracle = float(capsys.readouterr().out.splitlines()[0].split("=")[1])
+        assert oracle == pytest.approx(mes, abs=1e-12)
+
+    def test_beta_grid_flag_is_gone(self, comonotone_instance):
+        with pytest.raises(SystemExit):
+            main(["oracle", str(comonotone_instance), "--alpha", "0.5", "--beta-grid", "9"])
+
 
 class TestCltCommand:
     def make_config(self, tmp_path, **kw):

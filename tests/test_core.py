@@ -206,6 +206,24 @@ class TestDiscretizeSpectrum:
         assert abs(g.z0 + g.weights.sum() - 1.0) <= 1e-10
 
 
+class TestDiracGrid:
+    @pytest.mark.parametrize("alpha", [1e-9, 0.1, 0.3, 0.9, 1.0 - 1e-8, np.float64(0.7)])
+    def test_equals_the_validated_grid(self, alpha):
+        fast = SpectralGrid.dirac(alpha)
+        ref = SpectralGrid(0.0, [alpha], [1.0])
+        assert type(fast.z0) is float and fast.z0 == ref.z0
+        for name in ("levels", "weights", "gamma_weights"):
+            got, want = getattr(fast, name), getattr(ref, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert not got.flags.writeable
+        assert fast.n_levels == 1
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.2, 1.5, float("nan")])
+    def test_alpha_out_of_range(self, alpha):
+        with pytest.raises(AlphaOutOfRange):
+            SpectralGrid.dirac(alpha)
+
+
 class TestGridNorms:
     def test_es_norms(self):
         g = SpectralGrid.dirac(0.9)

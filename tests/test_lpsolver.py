@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -233,6 +235,59 @@ class TestVertexEnumeration:
             assert np.abs(v.sum(axis=1) - mu.weights).max() <= 1e-9
             assert np.abs(v.sum(axis=0) - nu.weights).max() <= 1e-9
             assert v.min() >= -1e-10
+
+    @staticmethod
+    def reference_vertices(mu, nu):
+        """One rank test and one solve per candidate basis."""
+        m, n = mu.size, nu.size
+        a_full = np.zeros((m + n, m * n))
+        for k in range(m * n):
+            a_full[k // n, k] = 1.0
+            a_full[m + k % n, k] = 1.0
+        b = np.concatenate([mu.weights, nu.weights])
+        out = []
+        for combo in itertools.combinations(range(m * n), m + n - 1):
+            a = a_full[:-1, combo]
+            if np.linalg.matrix_rank(a) < m + n - 1:
+                continue
+            flows = np.linalg.lstsq(a, b[:-1], rcond=None)[0]
+            if np.any(flows < -1e-10):
+                continue
+            full = np.zeros(m * n)
+            full[list(combo)] = flows
+            if abs(full.reshape(m, n).sum(axis=0) - nu.weights).max() <= 1e-9:
+                out.append(full)
+        return out
+
+    @pytest.mark.parametrize("zero_atom", [False, True])
+    def test_batched_matches_per_basis_reference(self, zero_atom):
+        rng = np.random.default_rng(72)
+        shapes = [(m, n) for m in range(1, 17) for n in range(1, 17) if m * n <= 16]
+        for m, n in shapes:
+            mw = rng.dirichlet(np.ones(m))
+            nw = rng.dirichlet(np.ones(n))
+            if zero_atom:
+                if m > 1:
+                    mw[int(rng.integers(m))] = 0.0
+                if n > 1:
+                    nw[int(rng.integers(n))] = 0.0
+            mu = validate_marginal(mw / mw.sum())
+            nu = validate_marginal(nw / nw.sum())
+            got = list(transport_polytope_vertices(mu, nu))
+            for v in got:
+                assert v.shape == (m, n)
+
+            def keys(plans):
+                return {tuple(np.round(np.ravel(p), 9)) for p in plans}
+
+            assert keys(got) == keys(self.reference_vertices(mu, nu)), (m, n)
+            assert len(keys(got)) == len(got), (m, n)
+
+    def test_more_than_36_cells_rejected(self):
+        mu = validate_marginal(np.full(6, 1.0 / 6))
+        nu = validate_marginal(np.full(7, 1.0 / 7))
+        with pytest.raises(ProblemTooLarge):
+            next(transport_polytope_vertices(mu, nu))
 
 
 class TestMpsDump:
