@@ -31,7 +31,8 @@ minimized exactly: the optimal transport plans give subgradients of the
 convex outer function, which steer a bisection over the loss values and then
 cutting planes between two adjacent ones, down to a certified lower bound.
 The inner transport is additionally verified by exhaustive vertex
-enumeration on tiny instances.  The two routes share no LP assembly.
+enumeration on tiny instances.  The two routes share the LP engine and no
+LP assembly.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from .core import (
     CertificateInvalid,
     Coupling,
     DimensionMismatch,
+    InvalidParams,
     LossMatrix,
     NumericalFailure,
     ProbabilityVector,
@@ -171,6 +173,11 @@ class MspSolution:
 # ---------------------------------------------------------------------------
 # LP assembly
 # ---------------------------------------------------------------------------
+
+
+def _require_engine(engine: str) -> None:
+    if engine != "highs":
+        raise InvalidParams(f"unknown engine {engine!r}; the only engine is 'highs'")
 
 
 def _require_alpha(alpha: float) -> float:
@@ -307,7 +314,7 @@ class _LiftedSolve:
 
 
 def _solve_lifted(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMatrix,
-                  grid: SpectralGrid, engine: str) -> _LiftedSolve:
+                  grid: SpectralGrid) -> _LiftedSolve:
     """Column generation on the lifted program of a grid; a grid without
     levels (K = 0) is plain optimal transport, with pi as the only variable.
 
@@ -337,7 +344,7 @@ def _solve_lifted(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMatrix
     rounds = 0
     while True:
         rounds += 1
-        sol = solve_lp(build_msp_lp(mu_r, nu_r, loss_r, grid, cells=(ci, cj)), engine=engine)
+        sol = solve_lp(build_msp_lp(mu_r, nu_r, loss_r, grid, cells=(ci, cj)))
         if sol.status != "optimal":
             raise NumericalFailure(f"lifted master LP terminated with status {sol.status}")
         phi_r = sol.duals_eq[:mm] - grid.z0 * beta0
@@ -409,15 +416,17 @@ def solve_mes(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMatrix,
     """Maximum Expected Shortfall with a certified dual and zero LP gap.
 
     Solved as the lifted program on the Dirac grid at ``alpha`` by the
-    column generation of :func:`_solve_lifted`; ``engine`` solves each
-    restricted master.  The returned coupling, tail measure and certificate
-    cover every cell of the original instance, zero-mass atoms included,
-    and the solution has passed :func:`verify_duality`.  Potentials are
-    normalized to phi[0] = 0.
+    column generation of :func:`_solve_lifted`.  The returned coupling, tail
+    measure and certificate cover every cell of the original instance,
+    zero-mass atoms included, and the solution has passed
+    :func:`verify_duality`.  Potentials are normalized to phi[0] = 0.
+    ``engine`` accepts only ``"highs"``, the one LP engine; it remains so
+    that callers which name it (the benchmark warm-up does) keep working.
     """
     check_instance(mu, nu, loss)
+    _require_engine(engine)
     a = _require_alpha(alpha)
-    res = _solve_lifted(mu, nu, loss, SpectralGrid.dirac(a), engine)
+    res = _solve_lifted(mu, nu, loss, SpectralGrid.dirac(a))
     cert = DualCertificate(phi=res.phi, psi=res.psi, beta=float(res.beta[0]))
     gap = abs(cert.value(mu, nu) - res.value)
     sol = MesSolution(value=res.value, coupling=Coupling(res.pi), theta=res.thetas[0],
@@ -554,18 +563,19 @@ def solve_msp(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMatrix,
               grid: SpectralGrid, engine: str = "highs") -> MspSolution:
     """Maximum spectral measure against a grid, with an LP-certified dual.
 
-    Solved by the column generation of :func:`_solve_lifted`; ``engine``
-    solves each restricted master.  The certificate's per-level beta comes
-    from the Theta-mass row duals (rescaled by the level weights); its phi
-    absorbs the u = 0 atom through beta0 = min L - 1, which is exact on a
-    finite support.  A grid without levels (sigma == 1) is plain optimal
-    transport and takes the same path.  The solution has passed
-    :func:`verify_duality` on the original instance.
+    Solved by the column generation of :func:`_solve_lifted`.  The
+    certificate's per-level beta comes from the Theta-mass row duals
+    (rescaled by the level weights); its phi absorbs the u = 0 atom through
+    beta0 = min L - 1, which is exact on a finite support.  A grid without
+    levels (sigma == 1) is plain optimal transport and takes the same path.
+    The solution has passed :func:`verify_duality` on the original
+    instance.  ``engine`` accepts only ``"highs"``, as in :func:`solve_mes`.
     """
     check_instance(mu, nu, loss)
+    _require_engine(engine)
     if loss.values.size * max(grid.n_levels, 1) > MSP_MAX_CELLS_TIMES_LEVELS:
         raise ProblemTooLarge("cells x levels exceeds the desk-scale envelope")
-    res = _solve_lifted(mu, nu, loss, grid, engine)
+    res = _solve_lifted(mu, nu, loss, grid)
     cert = DualCertificate(phi=res.phi, psi=res.psi, beta=res.beta,
                            beta0=res.beta0 if grid.z0 > 0.0 else None)
     gap = abs(cert.value(mu, nu, grid) - res.value)
@@ -591,16 +601,16 @@ def verify_duality(sol: MesSolution | MspSolution, loss: LossMatrix,
     otherwise.
 
     An MES solution is checked as MSP on the Dirac grid at alpha, with its
-    tail measure as the only level.  Its cover residual is reported in loss
-    units, (1-alpha) max(C^beta - phi - psi), which is
-    max((L - beta)+ - (1-alpha)(phi + psi)) up to rounding.
+    tail measure as the only level.  The cover residual is reported in loss
+    units: max(C^beta - phi - psi) divided by the largest of 1, z0 and the
+    grid's gamma weights, the most by which C^beta scales a loss.  For MES
+    (gamma weight 1/(1-alpha)) this is (1-alpha) max(C^beta - phi - psi),
+    which is max((L - beta)+ - (1-alpha)(phi + psi)) up to rounding.
     """
     check_instance(mu, nu, loss)
     grid = sol.grid
-    if isinstance(sol, MesSolution):
-        thetas, unit = sol.theta[None], 1.0 - sol.alpha
-    else:
-        thetas, unit = sol.thetas, 1.0
+    thetas = sol.theta[None] if isinstance(sol, MesSolution) else sol.thetas
+    unit = 1.0 / max(1.0, grid.z0, float(np.max(grid.gamma_weights, initial=0.0)))
     cert = sol.certificate
     pi = sol.coupling.matrix
     row_res, col_res = sol.coupling.marginal_residuals(mu, nu)

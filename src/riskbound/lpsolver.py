@@ -1,25 +1,26 @@
 """
-Linear programming layer: a self-contained revised simplex plus an
-optimal-transport convenience wrapper.  Every optimal solve returns primal
-values, row duals, and reduced costs, and is certified against feasibility /
-complementary-slackness / duality-gap residuals before being handed back.
+Linear programming layer: one LP engine plus an optimal-transport wrapper.
+Every optimal solve returns primal values, row duals, and reduced costs, and
+is certified against feasibility / complementary-slackness / duality-gap
+residuals before being handed back.
 
-Engines
--------
-``simplex``
-    Bounded-variable revised simplex with an explicit basis inverse,
-    two-phase start, and deterministic pivoting: largest-violation pricing
-    with index tie-breaks, switching to Bland's rule whenever a degeneracy
-    stall is detected (which restores the anti-cycling guarantee).
-    Intended for desk-scale instances; dense basis algebra.
-``highs``
-    scipy's HiGHS dual simplex, used for every program past the dense
-    engine's size.  Same certification applies.
-``auto``
-    simplex for programs of at most ``SIMPLEX_MAX_VARS`` variables, highs
-    above: the dense engine keeps the oracle's transports of at most 8x8
-    cells, and its cost grows with the square of the row count, so larger
-    programs go to HiGHS.
+Engine
+------
+HiGHS's dual simplex (Huangfu & Hall 2018), called through the binding that
+scipy bundles (``scipy.optimize._highspy``).  Each solve builds one fresh
+HiGHS model straight from the program's CSR blocks, with presolve on and
+primal and dual feasibility tolerances of 1e-9; no state is shared between
+solves.  The binding is private scipy API, so its import is guarded: where
+it is missing, the same dual simplex runs through
+``scipy.optimize.linprog(method="highs-ds")``, which costs more per call on
+small programs but returns the same values.  Both routes report
+``engine="highs"``.
+
+The MES oracle of :mod:`riskbound.bounds` (``brute_force_mes``) runs on the
+same engine as the lifted programs it checks.  Its independence rests on
+its own assembly (plain transport rows over the original cells, no lifted
+variables, no column generation) and on the cross-check of its transport
+values with :func:`transport_polytope_vertices` on tiny instances.
 
 Dual sign convention: duals are reported for the problem *as posed*, so
 that  objective == duals_eq . b_eq + duals_ub . b_ub + bound terms.  For a
@@ -36,6 +37,11 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import linprog as _scipy_linprog
 
+try:  # private scipy API; without it, solves go through linprog
+    from scipy.optimize._highspy import _core as _highspy
+except ImportError:  # pragma: no cover - scipy builds without the binding
+    _highspy = None
+
 from .core import (
     Coupling,
     DimensionMismatch,
@@ -45,15 +51,8 @@ from .core import (
     ProblemTooLarge,
 )
 
-SIMPLEX_MAX_VARS = 64           # auto engine cut-over (basis is dense)
 TRANSPORT_MAX_CELLS = 2_000 * 2_000
 _VERTEX_CHUNK = 512             # candidate bases tested and solved per batch
-
-_FEAS_TOL = 1e-9                # phase-1 infeasibility threshold
-_RC_TOL = 1e-9                  # reduced-cost optimality threshold
-_PIV_TOL = 1e-10                # smallest acceptable pivot magnitude
-_REFACTOR_EVERY = 80
-_STALL_LIMIT = 64               # degenerate pivots before switching to Bland
 
 # residual contract for certified optimal solutions
 PRIMAL_RES_TOL = 1e-8
@@ -176,312 +175,93 @@ class LpSolution:
 
 
 # ---------------------------------------------------------------------------
-# Canonical assembly (the simplex engine's standard form)
-# ---------------------------------------------------------------------------
-
-
-def _canonical(lp: LinearProgram):
-    """Equality system [A_eq; A_ub + slacks] x = b with bounds, min sense."""
-    n = lp.n_vars
-    blocks = []
-    b_parts = []
-    m_eq = lp.a_eq.shape[0] if lp.a_eq is not None else 0
-    m_ub = lp.a_ub.shape[0] if lp.a_ub is not None else 0
-    m = m_eq + m_ub
-    if m_eq:
-        blocks.append(sp.hstack([lp.a_eq, sp.csr_matrix((m_eq, m_ub))], format="csr"))
-        b_parts.append(lp.b_eq)
-    if m_ub:
-        blocks.append(sp.hstack([lp.a_ub, sp.eye(m_ub, format="csr")], format="csr"))
-        b_parts.append(lp.b_ub)
-    if not blocks:
-        a = sp.csr_matrix((0, n))
-        b = np.zeros(0)
-    else:
-        a = sp.vstack(blocks, format="csr") if len(blocks) > 1 else blocks[0]
-        b = np.concatenate(b_parts)
-    sign = 1.0 if lp.sense == "min" else -1.0
-    c = np.concatenate([sign * lp.c, np.zeros(m_ub)])
-    lb = np.concatenate([lp.lb, np.zeros(m_ub)])
-    ub = np.concatenate([lp.ub, np.full(m_ub, np.inf)])
-    return a.tocsc(), b, c, lb, ub, n, m_eq, m_ub, sign
-
-
-# ---------------------------------------------------------------------------
-# Revised simplex engine
-# ---------------------------------------------------------------------------
-
-_LOWER, _UPPER, _FREE = 0, 1, 2
-
-
-class _Simplex:
-    """Bounded-variable revised simplex on  min c.x, A x = b, lb <= x <= ub."""
-
-    def __init__(self, a: sp.csc_matrix, b: np.ndarray, c: np.ndarray,
-                 lb: np.ndarray, ub: np.ndarray):
-        m, n = a.shape
-        self.m, self.n = m, n
-        # append artificial columns; their signs make the start basis feasible
-        self.a = a
-        self.at = a.T.tocsr()
-        # raw csc buffers for O(nnz_col) column access in the pivot loop
-        self._aip = a.indptr
-        self._aix = a.indices
-        self._adat = a.data
-        self.b = b
-        self.c = c
-        self.lb = np.concatenate([lb, np.zeros(m)])
-        self.ub = np.concatenate([ub, np.full(m, np.inf)])
-        self.n_ext = n + m
-        self.x = np.zeros(self.n_ext)
-        self.state = np.full(self.n_ext, _LOWER, dtype=np.int8)
-        for j in range(n):
-            if np.isfinite(lb[j]):
-                self.x[j] = lb[j]
-            elif np.isfinite(ub[j]):
-                self.x[j] = ub[j]
-                self.state[j] = _UPPER
-            else:
-                self.x[j] = 0.0
-                self.state[j] = _FREE
-        r = b - a @ self.x[:n]
-        self.art_sign = np.where(r < 0.0, -1.0, 1.0)
-        self.basis = np.arange(n, n + m)
-        self.in_basis = np.zeros(self.n_ext, dtype=bool)
-        self.in_basis[self.basis] = True
-        self.x[self.basis] = np.abs(r)
-        self.binv = np.diag(self.art_sign)
-        self.iterations = 0
-
-    # -- column access (artificials are signed unit vectors) ---------------
-
-    def _col_dense_times_binv(self, q: int) -> np.ndarray:
-        if q >= self.n:
-            return self.binv[:, q - self.n] * self.art_sign[q - self.n]
-        lo, hi = self._aip[q], self._aip[q + 1]
-        return self.binv[:, self._aix[lo:hi]] @ self._adat[lo:hi]
-
-    def _col_dense(self, q: int) -> np.ndarray:
-        out = np.zeros(self.m)
-        if q >= self.n:
-            out[q - self.n] = self.art_sign[q - self.n]
-        else:
-            lo, hi = self._aip[q], self._aip[q + 1]
-            out[self._aix[lo:hi]] = self._adat[lo:hi]
-        return out
-
-    def _reduced_costs(self, cost: np.ndarray, y: np.ndarray) -> np.ndarray:
-        rc = np.empty(self.n_ext)
-        rc[: self.n] = cost[: self.n] - self.at @ y
-        rc[self.n:] = cost[self.n:] - self.art_sign * y
-        return rc
-
-    def _basis_matrix(self) -> np.ndarray:
-        bmat = np.empty((self.m, self.m))
-        for k, v in enumerate(self.basis):
-            bmat[:, k] = self._col_dense(int(v))
-        return bmat
-
-    def _refactor(self) -> None:
-        if self.m == 0:
-            return
-        try:
-            self.binv = np.linalg.inv(self._basis_matrix())
-        except np.linalg.LinAlgError as e:
-            raise NumericalFailure("singular basis during refactorization") from e
-        self._recompute_basics()
-
-    def _recompute_basics(self) -> None:
-        xn = self.x.copy()
-        xn[self.basis] = 0.0
-        r = self.b - self.a @ xn[: self.n]
-        r -= (self.art_sign * xn[self.n:])
-        self.x[self.basis] = self.binv @ r
-
-    def run_phase(self, cost: np.ndarray, max_iter: int) -> str:
-        stall = 0
-        bland = False
-        span_pos = (self.ub - self.lb) > 0.0
-        cost_b = cost[self.basis]
-        while True:
-            if self.iterations >= max_iter:
-                raise NumericalFailure(
-                    f"simplex iteration limit {max_iter} reached "
-                    f"(best objective {float(cost @ self.x):.6g})"
-                )
-            self.iterations += 1
-            if self.iterations % _REFACTOR_EVERY == 0:
-                self._refactor()
-            y = self.binv.T @ cost_b
-            rc = self._reduced_costs(cost, y)
-            # violation of the optimality sign condition per nonbasic state
-            viol = np.where(self.state == _LOWER, -rc,
-                            np.where(self.state == _UPPER, rc, np.abs(rc)))
-            viol[self.in_basis | ~span_pos] = -np.inf
-            if bland:
-                cand = np.nonzero(viol > _RC_TOL)[0]
-                if cand.size == 0:
-                    return "optimal"
-                q = int(cand[0])
-            else:
-                q = int(np.argmax(viol))
-                if viol[q] <= _RC_TOL:
-                    return "optimal"
-            dirn = 1.0
-            if self.state[q] == _UPPER or (self.state[q] == _FREE and rc[q] > 0.0):
-                dirn = -1.0
-            w = self._col_dense_times_binv(q)
-            step = dirn * w
-            xb = self.x[self.basis]
-            lb_b = self.lb[self.basis]
-            ub_b = self.ub[self.basis]
-            ratios = np.full(self.m, np.inf)
-            dec = step > _PIV_TOL
-            ratios[dec] = (xb[dec] - lb_b[dec]) / step[dec]
-            inc = step < -_PIV_TOL
-            ratios[inc] = (xb[inc] - ub_b[inc]) / step[inc]
-            t_rows = ratios.min() if self.m else np.inf
-            t_own = self.ub[q] - self.lb[q]
-            t = min(t_rows, t_own)
-            if not np.isfinite(t):
-                return "unbounded"
-            t = max(t, 0.0)
-            if t_own <= t_rows:
-                # bound flip, no basis change
-                self.x[q] += dirn * t_own
-                self.x[self.basis] = xb - t_own * step
-                self.state[q] = _UPPER if self.state[q] == _LOWER else _LOWER
-                stall = 0
-                bland = False
-                continue
-            limit = np.nonzero(ratios <= t + 1e-12)[0]
-            if bland:
-                r = int(limit[np.argmin(self.basis[limit])])
-            else:
-                r = int(limit[np.argmax(np.abs(step[limit]))])
-            if abs(w[r]) <= _PIV_TOL:
-                self._refactor()
-                continue
-            if t <= 1e-13:
-                stall += 1
-                if stall >= _STALL_LIMIT:
-                    bland = True
-            else:
-                stall = 0
-                bland = False
-            leaving = int(self.basis[r])
-            self.x[self.basis] = xb - t * step
-            self.x[q] += dirn * t
-            self.x[leaving] = lb_b[r] if step[r] > 0.0 else ub_b[r]
-            self.state[leaving] = _LOWER if step[r] > 0.0 else _UPPER
-            if not np.isfinite(self.x[leaving]):  # free variable forced out
-                self.x[leaving] = 0.0
-                self.state[leaving] = _FREE
-            self.in_basis[leaving] = False
-            self.in_basis[q] = True
-            self.basis[r] = q
-            cost_b[r] = cost[q]
-            br = self.binv[r, :] / w[r]
-            self.binv -= np.outer(w, br)
-            self.binv[r, :] = br
-
-    def drive_out_artificials(self) -> None:
-        for r in range(self.m):
-            v = int(self.basis[r])
-            if v < self.n:
-                continue
-            # degenerate artificial: try to swap in any structural column
-            row = self.binv[r, :] @ self.a  # 1 x n, dense
-            row = np.asarray(row).ravel()
-            pivots = np.nonzero((~self.in_basis[: self.n]) & (np.abs(row) > 1e-7))[0]
-            if pivots.size == 0:
-                continue  # redundant row; artificial stays pinned at zero
-            q = int(pivots[0])
-            w = self._col_dense_times_binv(q)
-            self.in_basis[v] = False
-            self.in_basis[q] = True
-            self.basis[r] = q
-            self.x[q] = self.x[v]
-            self.x[v] = 0.0
-            br = self.binv[r, :] / w[r]
-            self.binv -= np.outer(w, br)
-            self.binv[r, :] = br
-
-    def solve(self) -> tuple[str, np.ndarray, np.ndarray, np.ndarray]:
-        max_iter = 20_000 + 50 * (self.m + self.n)
-        c1 = np.concatenate([np.zeros(self.n), np.ones(self.m)])
-        status = self.run_phase(c1, max_iter)
-        if status != "optimal":
-            raise NumericalFailure("phase 1 terminated abnormally")
-        self._refactor()
-        if float(c1 @ self.x) > _FEAS_TOL:
-            return "infeasible", self.x[: self.n], np.zeros(self.m), np.zeros(self.n)
-        self.drive_out_artificials()
-        self.ub[self.n:] = 0.0  # artificials may not re-enter
-        self.x[self.n:][~self.in_basis[self.n:]] = 0.0
-        c2 = np.concatenate([self.c, np.zeros(self.m)])
-        status = self.run_phase(c2, max_iter)
-        self._refactor()
-        y = self.binv.T @ c2[self.basis]
-        # final polish: re-solve the basis system directly for accuracy
-        try:
-            if self.m == 0:
-                raise np.linalg.LinAlgError
-            bmat = self._basis_matrix()
-            y = np.linalg.solve(bmat.T, c2[self.basis])
-            xn = self.x.copy(); xn[self.basis] = 0.0
-            r = self.b - self.a @ xn[: self.n] - self.art_sign * xn[self.n:]
-            self.x[self.basis] = np.linalg.solve(bmat, r)
-        except np.linalg.LinAlgError:
-            pass
-        rc = self._reduced_costs(c2, y)
-        return status, self.x[: self.n], y, rc[: self.n]
-
-
-def _solve_simplex(lp: LinearProgram) -> LpSolution:
-    a, b, c, lb, ub, n, m_eq, m_ub, sign = _canonical(lp)
-    core = _Simplex(a, b, c, lb, ub)
-    status, x_full, y, rc_struct = core.solve()
-    if status != "optimal":
-        return LpSolution(status=status, objective=np.nan, x=None, duals_ub=None,
-                          duals_eq=None, reduced_costs=None, iterations=core.iterations,
-                          engine="simplex")
-    x = x_full[: n]
-    y_eq = y[:m_eq]
-    y_ub = y[m_eq:]
-    # restore the user's sense
-    obj = float(lp.c @ x)
-    duals_eq = sign * y_eq
-    duals_ub = sign * y_ub
-    rc = sign * rc_struct[: n]
-    return LpSolution(status="optimal", objective=obj, x=x, duals_ub=duals_ub,
-                      duals_eq=duals_eq, reduced_costs=rc,
-                      iterations=core.iterations, engine="simplex")
-
-
-# ---------------------------------------------------------------------------
 # HiGHS engine
 # ---------------------------------------------------------------------------
 
-_HIGHS_OPTIONS = {
-    "presolve": True,
-    "primal_feasibility_tolerance": 1e-9,
-    "dual_feasibility_tolerance": 1e-9,
-}
+_HIGHS_TOL = 1e-9               # HiGHS primal and dual feasibility tolerances
+_HIGHS_OPTIONS = (("output_flag", False), ("solver", "simplex"),
+                  ("simplex_strategy", 1),  # dual
+                  ("primal_feasibility_tolerance", _HIGHS_TOL),
+                  ("dual_feasibility_tolerance", _HIGHS_TOL))
+_LINPROG_OPTIONS = {"presolve": True, "primal_feasibility_tolerance": _HIGHS_TOL,
+                    "dual_feasibility_tolerance": _HIGHS_TOL}
+
+
+def _stack(parts, dtype=float) -> np.ndarray:
+    return np.concatenate([np.zeros(0, dtype=dtype), *parts]).astype(dtype, copy=False)
+
+
+def _highs_run(lp: LinearProgram, presolve: bool):
+    """Solve the min-sense program on one fresh HiGHS model, passed row-wise
+    from the CSR buffers: a_eq rows as [b_eq, b_eq], then a_ub rows as
+    [-inf, b_ub]."""
+    highs = _highspy._Highs()
+    for key, val in _HIGHS_OPTIONS:
+        highs.setOptionValue(key, val)
+    highs.setOptionValue("presolve", "on" if presolve else "off")
+    rows = []
+    if lp.a_eq is not None:
+        rows.append((lp.a_eq, lp.b_eq, lp.b_eq))
+    if lp.a_ub is not None:
+        rows.append((lp.a_ub, np.full(lp.b_ub.size, -np.inf), lp.b_ub))
+    offsets = np.cumsum([0] + [a.nnz for a, _, _ in rows])
+    start = _stack([a.indptr[:-1] + off for (a, _, _), off in zip(rows, offsets)], np.int32)
+    index = _stack([a.indices for a, _, _ in rows], np.int32)
+    value = _stack([a.data for a, _, _ in rows])
+    lower = _stack([lo for _, lo, _ in rows])
+    upper = _stack([up for _, _, up in rows])
+    sign = 1.0 if lp.sense == "min" else -1.0
+    n = lp.n_vars
+    status = highs.passModel(
+        n, lower.size, value.size, int(_highspy.MatrixFormat.kRowwise),
+        int(_highspy.ObjSense.kMinimize), 0.0, sign * lp.c, lp.lb, lp.ub, lower, upper,
+        start, index, value, np.zeros(n, dtype=np.int32))
+    if status == _highspy.HighsStatus.kError:
+        raise NumericalFailure("HiGHS rejected the model")
+    highs.run()
+    return highs
 
 
 def _solve_highs(lp: LinearProgram) -> LpSolution:
+    highs = _highs_run(lp, presolve=True)
+    status = highs.getModelStatus()
+    if status == _highspy.HighsModelStatus.kUnboundedOrInfeasible:
+        # presolve can stop before it tells the two apart; the simplex cannot
+        highs = _highs_run(lp, presolve=False)
+        status = highs.getModelStatus()
+    iterations = int(highs.getInfo().simplex_iteration_count)
+    no_solution = {_highspy.HighsModelStatus.kInfeasible: "infeasible",
+                   _highspy.HighsModelStatus.kUnbounded: "unbounded"}
+    if status in no_solution:
+        return LpSolution(status=no_solution[status], objective=np.nan, x=None,
+                          duals_ub=None, duals_eq=None, reduced_costs=None,
+                          iterations=iterations, engine="highs")
+    if status != _highspy.HighsModelStatus.kOptimal:
+        raise NumericalFailure(
+            f"HiGHS terminated abnormally: {highs.modelStatusToString(status)}")
+    sign = 1.0 if lp.sense == "min" else -1.0
+    res = highs.getSolution()
+    x = np.asarray(res.col_value, dtype=float)
+    y = sign * np.asarray(res.row_dual, dtype=float)
+    m_eq = lp.a_eq.shape[0] if lp.a_eq is not None else 0
+    return LpSolution(status="optimal", objective=float(lp.c @ x), x=x,
+                      duals_ub=y[m_eq:], duals_eq=y[:m_eq],
+                      reduced_costs=sign * np.asarray(res.col_dual, dtype=float),
+                      iterations=iterations, engine="highs")
+
+
+def _solve_linprog(lp: LinearProgram) -> LpSolution:
+    """The same HiGHS dual simplex through ``scipy.optimize.linprog``, for a
+    scipy without the binding."""
     sign = 1.0 if lp.sense == "min" else -1.0
     res = _scipy_linprog(sign * lp.c, A_ub=lp.a_ub, b_ub=lp.b_ub,
                          A_eq=lp.a_eq, b_eq=lp.b_eq,
                          bounds=np.column_stack([lp.lb, lp.ub]),
-                         method="highs-ds", options=_HIGHS_OPTIONS)
-    if res.status == 2:
-        return LpSolution(status="infeasible", objective=np.nan, x=None, duals_ub=None,
-                          duals_eq=None, reduced_costs=None, engine="highs")
-    if res.status == 3:
-        return LpSolution(status="unbounded", objective=np.nan, x=None, duals_ub=None,
-                          duals_eq=None, reduced_costs=None, engine="highs")
+                         method="highs-ds", options=_LINPROG_OPTIONS)
+    if res.status in (2, 3):
+        return LpSolution(status="infeasible" if res.status == 2 else "unbounded",
+                          objective=np.nan, x=None, duals_ub=None, duals_eq=None,
+                          reduced_costs=None, engine="highs")
     if res.status != 0:
         raise NumericalFailure(f"HiGHS terminated abnormally: {res.message}")
     x = np.asarray(res.x, dtype=float)
@@ -540,20 +320,13 @@ def _certify(lp: LinearProgram, sol: LpSolution) -> dict:
     return {"primal": primal, "dual": dual, "compslack": cs, "gap": gap}
 
 
-def solve_lp(lp: LinearProgram, engine: str = "auto") -> LpSolution:
+def solve_lp(lp: LinearProgram) -> LpSolution:
     """Solve and certify a linear program.
 
     Raises ``NumericalFailure`` when the optimal solution cannot meet the
     residual contract (the failing residuals are reported in the message).
     """
-    if engine == "auto":
-        engine = "simplex" if lp.n_vars <= SIMPLEX_MAX_VARS else "highs"
-    if engine == "simplex":
-        sol = _solve_simplex(lp)
-    elif engine == "highs":
-        sol = _solve_highs(lp)
-    else:
-        raise NumericalFailure(f"unknown engine {engine!r}")
+    sol = _solve_highs(lp) if _highspy is not None else _solve_linprog(lp)
     if sol.status != "optimal":
         return sol
     residuals = _certify(lp, sol)
@@ -577,7 +350,7 @@ def solve_transport(mu: ProbabilityVector, nu: ProbabilityVector, cost: LossMatr
                     sense: str = "max"
                     ) -> tuple[float, Coupling, tuple[np.ndarray, np.ndarray]]:
     """Extremal transport value over Pi(mu, nu) with Kantorovich potentials,
-    solved whole by :func:`solve_lp`, whose size rule picks the engine.
+    solved whole by :func:`solve_lp`.
 
     Zero-mass atoms are dropped before assembly and reinserted as zero
     rows/columns of the plan; their potentials are filled from the cover
@@ -737,7 +510,6 @@ __all__ = [
     "GAP_TOL",
     "LinearProgram",
     "LpSolution",
-    "SIMPLEX_MAX_VARS",
     "solve_lp",
     "solve_transport",
     "transport_polytope_vertices",

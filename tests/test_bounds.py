@@ -9,6 +9,7 @@ from riskbound.core import (
     AlphaOutOfRange,
     CertificateInvalid,
     DimensionMismatch,
+    InvalidParams,
     LossMatrix,
     ProblemTooLarge,
     SpectralFunction,
@@ -94,7 +95,7 @@ def degenerate_instance(rng, max_side=8):
 
 
 def whole_lp_value(lp):
-    return solve_lp(lp, engine="highs").objective
+    return solve_lp(lp).objective
 
 
 class TestBuildMesLp:
@@ -589,6 +590,22 @@ class TestSolveMsp:
         for k, u in enumerate(grid.levels):
             assert sol.betas[k] == var(law, float(u))
 
+    def test_dirac_near_one_matches_mes_on_one_atom_instances(self):
+        # C^beta is 1e8 times the loss here; the cover check must not hold
+        # the potentials' round-off against a tolerance in C^beta units
+        rng = np.random.default_rng(1)
+        alpha = 1.0 - 1e-8
+        grid = SpectralGrid.dirac(alpha)
+        for _ in range(300):
+            m, n = (int(s) for s in rng.integers(1, 7, size=2))
+            mu, nu = np.zeros(m), np.zeros(n)
+            mu[int(rng.integers(m))] = 1.0
+            nu[int(rng.integers(n))] = 1.0
+            mu, nu = validate_marginal(mu), validate_marginal(nu)
+            loss = LossMatrix(float(rng.choice([1.0, 3.0, 10.0])) * rng.normal(size=(m, n)))
+            v_mes = solve_mes(mu, nu, loss, alpha).value
+            assert solve_msp(mu, nu, loss, grid).value == pytest.approx(v_mes, abs=1e-9)
+
     def test_problem_too_large(self):
         mu = validate_marginal(np.full(100, 0.01))
         nu = validate_marginal(np.full(100, 0.01))
@@ -596,6 +613,16 @@ class TestSolveMsp:
                             weights=np.full(501, 1.0 / 501))
         with pytest.raises(ProblemTooLarge):
             solve_msp(mu, nu, LossMatrix(np.zeros((100, 100))), grid)
+
+
+class TestEngineArgument:
+    def test_only_highs_is_accepted(self):
+        mu, nu, loss = two_by_two_sum()
+        assert solve_mes(mu, nu, loss, 0.5, engine="highs").value == pytest.approx(2.0)
+        with pytest.raises(InvalidParams, match="'simplex'"):
+            solve_mes(mu, nu, loss, 0.5, engine="simplex")
+        with pytest.raises(InvalidParams, match="'auto'"):
+            solve_msp(mu, nu, loss, C2_GRID, engine="auto")
 
 
 class TestVerifyDuality:
@@ -665,3 +692,22 @@ class TestVerifyDuality:
             verify_duality(dataclasses.replace(sol, certificate=cert), loss, mu, nu)
         reported = float(str(err.value).split("violated by ")[1].split(";")[0])
         assert reported == pytest.approx(direct_residual(cert), rel=1e-3)
+
+    @pytest.mark.parametrize("grid", [
+        C2_GRID, SpectralGrid.dirac(1.0 - 1e-8),
+        discretize_spectrum(SpectralFunction.power_sqrt(), 16)],
+        ids=["c2", "dirac-1-1e-8", "power-sqrt"])
+    def test_msp_cover_residual_is_in_loss_units(self, grid):
+        rng = np.random.default_rng(78)
+        mu = validate_marginal(rng.dirichlet(np.ones(4)))
+        nu = validate_marginal(rng.dirichlet(np.ones(5)))
+        loss = LossMatrix(rng.normal(size=(4, 5)))
+        sol = solve_msp(mu, nu, loss, grid)
+        top = max(1.0, grid.z0, float(grid.gamma_weights.max()))
+        assert verify_duality(sol, loss, mu, nu).dual_residuals["cover"] <= 1e-8
+        # a certificate short by 1e-6 loss units, as C^beta scales them, is rejected
+        cert = dataclasses.replace(sol.certificate, phi=sol.certificate.phi - 1e-6 * top)
+        with pytest.raises(CertificateInvalid, match="C\\^beta violated") as err:
+            verify_duality(dataclasses.replace(sol, certificate=cert), loss, mu, nu)
+        reported = float(str(err.value).split("violated by ")[1].split(";")[0])
+        assert reported == pytest.approx(1e-6, rel=1e-3)

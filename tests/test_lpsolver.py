@@ -7,6 +7,7 @@ import scipy.sparse as sp
 from riskbound import lpsolver
 from riskbound.bounds import build_mes_lp
 from riskbound.core import LossMatrix, ProblemTooLarge, validate_marginal
+from riskbound.losses import DEFAULT_CCR_PARAMS, build_ccr_instance
 from riskbound.lpsolver import (
     LinearProgram,
     solve_lp,
@@ -24,67 +25,80 @@ def box_lp():
     )
 
 
+ROUTES = ("highs", "linprog")
+
+
+def solve_on(route, lp, monkeypatch):
+    """Solve on the HiGHS binding, or on the linprog fallback that runs
+    where scipy lacks the binding."""
+    with monkeypatch.context() as m:
+        if route == "linprog":
+            m.setattr(lpsolver, "_highspy", None)
+        return solve_lp(lp)
+
+
 class TestSolveLp:
-    @pytest.mark.parametrize("engine", ["simplex", "highs"])
-    def test_textbook_corner(self, engine):
-        sol = solve_lp(box_lp(), engine=engine)
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_textbook_corner(self, route, monkeypatch):
+        sol = solve_on(route, box_lp(), monkeypatch)
         assert sol.status == "optimal"
         assert sol.objective == pytest.approx(2.0, abs=1e-9)
         assert np.allclose(sol.x, [1.0, 1.0], atol=1e-9)
         assert sol.residuals["gap"] <= 1e-7
 
-    @pytest.mark.parametrize("engine", ["simplex", "highs"])
-    def test_infeasible(self, engine):
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_infeasible(self, route, monkeypatch):
         lp = LinearProgram.from_rows(
             "max", [1.0],
             rows=[([0], [1.0], ">=", 1.0), ([0], [1.0], "<=", 0.0)],
         )
-        assert solve_lp(lp, engine=engine).status == "infeasible"
+        assert solve_on(route, lp, monkeypatch).status == "infeasible"
 
-    @pytest.mark.parametrize("engine", ["simplex", "highs"])
-    def test_unbounded(self, engine):
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_unbounded(self, route, monkeypatch):
         lp = LinearProgram(sense="max", c=np.array([1.0]))
-        assert solve_lp(lp, engine=engine).status == "unbounded"
+        assert solve_on(route, lp, monkeypatch).status == "unbounded"
 
-    def test_equality_and_free_variables(self):
+    def test_equality_and_free_variables(self, monkeypatch):
         # min x - 2z  s.t.  x + y = 1,  z - y <= 2,  y >= 0, x free, z free
         lp = LinearProgram.from_rows(
             "min", [1.0, 0.0, -2.0],
             rows=[([0, 1], [1.0, 1.0], "=", 1.0), ([2, 1], [1.0, -1.0], "<=", 2.0)],
             lb=[-np.inf, 0.0, -np.inf], ub=[np.inf, np.inf, np.inf],
         )
-        sol = solve_lp(lp, engine="simplex")
-        # objective decreases without bound: x -> -inf with y compensating? no:
         # x = 1 - y, obj = 1 - y - 2z, z <= 2 + y  ->  obj >= 1 - y - 4 - 2y,
         # unbounded in y.
-        assert sol.status == "unbounded"
+        for route in ROUTES:
+            assert solve_on(route, lp, monkeypatch).status == "unbounded"
 
-    def test_bounded_variables_and_flips(self):
+    def test_bounded_variables_and_flips(self, monkeypatch):
         # max 3a + b  with a in [0, 2], b in [-1, 1], a + b <= 2
         lp = LinearProgram.from_rows(
             "max", [3.0, 1.0],
             rows=[([0, 1], [1.0, 1.0], "<=", 2.0)],
             lb=[0.0, -1.0], ub=[2.0, 1.0],
         )
-        for engine in ("simplex", "highs"):
-            sol = solve_lp(lp, engine=engine)
+        for route in ROUTES:
+            sol = solve_on(route, lp, monkeypatch)
             assert sol.objective == pytest.approx(6.0 - 1.0 + 1.0, abs=1e-9)
             assert np.allclose(sol.x, [2.0, 0.0], atol=1e-9)
 
-    def test_determinism(self):
+    def test_determinism(self, monkeypatch):
         rng = np.random.default_rng(17)
         c = rng.normal(size=12)
         a = rng.normal(size=(6, 12))
         lp = LinearProgram(sense="max", c=c, a_ub=sp.csr_matrix(a),
                            b_ub=rng.uniform(1.0, 2.0, size=6),
                            lb=np.zeros(12), ub=np.full(12, 2.0))
-        s1 = solve_lp(lp, engine="simplex")
-        s2 = solve_lp(lp, engine="simplex")
-        assert s1.objective == s2.objective
-        assert np.array_equal(s1.x, s2.x)
-        assert s1.iterations == s2.iterations
+        for route in ROUTES:
+            s1 = solve_on(route, lp, monkeypatch)
+            s2 = solve_on(route, lp, monkeypatch)
+            assert s1.objective == s2.objective
+            assert np.array_equal(s1.x, s2.x)
+            assert s1.iterations == s2.iterations
 
-    def test_cross_engine_agreement(self):
+    def test_cross_engine_agreement(self, monkeypatch):
+        # the linprog fallback is the reference for the binding
         rng = np.random.default_rng(3)
         for _ in range(40):
             n = int(rng.integers(2, 10))
@@ -94,12 +108,12 @@ class TestSolveLp:
             b = rng.uniform(0.5, 2.0, size=m)
             lp = LinearProgram(sense="max", c=c, a_ub=sp.csr_matrix(a), b_ub=b,
                                lb=np.zeros(n), ub=np.full(n, rng.uniform(1.0, 5.0)))
-            s1 = solve_lp(lp, engine="simplex")
-            s2 = solve_lp(lp, engine="highs")
+            s1 = solve_on("highs", lp, monkeypatch)
+            s2 = solve_on("linprog", lp, monkeypatch)
             assert s1.status == s2.status == "optimal"
             assert s1.objective == pytest.approx(s2.objective, abs=1e-7)
 
-    def test_strong_duality_certified_every_solve(self):
+    def test_strong_duality_certified_every_solve(self, monkeypatch):
         rng = np.random.default_rng(29)
         for _ in range(50):
             n = int(rng.integers(2, 8))
@@ -108,30 +122,76 @@ class TestSolveLp:
                                a_ub=sp.csr_matrix(rng.normal(size=(m, n))),
                                b_ub=rng.uniform(0.5, 2.0, size=m),
                                lb=np.zeros(n), ub=np.full(n, 3.0))
-            sol = solve_lp(lp, engine="simplex")
-            assert sol.status == "optimal"
-            assert sol.residuals["gap"] <= 1e-7
-            assert sol.residuals["primal"] <= 1e-8
-            assert sol.residuals["dual"] <= 1e-8
+            for route in ROUTES:
+                sol = solve_on(route, lp, monkeypatch)
+                assert sol.status == "optimal"
+                assert sol.residuals["gap"] <= 1e-7
+                assert sol.residuals["primal"] <= 1e-8
+                assert sol.residuals["dual"] <= 1e-8
 
 
-class TestAutoEngine:
-    @pytest.mark.parametrize("side, engine", [(4, "simplex"), (60, "highs")])
-    def test_transport_cut_over(self, side, engine, monkeypatch):
-        engines = []
-        solve = lpsolver.solve_lp
+class TestEngine:
+    def test_binding_bypasses_linprog_and_fallback_uses_it(self, monkeypatch):
+        calls = []
+        linprog = lpsolver._scipy_linprog
 
-        def spy(lp, engine="auto"):
-            sol = solve(lp, engine=engine)
-            engines.append(sol.engine)
-            return sol
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return linprog(*args, **kwargs)
 
-        monkeypatch.setattr(lpsolver, "solve_lp", spy)
-        rng = np.random.default_rng(side)
-        mu = validate_marginal(rng.dirichlet(np.ones(side)))
-        nu = validate_marginal(rng.dirichlet(np.ones(side)))
-        solve_transport(mu, nu, LossMatrix(rng.normal(size=(side, side))), "min")
-        assert engines == [engine]
+        monkeypatch.setattr(lpsolver, "_scipy_linprog", spy)
+        assert solve_on("highs", box_lp(), monkeypatch).engine == "highs"
+        assert calls == []
+        assert solve_on("linprog", box_lp(), monkeypatch).engine == "highs"
+        assert calls == [1]
+
+    def test_mixed_rows_keep_their_duals(self, monkeypatch):
+        # equality rows come first in the HiGHS model; duals must map back
+        lp = LinearProgram.from_rows(
+            "max", [1.0, 2.0, 0.5],
+            rows=[([0, 1], [1.0, 1.0], "<=", 3.0), ([1, 2], [1.0, 1.0], "=", 2.0),
+                  ([0, 2], [1.0, -1.0], ">=", -1.0)],
+            lb=[0.0, 0.0, 0.0], ub=[2.0, np.inf, np.inf])
+        ref = solve_on("linprog", lp, monkeypatch)
+        sol = solve_on("highs", lp, monkeypatch)
+        assert sol.objective == pytest.approx(ref.objective, abs=1e-9)
+        assert np.allclose(sol.duals_eq, ref.duals_eq, atol=1e-9)
+        assert np.allclose(sol.duals_ub, ref.duals_ub, atol=1e-9)
+        assert np.allclose(sol.reduced_costs, ref.reduced_costs, atol=1e-9)
+
+    @pytest.mark.parametrize("kind", ["infeasible", "unbounded"])
+    def test_undecided_presolve_is_resolved_without_it(self, kind, monkeypatch):
+        run = lpsolver._highs_run
+        presolve_flags = []
+
+        class Undecided:
+            def __init__(self, highs):
+                self.highs = highs
+
+            def getModelStatus(self):
+                return lpsolver._highspy.HighsModelStatus.kUnboundedOrInfeasible
+
+            def __getattr__(self, name):
+                return getattr(self.highs, name)
+
+        def spy(lp, presolve):
+            presolve_flags.append(presolve)
+            return Undecided(run(lp, presolve)) if presolve else run(lp, presolve)
+
+        monkeypatch.setattr(lpsolver, "_highs_run", spy)
+        if kind == "infeasible":
+            lp = LinearProgram.from_rows("max", [1.0], rows=[([0], [1.0], ">=", 1.0),
+                                                             ([0], [1.0], "<=", 0.0)])
+        else:
+            lp = LinearProgram(sense="max", c=np.array([1.0]))
+        assert solve_lp(lp).status == kind
+        assert presolve_flags == [True, False]
+
+    def test_whole_lifted_lp_reports_iterations(self):
+        mu, nu, loss = build_ccr_instance(DEFAULT_CCR_PARAMS, 40, 31)
+        sol = solve_lp(build_mes_lp(mu, nu, loss, 0.9))
+        assert sol.engine == "highs"
+        assert sol.iterations > 0
 
 
 class TestTransport:
@@ -323,8 +383,8 @@ class TestMpsDump:
                     rhs = "b" + name[1:]
                     assert np.array_equal(getattr(back, rhs), getattr(lp, rhs))
             assert np.array_equal(back.lb, lp.lb) and np.array_equal(back.ub, lp.ub)
-            assert -solve_lp(back, engine="highs").objective == pytest.approx(
-                solve_lp(lp, engine="highs").objective, abs=1e-9)
+            assert -solve_lp(back).objective == pytest.approx(solve_lp(lp).objective,
+                                                              abs=1e-9)
 
 
 def read_mps(path) -> LinearProgram:
