@@ -22,7 +22,7 @@ from .bounds import (
     solve_msp,
     verify_duality,
 )
-from .lpsolver import LinearProgram, LpSolution, solve_lp, solve_transport
+from .lpsolver import LinearProgram, LpModel, LpSolution, solve_lp, solve_transport
 from .riskmeasures import (
     DiscreteLaw,
     es_dual_density,

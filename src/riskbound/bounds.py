@@ -32,7 +32,9 @@ convex outer function, which steer a bisection over the loss values and then
 cutting planes between two adjacent ones, down to a certified lower bound.
 The inner transport is additionally verified by exhaustive vertex
 enumeration on tiny instances.  The two routes share the LP engine and no
-LP assembly.
+LP assembly.  Both keep one HiGHS model per call and edit it between
+solves: column generation appends the new cells to its master, and the
+oracle changes only the cost of its transport model.
 """
 
 from __future__ import annotations
@@ -57,7 +59,14 @@ from .core import (
     SpectralGrid,
     check_instance,
 )
-from .lpsolver import LinearProgram, solve_lp, solve_transport, transport_polytope_vertices
+from .lpsolver import (
+    LinearProgram,
+    LpModel,
+    _Transport,
+    solve_lp,
+    solve_transport,  # unused here; perfbench's tracer wraps it at this attribute
+    transport_polytope_vertices,
+)
 from .riskmeasures import DiscreteLaw, law_from_coupling, var
 
 MSP_MAX_CELLS_TIMES_LEVELS = 5_000_000
@@ -128,6 +137,7 @@ class MesSolution:
     alpha: float
     rounds: int = 0             # column-generation rounds (0: not recorded)
     active_cells: int = 0       # cells in the last restricted master
+    iterations: int = 0         # HiGHS simplex iterations over all masters
     grid: SpectralGrid = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -158,6 +168,7 @@ class MspSolution:
     grid: SpectralGrid
     rounds: int = 0             # column-generation rounds (0: not recorded)
     active_cells: int = 0       # cells in the last restricted master
+    iterations: int = 0         # HiGHS simplex iterations over all masters
 
     def __post_init__(self) -> None:
         shape = (self.grid.n_levels, *self.coupling.matrix.shape)
@@ -215,22 +226,51 @@ def build_msp_lp(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMatrix,
             raise DimensionMismatch("cells index outside the loss matrix")
     n = ci.size
     K = grid.n_levels
-    lvec = loss.values[ci, cj]
     nvar = (K + 1) * n
-    eq_rows = np.concatenate([ci, nx + cj, nx + ny + np.repeat(np.arange(K), n)])
-    eq_cols = np.concatenate([np.arange(n), np.arange(n), n + np.arange(K * n)])
-    a_eq = sp.csr_matrix((np.ones((K + 2) * n), (eq_rows, eq_cols)),
-                         shape=(nx + ny + K, nvar))
+    # CSR straight from (data, indices, indptr): row i lists the cells of row
+    # i in order, row nx + j those of column j, row nx + ny + k Theta^k
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(ci, minlength=nx)),
+                             n + np.cumsum(np.bincount(cj, minlength=ny)),
+                             2 * n + n * np.arange(1, K + 1)])
+    indices = np.concatenate([np.argsort(ci, kind="stable"), np.argsort(cj, kind="stable"),
+                              n + np.arange(K * n)])
+    a_eq = sp.csr_matrix((np.ones((K + 2) * n), indices, indptr), shape=(nx + ny + K, nvar))
     b_eq = np.concatenate([mu.weights, nu.weights, np.ones(K)])
+    # density row k * n + c:  Theta^k_c - (1 - u_k)^{-1} pi_c <= 0
     ub_c = np.empty(2 * K * n, dtype=np.int64)
     ub_c[0::2] = np.tile(np.arange(n), K)
     ub_c[1::2] = n + np.arange(K * n)
     ub_v = np.ones(2 * K * n)
     ub_v[0::2] = -np.repeat(1.0 / (1.0 - grid.levels), n)
-    a_ub = sp.csr_matrix((ub_v, (np.repeat(np.arange(K * n), 2), ub_c)), shape=(K * n, nvar))
-    obj = np.concatenate([grid.z0 * lvec] + [w * lvec for w in grid.weights])
+    a_ub = sp.csr_matrix((ub_v, ub_c, 2 * np.arange(K * n + 1)), shape=(K * n, nvar))
+    obj = _lifted_cost(loss.values[ci, cj], grid)
     return LinearProgram(sense="max", c=obj, a_ub=a_ub, b_ub=np.zeros(K * n),
                          a_eq=a_eq, b_eq=b_eq)
+
+
+def _lifted_cost(lvec: np.ndarray, grid: SpectralGrid) -> np.ndarray:
+    """Objective over pi, then Theta^1 .. Theta^K, for cells of losses ``lvec``."""
+    return (np.concatenate([[grid.z0], grid.weights])[:, None] * lvec).ravel()
+
+
+def _lifted_columns(ci: np.ndarray, cj: np.ndarray, loss: LossMatrix, grid: SpectralGrid,
+                    first_row: int):
+    """The lifted program's columns over new cells, as :meth:`LpModel.append`
+    takes them: pi, then Theta^1 .. Theta^K, each over the cells in order,
+    with the cells' density rows numbered level-major from ``first_row``.
+    The layout is :func:`build_msp_lp`'s, so a master grown by appends is
+    that program with its columns and density rows permuted."""
+    nx, ny = loss.shape
+    a = ci.size
+    K = grid.n_levels
+    dens = first_row + np.arange(K * a).reshape(K, a)
+    pi_rows = np.column_stack([ci, nx + cj, dens.T])
+    pi_vals = np.concatenate([[1.0, 1.0], -1.0 / (1.0 - grid.levels)])
+    theta_rows = np.stack([np.repeat(nx + ny + np.arange(K), a).reshape(K, a), dens], axis=-1)
+    index = np.concatenate([pi_rows.ravel(), theta_rows.ravel()])
+    value = np.concatenate([np.tile(pi_vals, a), np.ones(2 * K * a)])
+    start = np.concatenate([(K + 2) * np.arange(a), (K + 2) * a + 2 * np.arange(K * a)])
+    return _lifted_cost(loss.values[ci, cj], grid), start, index, value, np.zeros(K * a)
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +351,7 @@ class _LiftedSolve:
     beta0: float
     rounds: int
     active_cells: int
+    iterations: int
 
 
 def _solve_lifted(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMatrix,
@@ -321,9 +362,11 @@ def _solve_lifted(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMatrix
     Zero-mass atoms are dropped.  Each round solves the restricted master on
     the active cells, reads phi, psi and beta off its row duals and prices
     every cell at once by  C^beta_ij - phi_i - psi_j.  The most-violated
-    inactive cell of each row and of each column joins the active set; the
-    loop stops when no cell is violated by more than ``_CERT_FEAS_TOL``, so
-    the master's dual covers the whole kept instance.  Dropped atoms get the
+    inactive cell of each row and of each column joins the active set, as
+    new columns and density rows of the one master model, which the next
+    round re-solves from its last basis.  The loop stops when no cell is
+    violated by more than ``_CERT_FEAS_TOL``, so the master's dual covers
+    the whole kept instance.  Dropped atoms get the
     smallest potentials that cover their cells.  Potentials are normalized
     to phi[0] = 0.
     """
@@ -341,19 +384,22 @@ def _solve_lifted(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMatrix
     ci, cj = _staircase(mu_r, nu_r, loss_r)
     active = np.zeros((mm, nn), dtype=bool)
     active[ci, cj] = True
-    rounds = 0
+    master = LpModel(build_msp_lp(mu_r, nu_r, loss_r, grid, cells=(ci, cj)))
+    col = np.arange(master.n_vars).reshape(K + 1, ci.size)  # master column of pi / Theta^k
+    rounds = iterations = 0
     while True:
         rounds += 1
-        sol = solve_lp(build_msp_lp(mu_r, nu_r, loss_r, grid, cells=(ci, cj)))
+        sol = solve_lp(master)
         if sol.status != "optimal":
             raise NumericalFailure(f"lifted master LP terminated with status {sol.status}")
+        iterations += sol.iterations
         phi_r = sol.duals_eq[:mm] - grid.z0 * beta0
         psi_r = sol.duals_eq[mm:mm + nn]
         beta = sol.duals_eq[mm + nn:] / grid.weights
         price = (c_beta_evaluate(loss_r, grid, np.concatenate([lead, beta])).values
                  - phi_r[:, None] - psi_r[None, :])
         if price[~active].max(initial=-np.inf) > _CERT_FEAS_TOL:
-            shift = _component_shifts(ci, cj, sol.x[:ci.size] > 0.0, price)
+            shift = _component_shifts(ci, cj, sol.x[col[0]] > 0.0, price)
             if shift is not None:
                 phi_r = phi_r + shift[0]
                 psi_r = psi_r - shift[1]
@@ -369,16 +415,19 @@ def _solve_lifted(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMatrix
         flat = np.unique(new_i[hit] * nn + new_j[hit])
         add_i, add_j = np.divmod(flat, nn)
         active[add_i, add_j] = True
+        col = np.hstack([col, master.n_vars + np.arange((K + 1) * add_i.size).reshape(K + 1, -1)])
+        master.append(*_lifted_columns(add_i, add_j, loss_r, grid, master.n_rows))
         ci = np.concatenate([ci, add_i])
         cj = np.concatenate([cj, add_j])
     n = ci.size
     keep_rows = keep_i[ci]
     keep_cols = keep_j[cj]
+    x = sol.x[col]
     pi = np.zeros((nx, ny))
-    pi[keep_rows, keep_cols] = sol.x[:n]
+    pi[keep_rows, keep_cols] = x[0]
     thetas = np.zeros((K, nx, ny))
     for k in range(K):
-        thetas[k][keep_rows, keep_cols] = sol.x[(k + 1) * n:(k + 2) * n]
+        thetas[k][keep_rows, keep_cols] = x[k + 1]
     phi = np.zeros(nx)
     psi = np.zeros(ny)
     phi[keep_i] = phi_r
@@ -393,16 +442,16 @@ def _solve_lifted(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMatrix
     shift = phi[0]
     return _LiftedSolve(value=float(sol.objective), pi=pi, thetas=thetas,
                         phi=phi - shift, psi=psi + shift, beta=beta, beta0=beta0,
-                        rounds=rounds, active_cells=n)
+                        rounds=rounds, active_cells=n, iterations=iterations)
 
 
 def _certified(sol, loss: LossMatrix, mu: ProbabilityVector, nu: ProbabilityVector):
     """The exit gate of every solve: ``verify_duality`` on the original
     instance, then one info line on what the solve did."""
     report = verify_duality(sol, loss, mu, nu)
-    log.info("%s: %d round(s), %d of %d cells active, worst cover residual %.3e",
-             type(sol).__name__, sol.rounds, sol.active_cells, loss.values.size,
-             report.dual_residuals["cover"])
+    log.info("%s: %d round(s), %d of %d cells active, %d simplex iteration(s), "
+             "worst cover residual %.3e", type(sol).__name__, sol.rounds, sol.active_cells,
+             loss.values.size, sol.iterations, report.dual_residuals["cover"])
     return sol
 
 
@@ -431,7 +480,7 @@ def solve_mes(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMatrix,
     gap = abs(cert.value(mu, nu) - res.value)
     sol = MesSolution(value=res.value, coupling=Coupling(res.pi), theta=res.thetas[0],
                       certificate=cert, gap=gap, alpha=a, rounds=res.rounds,
-                      active_cells=res.active_cells)
+                      active_cells=res.active_cells, iterations=res.iterations)
     return _certified(sol, loss, mu, nu)
 
 
@@ -460,7 +509,9 @@ def brute_force_mes(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMatr
     until f at the crossing meets the lines' value (a certified lower bound)
     to 1e-12 of max|L|/(1-alpha).  The smallest f evaluated is returned.  On
     instances of at most 16 cells the transport value at the returned beta
-    is re-verified against exhaustive vertex enumeration.
+    is re-verified against exhaustive vertex enumeration, to 1e-9 of
+    max(1, max|L|).  Every f(beta) re-solves one transport model, built
+    once per call, with only its cost changed.
     """
     check_instance(mu, nu, loss)
     a = _require_alpha(alpha)
@@ -471,12 +522,13 @@ def brute_force_mes(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMatr
     # f adds inv times a transport value of up to max|L|: its rounding scale
     tol = _ORACLE_REL_TOL * inv * float(np.abs(L).max())
     evals = []  # (f, beta, transport value)
+    transport = _Transport(mu, nu, "max")
 
     def f(beta: float) -> tuple[float, np.ndarray]:
-        value, plan, _ = solve_transport(mu, nu, LossMatrix(np.maximum(L - beta, 0.0)), "max")
-        f_beta = beta + inv * value
-        evals.append((f_beta, beta, value))
-        return f_beta, plan.matrix
+        sol, plan = transport.solve(np.maximum(L - beta, 0.0))
+        f_beta = beta + inv * sol.objective
+        evals.append((f_beta, beta, sol.objective))
+        return f_beta, plan
 
     # (a) bisection over the loss values; f falls left of v[0] and rises
     # right of v[-1], so the sentinels -1 and v.size are never evaluated
@@ -526,7 +578,7 @@ def brute_force_mes(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMatr
         shifted = np.maximum(L - beta_hat, 0.0)
         enum_value = max(float((shifted * vert).sum())
                          for vert in transport_polytope_vertices(mu, nu))
-        if abs(value - enum_value) > 1e-9:
+        if abs(value - enum_value) > 1e-9 * max(1.0, float(np.abs(L).max())):
             raise NumericalFailure(
                 f"transport vertex enumeration disagrees with the LP: "
                 f"{enum_value} vs {value}")
@@ -583,7 +635,8 @@ def solve_msp(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMatrix,
     betas = np.array([var(law, float(u)) for u in grid.levels])
     sol = MspSolution(value=res.value, coupling=Coupling(res.pi), thetas=res.thetas,
                       betas=betas, certificate=cert, gap=gap, grid=grid,
-                      rounds=res.rounds, active_cells=res.active_cells)
+                      rounds=res.rounds, active_cells=res.active_cells,
+                      iterations=res.iterations)
     return _certified(sol, loss, mu, nu)
 
 
@@ -709,6 +762,7 @@ def mes_solution_to_dict(sol: MesSolution) -> dict:
         },
         "rounds": sol.rounds,
         "active_cells": sol.active_cells,
+        "iterations": sol.iterations,
     }
 
 
@@ -727,7 +781,8 @@ def mes_solution_from_dict(d: dict) -> MesSolution:
                        theta=_decode_array(d["theta"], "theta", shape), certificate=cert,
                        gap=float(d["gap"]), alpha=float(d["alpha"]),
                        rounds=int(d.get("rounds", 0)),
-                       active_cells=int(d.get("active_cells", 0)))
+                       active_cells=int(d.get("active_cells", 0)),
+                       iterations=int(d.get("iterations", 0)))
 
 
 def msp_solution_to_dict(sol: MspSolution) -> dict:
@@ -750,6 +805,7 @@ def msp_solution_to_dict(sol: MspSolution) -> dict:
         "certificate": cert,
         "rounds": sol.rounds,
         "active_cells": sol.active_cells,
+        "iterations": sol.iterations,
     }
 
 
@@ -766,7 +822,8 @@ def msp_solution_from_dict(d: dict) -> MspSolution:
                        betas=np.asarray(d["betas"], dtype=float), certificate=cert,
                        gap=float(d["gap"]), grid=grid,
                        rounds=int(d.get("rounds", 0)),
-                       active_cells=int(d.get("active_cells", 0)))
+                       active_cells=int(d.get("active_cells", 0)),
+                       iterations=int(d.get("iterations", 0)))
 
 
 __all__ = [

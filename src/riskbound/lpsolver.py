@@ -1,26 +1,36 @@
 """
-Linear programming layer: one LP engine plus an optimal-transport wrapper.
-Every optimal solve returns primal values, row duals, and reduced costs, and
-is certified against feasibility / complementary-slackness / duality-gap
-residuals before being handed back.
+Linear programming layer: one LP engine, a persistent model of it, and an
+optimal-transport wrapper.  Every optimal solve returns primal values, row
+duals, and reduced costs, and is certified against feasibility /
+complementary-slackness / duality-gap residuals before being handed back.
 
 Engine
 ------
 HiGHS's dual simplex (Huangfu & Hall 2018), called through the binding that
-scipy bundles (``scipy.optimize._highspy``).  Each solve builds one fresh
-HiGHS model straight from the program's CSR blocks, with presolve on and
-primal and dual feasibility tolerances of 1e-9; no state is shared between
-solves.  The binding is private scipy API, so its import is guarded: where
-it is missing, the same dual simplex runs through
-``scipy.optimize.linprog(method="highs-ds")``, which costs more per call on
-small programs but returns the same values.  Both routes report
+scipy bundles (``scipy.optimize._highspy``), with presolve on and primal and
+dual feasibility tolerances of 1e-9.  Every solve runs on an
+:class:`LpModel`: one HiGHS model plus a column-wise mirror of the program
+it holds, against which the solve is certified.  :func:`solve_lp` gives a
+:class:`LinearProgram` a fresh model.  A caller that solves a sequence of
+programs differing only slightly keeps one model and edits it in place
+between solves: :meth:`LpModel.append` adds columns and ``<=`` rows, and
+:meth:`LpModel.set_cost` replaces the objective.  HiGHS then re-solves from
+the basis it already holds, without presolve.  The column generation of
+:mod:`riskbound.bounds` grows one master per solve this way, and its MES
+oracle changes only the cost of one transport model.
+
+The binding is private scipy API, so its import is guarded: where it is
+missing, a model solves its mirror through
+``scipy.optimize.linprog(method="highs-ds")``, cold each time, which costs
+more per call but returns the same values.  Both routes report
 ``engine="highs"``.
 
 The MES oracle of :mod:`riskbound.bounds` (``brute_force_mes``) runs on the
 same engine as the lifted programs it checks.  Its independence rests on
-its own assembly (plain transport rows over the original cells, no lifted
-variables, no column generation) and on the cross-check of its transport
-values with :func:`transport_polytope_vertices` on tiny instances.
+its own assembly (the plain transport rows over the original cells that
+:func:`solve_transport` also uses, no lifted variables, no column
+generation) and on the cross-check of its transport values with
+:func:`transport_polytope_vertices` on tiny instances.
 
 Dual sign convention: duals are reported for the problem *as posed*, so
 that  objective == duals_eq . b_eq + duals_ub . b_ub + bound terms.  For a
@@ -89,7 +99,8 @@ class LinearProgram:
         for name in ("a_ub", "a_eq"):
             a = getattr(self, name)
             if a is not None:
-                a = sp.csr_matrix(a)
+                if not isinstance(a, sp.csr_matrix):
+                    a = sp.csr_matrix(a)
                 if a.shape[1] != n:
                     raise DimensionMismatch(f"{name} has {a.shape[1]} columns for {n} variables")
                 if not np.all(np.isfinite(a.data)):
@@ -175,14 +186,14 @@ class LpSolution:
 
 
 # ---------------------------------------------------------------------------
-# HiGHS engine
+# The persistent model and the HiGHS engine
 # ---------------------------------------------------------------------------
 
 _HIGHS_TOL = 1e-9               # HiGHS primal and dual feasibility tolerances
 _HIGHS_OPTIONS = (("output_flag", False), ("solver", "simplex"),
-                  ("simplex_strategy", 1),  # dual
                   ("primal_feasibility_tolerance", _HIGHS_TOL),
                   ("dual_feasibility_tolerance", _HIGHS_TOL))
+_DUAL_SIMPLEX, _PRIMAL_SIMPLEX = 1, 4     # HiGHS simplex_strategy values
 _LINPROG_OPTIONS = {"presolve": True, "primal_feasibility_tolerance": _HIGHS_TOL,
                     "dual_feasibility_tolerance": _HIGHS_TOL}
 
@@ -191,43 +202,158 @@ def _stack(parts, dtype=float) -> np.ndarray:
     return np.concatenate([np.zeros(0, dtype=dtype), *parts]).astype(dtype, copy=False)
 
 
-def _highs_run(lp: LinearProgram, presolve: bool):
-    """Solve the min-sense program on one fresh HiGHS model, passed row-wise
-    from the CSR buffers: a_eq rows as [b_eq, b_eq], then a_ub rows as
-    [-inf, b_ub]."""
-    highs = _highspy._Highs()
-    for key, val in _HIGHS_OPTIONS:
-        highs.setOptionValue(key, val)
-    highs.setOptionValue("presolve", "on" if presolve else "off")
-    rows = []
-    if lp.a_eq is not None:
-        rows.append((lp.a_eq, lp.b_eq, lp.b_eq))
-    if lp.a_ub is not None:
-        rows.append((lp.a_ub, np.full(lp.b_ub.size, -np.inf), lp.b_ub))
-    offsets = np.cumsum([0] + [a.nnz for a, _, _ in rows])
-    start = _stack([a.indptr[:-1] + off for (a, _, _), off in zip(rows, offsets)], np.int32)
-    index = _stack([a.indices for a, _, _ in rows], np.int32)
-    value = _stack([a.data for a, _, _ in rows])
-    lower = _stack([lo for _, lo, _ in rows])
-    upper = _stack([up for _, _, up in rows])
-    sign = 1.0 if lp.sense == "min" else -1.0
-    n = lp.n_vars
-    status = highs.passModel(
-        n, lower.size, value.size, int(_highspy.MatrixFormat.kRowwise),
-        int(_highspy.ObjSense.kMinimize), 0.0, sign * lp.c, lp.lb, lp.ub, lower, upper,
-        start, index, value, np.zeros(n, dtype=np.int32))
+def _check_status(status, what: str) -> None:
     if status == _highspy.HighsStatus.kError:
-        raise NumericalFailure("HiGHS rejected the model")
+        raise NumericalFailure(f"HiGHS rejected the {what}")
+
+
+class LpModel:
+    """A linear program held by one HiGHS model, kept between solves and
+    edited in place.
+
+    Rows are the program's ``a_eq`` rows, then its ``a_ub`` rows.  The model
+    mirrors the program HiGHS holds column-wise (CSC buffers ``start``,
+    ``index``, ``value``), so that :func:`solve_lp` certifies every solve
+    against exactly that program, and appending columns only concatenates
+    buffers.  The HiGHS model itself is passed at the first solve; after it,
+    every edit goes to both, and HiGHS re-solves from the basis it holds.
+    """
+
+    def __init__(self, lp: LinearProgram) -> None:
+        self.sense = lp.sense
+        self.c, self.lb, self.ub = lp.c, lp.lb, lp.ub
+        self.b_eq = lp.b_eq if lp.a_eq is not None else np.zeros(0)
+        self.b_ub = lp.b_ub if lp.a_ub is not None else np.zeros(0)
+        blocks = [a for a in (lp.a_eq, lp.a_ub) if a is not None]
+        n = lp.n_vars
+        rows = np.repeat(np.arange(lp.n_rows, dtype=np.int32),
+                         _stack([np.diff(a.indptr) for a in blocks], np.int32))
+        cols = _stack([a.indices for a in blocks], np.int32)
+        order = np.argsort(cols, kind="stable")
+        self._start = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(cols, minlength=n), out=self._start[1:])
+        self._index = rows[order]
+        self._value = _stack([a.data for a in blocks])[order]
+        self._highs = None
+
+    @property
+    def n_vars(self) -> int:
+        return int(self.c.size)
+
+    @property
+    def n_rows(self) -> int:
+        return int(self.b_eq.size + self.b_ub.size)
+
+    @property
+    def _sign(self) -> float:
+        return 1.0 if self.sense == "min" else -1.0
+
+    def activity(self, x: np.ndarray) -> np.ndarray:
+        """Row activities ``A x`` of the held program, rows as in the model."""
+        per_entry = self._value * np.repeat(x, np.diff(self._start))
+        return np.bincount(self._index, weights=per_entry, minlength=self.n_rows)
+
+    def program(self) -> LinearProgram:
+        """The program the model holds, as a :class:`LinearProgram`."""
+        a = sp.csc_matrix((self._value, self._index, self._start),
+                          shape=(self.n_rows, self.n_vars)).tocsr()
+        m_eq = self.b_eq.size
+        return LinearProgram(sense=self.sense, c=self.c,
+                             a_eq=a[:m_eq] if m_eq else None, b_eq=self.b_eq if m_eq else None,
+                             a_ub=a[m_eq:] if self.b_ub.size else None,
+                             b_ub=self.b_ub if self.b_ub.size else None,
+                             lb=self.lb, ub=self.ub)
+
+    def set_cost(self, c) -> None:
+        """Replace the objective; nothing else changes."""
+        c = np.array(c, dtype=float)
+        if c.shape != self.c.shape or not np.all(np.isfinite(c)):
+            raise DimensionMismatch(f"cost must be {self.n_vars} finite values")
+        self.c = c
+        if self._highs is not None:
+            _check_status(self._highs.changeColsCost(
+                c.size, np.arange(c.size, dtype=np.int32), self._sign * c), "cost change")
+
+    def append(self, c, start, index, value, b_ub) -> None:
+        """Add ``c.size`` columns with bounds [0, inf) and ``b_ub.size`` new
+        ``<=`` rows after the existing ones.
+
+        The new columns come column-wise: ``start`` holds each column's
+        offset into ``index``/``value``, whose row indices number the
+        existing rows from 0 and the new rows from :attr:`n_rows` on.  The
+        existing columns have no entries in the new rows.
+        """
+        c = np.asarray(c, dtype=float)
+        b_ub = np.asarray(b_ub, dtype=float)
+        start = np.asarray(start, dtype=np.int32)
+        index = np.asarray(index, dtype=np.int32)
+        value = np.asarray(value, dtype=float)
+        a, k = c.size, b_ub.size
+        if (start.shape != (a,) or index.shape != value.shape
+                or (a and (start[0] != 0 or np.any(np.diff(start) < 0)
+                           or start[-1] > index.size))):
+            raise DimensionMismatch("appended columns are not column-wise buffers")
+        if index.size and (index.min() < 0 or index.max() >= self.n_rows + k):
+            raise DimensionMismatch("appended columns index a row outside the program")
+        if not (np.all(np.isfinite(c)) and np.all(np.isfinite(value))
+                and np.all(np.isfinite(b_ub))):
+            raise NumericalFailure("appended columns or rows are not finite")
+        if self._highs is not None:
+            empty = np.zeros(0, dtype=np.int32)
+            _check_status(self._highs.addRows(k, np.full(k, -np.inf), b_ub, 0,
+                                              empty, empty, np.zeros(0)), "new rows")
+            _check_status(self._highs.addCols(a, self._sign * c, np.zeros(a),
+                                              np.full(a, np.inf), index.size, start,
+                                              index, value), "new columns")
+        nnz = self._index.size
+        self.c = np.concatenate([self.c, c])
+        self.lb = np.concatenate([self.lb, np.zeros(a)])
+        self.ub = np.concatenate([self.ub, np.full(a, np.inf)])
+        self.b_ub = np.concatenate([self.b_ub, b_ub])
+        self._start = np.concatenate([self._start[:-1], nnz + start, [nnz + index.size]]
+                                     ).astype(np.int32)
+        self._index = np.concatenate([self._index, index])
+        self._value = np.concatenate([self._value, value])
+
+    def _pass(self):
+        """A new HiGHS model holding the mirrored program, passed column-wise."""
+        highs = _highspy._Highs()
+        for key, val in _HIGHS_OPTIONS:
+            highs.setOptionValue(key, val)
+        n = self.n_vars
+        _check_status(highs.passModel(
+            n, self.n_rows, self._index.size, int(_highspy.MatrixFormat.kColwise),
+            int(_highspy.ObjSense.kMinimize), 0.0, self._sign * self.c, self.lb, self.ub,
+            np.concatenate([self.b_eq, np.full(self.b_ub.size, -np.inf)]),
+            np.concatenate([self.b_eq, self.b_ub]),
+            self._start[:-1], self._index, self._value, np.zeros(n, dtype=np.int32)),
+            "model")
+        return highs
+
+
+def _highs_run(model: LpModel, presolve: bool):
+    """Run HiGHS on the model's min-sense program, passing it at the first
+    run.  A cold model runs the dual simplex.  A model that holds a basis
+    from its last solve starts from it, and HiGHS then skips presolve
+    whatever ``presolve`` says.  Appended columns enter that basis at zero,
+    so a new cost, or new rows with a nonnegative right-hand side, leave it
+    primal feasible, and the model re-solves with the primal simplex."""
+    if model._highs is None:
+        model._highs = model._pass()
+    highs = model._highs
+    warm = highs.getBasis().valid
+    highs.setOptionValue("simplex_strategy", _PRIMAL_SIMPLEX if warm else _DUAL_SIMPLEX)
+    highs.setOptionValue("presolve", "on" if presolve else "off")
     highs.run()
     return highs
 
 
-def _solve_highs(lp: LinearProgram) -> LpSolution:
-    highs = _highs_run(lp, presolve=True)
+def _solve_highs(model: LpModel) -> LpSolution:
+    highs = _highs_run(model, presolve=True)
     status = highs.getModelStatus()
     if status == _highspy.HighsModelStatus.kUnboundedOrInfeasible:
         # presolve can stop before it tells the two apart; the simplex cannot
-        highs = _highs_run(lp, presolve=False)
+        highs = _highs_run(model, presolve=False)
         status = highs.getModelStatus()
     iterations = int(highs.getInfo().simplex_iteration_count)
     no_solution = {_highspy.HighsModelStatus.kInfeasible: "infeasible",
@@ -239,12 +365,12 @@ def _solve_highs(lp: LinearProgram) -> LpSolution:
     if status != _highspy.HighsModelStatus.kOptimal:
         raise NumericalFailure(
             f"HiGHS terminated abnormally: {highs.modelStatusToString(status)}")
-    sign = 1.0 if lp.sense == "min" else -1.0
+    sign = model._sign
     res = highs.getSolution()
     x = np.asarray(res.col_value, dtype=float)
     y = sign * np.asarray(res.row_dual, dtype=float)
-    m_eq = lp.a_eq.shape[0] if lp.a_eq is not None else 0
-    return LpSolution(status="optimal", objective=float(lp.c @ x), x=x,
+    m_eq = model.b_eq.size
+    return LpSolution(status="optimal", objective=float(model.c @ x), x=x,
                       duals_ub=y[m_eq:], duals_eq=y[:m_eq],
                       reduced_costs=sign * np.asarray(res.col_dual, dtype=float),
                       iterations=iterations, engine="highs")
@@ -279,32 +405,26 @@ def _solve_linprog(lp: LinearProgram) -> LpSolution:
 # ---------------------------------------------------------------------------
 
 
-def _certify(lp: LinearProgram, sol: LpSolution) -> dict:
+def _certify(model: LpModel, sol: LpSolution) -> dict:
     """Residuals in the min-sense canonical form; see module contract."""
-    sign = 1.0 if lp.sense == "min" else -1.0
+    sign = model._sign
     x = sol.x
-    c = sign * lp.c
-    y_eq = sign * sol.duals_eq if sol.duals_eq is not None else np.zeros(0)
-    y_ub = sign * sol.duals_ub if sol.duals_ub is not None else np.zeros(0)
+    c = sign * model.c
+    y_eq = sign * sol.duals_eq
+    y_ub = sign * sol.duals_ub
     rc = sign * sol.reduced_costs
-    primal = 0.0
-    cs = 0.0
-    dual_obj = 0.0
-    if lp.a_eq is not None:
-        r = lp.a_eq @ x - lp.b_eq
-        primal = max(primal, float(np.abs(r).max(initial=0.0)))
-        dual_obj += float(y_eq @ lp.b_eq)
-    if lp.a_ub is not None:
-        slack = lp.b_ub - lp.a_ub @ x
-        primal = max(primal, float(np.maximum(-slack, 0.0).max(initial=0.0)))
-        cs = max(cs, float(np.abs(y_ub * slack).max(initial=0.0)))
-        dual_obj += float(y_ub @ lp.b_ub)
-    primal = max(primal,
-                 float(np.maximum(lp.lb - x, 0.0).max(initial=0.0)),
-                 float(np.maximum(x - lp.ub, 0.0).max(initial=0.0)))
+    act = model.activity(x)
+    m_eq = model.b_eq.size
+    slack = model.b_ub - act[m_eq:]
+    primal = max(float(np.abs(act[:m_eq] - model.b_eq).max(initial=0.0)),
+                 float(np.maximum(-slack, 0.0).max(initial=0.0)),
+                 float(np.maximum(model.lb - x, 0.0).max(initial=0.0)),
+                 float(np.maximum(x - model.ub, 0.0).max(initial=0.0)))
+    cs = float(np.abs(y_ub * slack).max(initial=0.0))
+    dual_obj = float(y_eq @ model.b_eq) + float(y_ub @ model.b_ub)
     dual = float(np.maximum(y_ub, 0.0).max(initial=0.0))  # min-sense: y_ub <= 0
-    lb_f = np.isfinite(lp.lb)
-    ub_f = np.isfinite(lp.ub)
+    lb_f = np.isfinite(model.lb)
+    ub_f = np.isfinite(model.ub)
     # reduced-cost sign conditions given bound structure
     free = ~lb_f & ~ub_f
     dual = max(dual, float(np.abs(rc[free]).max(initial=0.0)))
@@ -312,24 +432,29 @@ def _certify(lp: LinearProgram, sol: LpSolution) -> dict:
     dual = max(dual, float(np.maximum(rc[ub_f & ~lb_f], 0.0).max(initial=0.0)))
     pos = np.clip(rc, 0.0, None)
     neg = np.clip(rc, None, 0.0)
-    dual_obj += float(np.sum(pos[lb_f] * lp.lb[lb_f]) + np.sum(neg[ub_f] * lp.ub[ub_f]))
-    gap_at_lb = np.abs(pos * np.where(lb_f, x - lp.lb, np.abs(x)))
-    gap_at_ub = np.abs(neg * np.where(ub_f, lp.ub - x, np.abs(x)))
+    dual_obj += float(np.sum(pos[lb_f] * model.lb[lb_f]) + np.sum(neg[ub_f] * model.ub[ub_f]))
+    gap_at_lb = np.abs(pos * np.where(lb_f, x - model.lb, np.abs(x)))
+    gap_at_ub = np.abs(neg * np.where(ub_f, model.ub - x, np.abs(x)))
     cs = max(cs, float(np.maximum(gap_at_lb, gap_at_ub).max(initial=0.0)))
     gap = abs(float(c @ x) - dual_obj)
     return {"primal": primal, "dual": dual, "compslack": cs, "gap": gap}
 
 
-def solve_lp(lp: LinearProgram) -> LpSolution:
+def solve_lp(lp: LinearProgram | LpModel) -> LpSolution:
     """Solve and certify a linear program.
 
-    Raises ``NumericalFailure`` when the optimal solution cannot meet the
-    residual contract (the failing residuals are reported in the message).
+    A :class:`LinearProgram` is solved on a fresh :class:`LpModel`; a live
+    model is re-solved as it stands, from the basis of its last solve.
+    Either way the solution is certified against the program the model
+    holds.  Raises ``NumericalFailure`` when the optimal solution cannot
+    meet the residual contract (the failing residuals are reported in the
+    message).
     """
-    sol = _solve_highs(lp) if _highspy is not None else _solve_linprog(lp)
+    model = lp if isinstance(lp, LpModel) else LpModel(lp)
+    sol = _solve_highs(model) if _highspy is not None else _solve_linprog(model.program())
     if sol.status != "optimal":
         return sol
-    residuals = _certify(lp, sol)
+    residuals = _certify(model, sol)
     if (residuals["primal"] > PRIMAL_RES_TOL or residuals["dual"] > DUAL_RES_TOL
             or residuals["compslack"] > CS_RES_TOL or residuals["gap"] > GAP_TOL):
         raise NumericalFailure(
@@ -344,6 +469,47 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
 # ---------------------------------------------------------------------------
 # Optimal transport layer
 # ---------------------------------------------------------------------------
+
+
+class _Transport:
+    """Extremal transport over Pi(mu, nu) as one model that only the cost
+    changes between solves.
+
+    Zero-mass atoms are dropped before assembly: the program has one
+    variable per cell between kept atoms, its row sums, then its column
+    sums.  :meth:`solve` re-inserts them as zero rows/columns of the plan.
+    """
+
+    def __init__(self, mu: ProbabilityVector, nu: ProbabilityVector, sense: str) -> None:
+        self.sense = sense
+        self.shape = (mu.size, nu.size)
+        self.keep_i = np.nonzero(mu.weights > 0.0)[0]
+        self.keep_j = np.nonzero(nu.weights > 0.0)[0]
+        self.b_eq = np.concatenate([mu.weights[self.keep_i], nu.weights[self.keep_j]])
+        self.model: LpModel | None = None
+
+    def solve(self, cost: np.ndarray) -> tuple[LpSolution, np.ndarray]:
+        """Certified solution and the full plan for the cost matrix ``cost``."""
+        mm, nn = self.keep_i.size, self.keep_j.size
+        c = cost[np.ix_(self.keep_i, self.keep_j)].ravel()
+        if self.model is None:
+            ncell = mm * nn
+            # row i holds cells i*nn .. i*nn + nn - 1; row mm + j every nn-th cell from j
+            a_eq = sp.csr_matrix(
+                (np.ones(2 * ncell),
+                 np.concatenate([np.arange(ncell), np.arange(ncell).reshape(mm, nn).T.ravel()]),
+                 np.concatenate([np.arange(mm) * nn, ncell + np.arange(nn + 1) * mm])),
+                shape=(mm + nn, ncell))
+            self.model = LpModel(LinearProgram(sense=self.sense, c=c, a_eq=a_eq,
+                                               b_eq=self.b_eq))
+        else:
+            self.model.set_cost(c)
+        sol = solve_lp(self.model)
+        if sol.status != "optimal":
+            raise NumericalFailure(f"transport solve returned {sol.status}")
+        plan = np.zeros(self.shape)
+        plan[np.ix_(self.keep_i, self.keep_j)] = sol.x.reshape(mm, nn)
+        return sol, plan
 
 
 def solve_transport(mu: ProbabilityVector, nu: ProbabilityVector, cost: LossMatrix,
@@ -362,29 +528,13 @@ def solve_transport(mu: ProbabilityVector, nu: ProbabilityVector, cost: LossMatr
         raise DimensionMismatch("cost shape does not match the marginals")
     if m * n > TRANSPORT_MAX_CELLS:
         raise ProblemTooLarge(f"{m}x{n} transport exceeds the desk-scale envelope")
-    keep_i = np.nonzero(mu.weights > 0.0)[0]
-    keep_j = np.nonzero(nu.weights > 0.0)[0]
-    mw = mu.weights[keep_i]
-    nw = nu.weights[keep_j]
-    cw = cost.values[np.ix_(keep_i, keep_j)]
-    mm, nn = keep_i.size, keep_j.size
-    ncell = mm * nn
-    rows = np.concatenate([np.repeat(np.arange(mm), nn), mm + np.tile(np.arange(nn), mm)])
-    cols = np.concatenate([np.arange(ncell), np.arange(ncell)])
-    a_eq = sp.csr_matrix((np.ones(2 * ncell), (rows, cols)), shape=(mm + nn, ncell))
-    b_eq = np.concatenate([mw, nw])
-    lp = LinearProgram(sense=sense, c=cw.ravel(), a_eq=a_eq, b_eq=b_eq)
-    sol = solve_lp(lp)
-    if sol.status != "optimal":
-        raise NumericalFailure(f"transport solve returned {sol.status}")
-    plan = np.zeros((m, n))
-    plan[np.ix_(keep_i, keep_j)] = sol.x.reshape(mm, nn)
+    transport = _Transport(mu, nu, sense)
+    sol, plan = transport.solve(cost.values)
+    keep_i, keep_j = transport.keep_i, transport.keep_j
     phi = np.zeros(m)
     psi = np.zeros(n)
-    phi_kept = sol.duals_eq[:mm]
-    psi_kept = sol.duals_eq[mm:]
-    phi[keep_i] = phi_kept
-    psi[keep_j] = psi_kept
+    phi[keep_i] = sol.duals_eq[:keep_i.size]
+    psi[keep_j] = sol.duals_eq[keep_i.size:]
     # cover the dropped atoms so phi_i + psi_j >= / <= cost holds everywhere
     drop_i = np.setdiff1d(np.arange(m), keep_i)
     drop_j = np.setdiff1d(np.arange(n), keep_j)
@@ -509,6 +659,7 @@ def write_mps(lp: LinearProgram, path, name: str = "RISKLP", exact: bool = False
 __all__ = [
     "GAP_TOL",
     "LinearProgram",
+    "LpModel",
     "LpSolution",
     "solve_lp",
     "solve_transport",

@@ -4,13 +4,16 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from riskbound import bounds
 from riskbound.core import (
     AlphaOutOfRange,
     CertificateInvalid,
     DimensionMismatch,
     InvalidParams,
     LossMatrix,
+    NumericalFailure,
     ProblemTooLarge,
     SpectralFunction,
     SpectralGrid,
@@ -96,6 +99,26 @@ def degenerate_instance(rng, max_side=8):
 
 def whole_lp_value(lp):
     return solve_lp(lp).objective
+
+
+def coo_msp_lp(mu, nu, loss, grid, cells=None):
+    """build_msp_lp's blocks as assembled through COO-to-CSR conversion."""
+    nx, ny = loss.shape
+    ci, cj = np.divmod(np.arange(nx * ny), ny) if cells is None else (np.asarray(c) for c in cells)
+    n, K = ci.size, grid.n_levels
+    nvar = (K + 1) * n
+    eq_rows = np.concatenate([ci, nx + cj, nx + ny + np.repeat(np.arange(K), n)])
+    eq_cols = np.concatenate([np.arange(n), np.arange(n), n + np.arange(K * n)])
+    a_eq = sp.csr_matrix((np.ones((K + 2) * n), (eq_rows, eq_cols)), shape=(nx + ny + K, nvar))
+    ub_c = np.empty(2 * K * n, dtype=np.int64)
+    ub_c[0::2] = np.tile(np.arange(n), K)
+    ub_c[1::2] = n + np.arange(K * n)
+    ub_v = np.ones(2 * K * n)
+    ub_v[0::2] = -np.repeat(1.0 / (1.0 - grid.levels), n)
+    a_ub = sp.csr_matrix((ub_v, (np.repeat(np.arange(K * n), 2), ub_c)), shape=(K * n, nvar))
+    lvec = loss.values[ci, cj]
+    c = np.concatenate([grid.z0 * lvec] + [w * lvec for w in grid.weights])
+    return c, a_eq, a_ub
 
 
 class TestBuildMesLp:
@@ -235,6 +258,33 @@ class TestColumnGeneration:
         assert sol.value == pytest.approx(whole_lp_value(build_msp_lp(mu, nu, loss, grid)),
                                           abs=1e-9)
 
+    @pytest.mark.parametrize("grid", ["dirac", "c2", "power-sqrt-16", "flat"])
+    @pytest.mark.parametrize("restricted", [False, True])
+    def test_csr_blocks_equal_the_coo_reference(self, grid, restricted):
+        rng = np.random.default_rng(9)
+        grid = {"dirac": SpectralGrid.dirac(0.8), "c2": C2_GRID, "flat": FLAT_GRID,
+                "power-sqrt-16": discretize_spectrum(SpectralFunction.power_sqrt(), 16)}[grid]
+        for _ in range(10):
+            mu, nu, loss = degenerate_instance(rng)
+            cells = None
+            if restricted:
+                flat = rng.choice(loss.values.size, size=int(rng.integers(0, loss.values.size + 1)),
+                                  replace=False)
+                cells = np.divmod(flat, loss.shape[1])
+            lp = build_msp_lp(mu, nu, loss, grid, cells=cells)
+            c, a_eq, a_ub = coo_msp_lp(mu, nu, loss, grid, cells)
+            assert np.array_equal(lp.c, c)
+            for got, ref in ((lp.a_eq, a_eq), (lp.a_ub, a_ub)):
+                assert type(got) is sp.csr_matrix and got.shape == ref.shape
+                for name in ("data", "indices", "indptr"):
+                    assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+
+    def test_linear_program_keeps_the_csr_blocks_it_is_given(self):
+        mu, nu, loss = two_by_two_sum()
+        lp = build_msp_lp(mu, nu, loss, C2_GRID)
+        again = dataclasses.replace(lp)
+        assert again.a_eq is lp.a_eq and again.a_ub is lp.a_ub
+
     def test_restricted_program_keeps_rows_and_orders_cells(self):
         mu, nu, loss = two_by_two_sum()
         full = build_msp_lp(mu, nu, loss, C2_GRID)
@@ -251,13 +301,37 @@ class TestColumnGeneration:
         msp = solve_msp(mu, nu, loss, C2_GRID)
         for sol, to_dict, from_dict in ((mes, mes_solution_to_dict, mes_solution_from_dict),
                                         (msp, msp_solution_to_dict, msp_solution_from_dict)):
-            d = to_dict(sol)
+            d = json.loads(json.dumps(to_dict(sol)))
             back = from_dict(d)
-            assert (back.rounds, back.active_cells) == (sol.rounds, sol.active_cells)
-            del d["rounds"], d["active_cells"]
+            assert ((back.rounds, back.active_cells, back.iterations)
+                    == (sol.rounds, sol.active_cells, sol.iterations))
+            del d["rounds"], d["active_cells"], d["iterations"]
             old = from_dict(d)
-            assert (old.rounds, old.active_cells) == (0, 0)
+            assert (old.rounds, old.active_cells, old.iterations) == (0, 0, 0)
             assert old.value == sol.value
+
+    def test_iterations_sum_over_masters_and_reach_the_log(self, caplog, monkeypatch):
+        rng = np.random.default_rng(404)
+        counted = []
+        solve = bounds.solve_lp
+
+        def spy(lp):
+            sol = solve(lp)
+            counted.append(sol.iterations)
+            return sol
+
+        monkeypatch.setattr(bounds, "solve_lp", spy)
+        total = 0
+        for _ in range(10):
+            mu, nu, loss = degenerate_instance(rng)
+            counted.clear()
+            with caplog.at_level("INFO", logger="riskbound"):
+                sol = solve_mes(mu, nu, loss, 0.7)
+            assert len(counted) == sol.rounds
+            assert sol.iterations == sum(counted)
+            assert f"{sol.iterations} simplex iteration(s)" in caplog.records[-1].getMessage()
+            total += sol.iterations
+        assert total > 0
 
 
 class TestBracketBeta:
@@ -330,6 +404,42 @@ class TestBruteForce:
             scale = max(1.0, float(np.abs(loss.values).max()))
             oracle = brute_force_mes(mu, nu, loss, a)
             assert abs(oracle - solve_mes(mu, nu, loss, a).value) <= 1e-10 * scale
+
+    def test_enumeration_check_is_relative_at_large_scale(self):
+        # at this 1e7 scale the transport value and the vertex maximum
+        # differed by 1.2e-9 in absolute terms, which the absolute check
+        # rejected as a disagreement
+        mu = validate_marginal([0.68, 0.32])
+        nu = validate_marginal([0.38, 0.61, 0.01])
+        loss = LossMatrix(np.array([[-446000.0, 8442000.0, 1296000.0],
+                                    [-7567000.0, 2114000.0, 26386000.0]]))
+        oracle = brute_force_mes(mu, nu, loss, 0.9)
+        assert oracle == pytest.approx(solve_mes(mu, nu, loss, 0.9).value, rel=1e-12)
+
+    def test_enumeration_check_unchanged_at_unit_scale(self):
+        rng = np.random.default_rng(61)
+        for _ in range(20):
+            mu, nu, loss = random_instance(rng, max_side=4)
+            loss = LossMatrix(loss.values / max(1.0, np.abs(loss.values).max()))
+            a = float(rng.uniform(0.1, 0.9))
+            assert brute_force_mes(mu, nu, loss, a) == pytest.approx(
+                solve_mes(mu, nu, loss, a).value, abs=1e-9)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e7])
+    def test_enumeration_disagreement_still_raises(self, scale, monkeypatch):
+        mu = validate_marginal([0.68, 0.32])
+        nu = validate_marginal([0.38, 0.61, 0.01])
+        loss = LossMatrix(scale * np.array([[-0.0446, 0.8442, 0.1296],
+                                            [-0.7567, 0.2114, 2.6386]]))
+        vertices = bounds.transport_polytope_vertices
+
+        def off_by_a_millionth(mu, nu):
+            for plan in vertices(mu, nu):
+                yield plan * (1.0 + 1e-6)
+
+        monkeypatch.setattr(bounds, "transport_polytope_vertices", off_by_a_millionth)
+        with pytest.raises(NumericalFailure, match="vertex enumeration disagrees"):
+            brute_force_mes(mu, nu, loss, 0.9)
 
     def test_reports_transports_beta_and_bracket(self, caplog):
         mu, nu, loss = two_by_two_sum()

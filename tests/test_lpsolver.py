@@ -1,20 +1,30 @@
+import hashlib
 import itertools
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from riskbound import lpsolver
-from riskbound.bounds import build_mes_lp
-from riskbound.core import LossMatrix, ProblemTooLarge, validate_marginal
-from riskbound.losses import DEFAULT_CCR_PARAMS, build_ccr_instance
+from riskbound import bounds, lpsolver
+from riskbound.bounds import build_mes_lp, build_msp_lp
+from riskbound.core import (
+    DimensionMismatch,
+    LossMatrix,
+    NumericalFailure,
+    ProblemTooLarge,
+    SpectralGrid,
+    validate_marginal,
+)
+from riskbound.losses import DEFAULT_CCR_PARAMS, build_ccr_instance, build_gaussian_linear_instance
 from riskbound.lpsolver import (
     LinearProgram,
+    LpModel,
     solve_lp,
     solve_transport,
     transport_polytope_vertices,
     write_mps,
 )
+from test_bounds import C2_GRID, degenerate_instance, random_instance
 
 
 def box_lp():
@@ -194,6 +204,119 @@ class TestEngine:
         assert sol.iterations > 0
 
 
+def random_weights(rng, size):
+    """Random marginal weights with about 30% zero atoms, never all zero."""
+    w = rng.dirichlet(np.ones(size))
+    w[rng.random(size) < 0.3] = 0.0
+    if w.sum() == 0.0:
+        w[int(rng.integers(size))] = 1.0
+    return validate_marginal(w / w.sum())
+
+
+def lifted_permutation(sizes, K):
+    """Model column of each :func:`build_msp_lp` column, and model density
+    row of each of its density rows, for a master built from the first of
+    cell batches of the given sizes and grown by appending the others."""
+    n = sum(sizes)
+    col = np.empty((K + 1, n), dtype=int)
+    row = np.empty((K, n), dtype=int)
+    var = dens = cell = 0
+    for a in sizes:
+        col[:, cell:cell + a] = var + np.arange((K + 1) * a).reshape(K + 1, a)
+        row[:, cell:cell + a] = dens + np.arange(K * a).reshape(K, a)
+        var, dens, cell = var + (K + 1) * a, dens + K * a, cell + a
+    return col.ravel(), row.ravel()
+
+
+class TestLpModel:
+    def test_cost_swapped_resolve_matches_fresh_solve(self):
+        rng = np.random.default_rng(71)
+        for _ in range(100):
+            m, n = (int(v) for v in rng.integers(1, 7, size=2))
+            mu, nu = random_weights(rng, m), random_weights(rng, n)
+            sense = str(rng.choice(["max", "min"]))
+            transport = lpsolver._Transport(mu, nu, sense)
+            for k in range(4):
+                # integer costs tie many plans
+                cost = (rng.integers(-2, 3, size=(m, n)).astype(float) if rng.random() < 0.5
+                        else rng.normal(size=(m, n)))
+                sol, plan = transport.solve(cost)
+                if k == 0:
+                    model = transport.model
+                assert transport.model is model
+                fresh = solve_lp(model.program())
+                assert sol.objective == pytest.approx(fresh.objective, abs=1e-9)
+                value, _, _ = solve_transport(mu, nu, LossMatrix(cost), sense)
+                assert sol.objective == pytest.approx(value, abs=1e-9)
+                assert np.allclose(plan.sum(axis=1), mu.weights, atol=1e-9)
+                assert np.allclose(plan.sum(axis=0), nu.weights, atol=1e-9)
+
+    def test_appended_master_matches_whole_restricted_program(self):
+        # the 50 degenerate instances of TestColumnGeneration: a master on
+        # the staircase (feasible for any marginals) grown by two batches of
+        # the other cells, in random order
+        rng = np.random.default_rng(404)
+        for _ in range(50):
+            mu, nu, loss = degenerate_instance(rng)
+            a = float(rng.uniform(0.05, 0.95))
+            si, sj = bounds._staircase(mu, nu, loss)
+            first = si * loss.shape[1] + sj
+            rest = rng.permutation(np.setdiff1d(np.arange(loss.values.size), first))
+            cuts = np.sort(rng.integers(0, rest.size + 1, size=2))
+            batches = [first] + [b for b in np.split(rest, cuts)[:2] if b.size]
+            for grid in (SpectralGrid.dirac(a), C2_GRID):
+                ci, cj = np.divmod(batches[0], loss.shape[1])
+                model = LpModel(build_msp_lp(mu, nu, loss, grid, cells=(ci, cj)))
+                assert solve_lp(model).status == "optimal"
+                for batch in batches[1:]:
+                    bi, bj = np.divmod(batch, loss.shape[1])
+                    model.append(*bounds._lifted_columns(bi, bj, loss, grid, model.n_rows))
+                    assert solve_lp(model).status == "optimal"
+                cells = np.divmod(np.concatenate(batches), loss.shape[1])
+                whole = build_msp_lp(mu, nu, loss, grid, cells=cells)
+                sol = solve_lp(model)
+                assert sol.iterations == 0      # solved already: the basis is kept
+                assert sol.objective == pytest.approx(solve_lp(whole).objective, abs=1e-9)
+                # the grown master is the whole program, permuted
+                col, row = lifted_permutation([b.size for b in batches], grid.n_levels)
+                held = model.program()
+                assert np.array_equal(held.c[col], whole.c)
+                assert np.array_equal(held.a_eq.toarray()[:, col], whole.a_eq.toarray())
+                assert np.array_equal(held.a_ub.toarray()[row][:, col], whole.a_ub.toarray())
+                assert np.array_equal(held.b_eq, whole.b_eq)
+
+    def test_failed_certification_raises_on_a_live_model(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        mu, nu, loss = random_instance(rng, max_side=4)
+        model = LpModel(build_msp_lp(mu, nu, loss, C2_GRID))
+        assert solve_lp(model).status == "optimal"
+        monkeypatch.setattr(lpsolver, "GAP_TOL", -1.0)
+        model.set_cost(-model.c)
+        with pytest.raises(NumericalFailure, match="certification"):
+            solve_lp(model)
+
+    def test_without_the_binding_values_are_the_same(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        cases = [(*degenerate_instance(rng, max_side=6), float(rng.uniform(0.1, 0.9)))
+                 for _ in range(15)]
+
+        def values():
+            return [(bounds.solve_mes(mu, nu, loss, a).value,
+                     bounds.solve_msp(mu, nu, loss, C2_GRID).value,
+                     bounds.brute_force_mes(mu, nu, loss, a)) for mu, nu, loss, a in cases]
+
+        with_binding = values()
+        monkeypatch.setattr(lpsolver, "_highspy", None)
+        assert np.allclose(values(), with_binding, rtol=0.0, atol=1e-9)
+
+    def test_append_rejects_rows_outside_the_program(self):
+        model = LpModel(box_lp())
+        with pytest.raises(DimensionMismatch):
+            model.append(np.ones(1), np.array([0]), np.array([3]), np.ones(1), np.zeros(1))
+        with pytest.raises(DimensionMismatch):
+            model.set_cost(np.ones(3))
+
+
 class TestTransport:
     def test_dirac_marginals(self):
         mu = validate_marginal([1.0])
@@ -351,6 +474,22 @@ class TestVertexEnumeration:
 
 
 class TestMpsDump:
+    # sha256 and size of both exports of the linear-Gaussian 50x100 MES LP
+    # (seed 701, alpha 0.9), as written when build_msp_lp assembled its
+    # blocks through COO
+    LG50X100_MPS = {
+        False: (1062646, "c4e6efee3591481962e6faf44edce6c59e717588019907ea5e087c8408823505"),
+        True: (1130754, "99f175627d070d1f3e5647948494db4b8911259f7f5c0b40beb856551c01ed98"),
+    }
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_lifted_export_is_byte_identical(self, exact, tmp_path):
+        lp = build_mes_lp(*build_gaussian_linear_instance(50, 100, 701), 0.9)
+        path = tmp_path / "lp.mps"
+        write_mps(lp, path, name="MESLP", exact=exact)
+        data = path.read_bytes()
+        assert (len(data), hashlib.sha256(data).hexdigest()) == self.LG50X100_MPS[exact]
+
     def test_fixed_format_sections(self, tmp_path):
         path = tmp_path / "lp.mps"
         write_mps(box_lp(), path, name="BOXLP")
