@@ -15,7 +15,7 @@ it holds, against which the solve is certified.  :func:`solve_lp` gives a
 programs differing only slightly keeps one model and edits it in place
 between solves: :meth:`LpModel.append` adds columns and ``<=`` rows, and
 :meth:`LpModel.set_cost` replaces the objective.  HiGHS then re-solves from
-the basis it already holds, without presolve.  The column generation of
+the basis it already holds, with the primal simplex and without presolve.  The column generation of
 :mod:`riskbound.bounds` grows one master per solve this way, and its MES
 oracle changes only the cost of one transport model.
 
@@ -476,8 +476,9 @@ class _Transport:
     changes between solves.
 
     Zero-mass atoms are dropped before assembly: the program has one
-    variable per cell between kept atoms, its row sums, then its column
-    sums.  :meth:`solve` re-inserts them as zero rows/columns of the plan.
+    variable per cell between kept atoms, row-major, and one equality row
+    per kept row of the plan, then per kept column.  :meth:`solve`
+    re-inserts the dropped atoms as zero rows/columns of the plan.
     """
 
     def __init__(self, mu: ProbabilityVector, nu: ProbabilityVector, sense: str) -> None:
