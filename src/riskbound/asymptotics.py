@@ -6,9 +6,9 @@ marginal weight vectors is a piecewise-linear concave min over dual
 vertices, hence Hadamard directionally differentiable.  The directional
 derivative along a simplex-tangent direction (d_mu, d_nu) is computed here
 as a second-stage LP: minimize  phi . d_mu + psi . d_nu  over the optimal
-face of the dual polyhedron (dual feasibility + objective pinned at the
-optimal value + the phi[0] = 0 normalization), which avoids enumerating
-dual vertices.
+face of the dual of ``build_msp_lp`` on the Dirac grid (dual feasibility,
+objective pinned at the optimal value, phi[0] = 0), held in one warm model
+whose objective alone changes per direction; no dual vertex is enumerated.
 
 ``simulate_error_distribution`` replays the finite-sample experiment
 (empirical marginals, full re-solve), while ``simulate_limit_distribution``
@@ -34,11 +34,12 @@ from .core import (
     LossMatrix,
     NumericalFailure,
     ProbabilityVector,
+    SpectralGrid,
     TooFewSamples,
     check_instance,
 )
-from .bounds import solve_mes
-from .lpsolver import LinearProgram, solve_lp
+from .bounds import build_msp_lp, solve_mes
+from .lpsolver import LinearProgram, LpModel, solve_lp
 from .losses import normal_cdf
 from .rng import box_muller, make_rng, substream
 
@@ -100,16 +101,33 @@ def multinomial_covariance(p: ProbabilityVector) -> np.ndarray:
     return np.diag(w) - np.outer(w, w)
 
 
-class DualFace:
-    """Reusable second-stage LP over the optimal dual face of one instance.
+def _dual_face(lp: LinearProgram, value: float) -> LpModel:
+    """The optimal face of the dual of ``lp``, held in one model with a zero
+    objective: dual feasibility A^T y >= c over the rows [a_eq; a_ub], with
+    free a_eq duals and nonnegative a_ub duals, the face row
+    [b_eq, b_ub] . y <= value + _FACE_TOL, and y[0] = 0.  These are the
+    dual's bound-sign rules only because every variable of ``lp`` has
+    bounds [0, inf) and its sense is max, as for ``build_msp_lp``."""
+    a = sp.vstack([lp.a_eq, lp.a_ub], format="csc")
+    b = np.concatenate([lp.b_eq, lp.b_ub])
+    lb = np.concatenate([[0.0], np.full(lp.b_eq.size - 1, -np.inf), np.zeros(lp.b_ub.size)])
+    ub = np.concatenate([[0.0], np.full(b.size - 1, np.inf)])
+    return LpModel(LinearProgram(sense="min", c=np.zeros(b.size),
+                                 a_ub=sp.vstack([-a.T, b[None, :]], format="csr"),
+                                 b_ub=np.concatenate([-lp.c, [value + _FACE_TOL]]), lb=lb, ub=ub))
 
-    Construction solves the instance once (unless ``value`` is supplied);
-    :meth:`derivative` then evaluates the directional derivative for any
-    tangent direction by swapping the objective only.
+
+class DualFace:
+    """The optimal face of the dual of ``build_msp_lp`` on the Dirac grid at
+    ``alpha``: phi and psi over the row and column sums of pi, beta over the
+    Theta mass, one nonnegative dual per density row.  Construction solves
+    the instance once (unless ``value`` is supplied); :meth:`derivative`
+    changes only the objective of the one face model, so every direction
+    after the first re-solves from the last basis.
     """
 
     def __init__(self, mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMatrix,
-                 alpha: float, value: float | None = None, face_tol: float = _FACE_TOL):
+                 alpha: float, value: float | None = None):
         check_instance(mu, nu, loss)
         if not (0.0 < alpha < 1.0):
             raise AlphaOutOfRange(f"alpha must lie in (0,1), got {alpha}")
@@ -120,38 +138,9 @@ class DualFace:
         if value is None:
             value = solve_mes(mu, nu, loss, alpha).value
         self.value = float(value)
-        nx, ny = loss.shape
-        n = nx * ny
-        nv = nx + ny + n + 1
-        one_m_a = 1.0 - self.alpha
-        ii = np.repeat(np.arange(nx), ny)
-        jj = np.tile(np.arange(ny), nx)
-        cell = np.arange(n)
-        # rho_ij - (1-a) phi_i - (1-a) psi_j <= 0
-        r1 = np.concatenate([cell, cell, cell])
-        c1 = np.concatenate([nx + ny + cell, ii, nx + jj])
-        v1 = np.concatenate([np.ones(n), -one_m_a * np.ones(n), -one_m_a * np.ones(n)])
-        # -rho_ij - beta <= -L_ij
-        r2 = np.concatenate([n + cell, n + cell])
-        c2 = np.concatenate([nx + ny + cell, np.full(n, nv - 1)])
-        v2 = np.concatenate([-np.ones(n), -np.ones(n)])
-        # face row: phi.mu + psi.nu + beta <= V + tol  (>= V holds by weak duality)
-        r3 = np.full(nx + ny + 1, 2 * n)
-        c3 = np.concatenate([np.arange(nx), nx + np.arange(ny), [nv - 1]])
-        v3 = np.concatenate([mu.weights, nu.weights, [1.0]])
-        a_ub = sp.csr_matrix((np.concatenate([v1, v2, v3]),
-                              (np.concatenate([r1, r2, r3]),
-                               np.concatenate([c1, c2, c3]))),
-                             shape=(2 * n + 1, nv))
-        b_ub = np.concatenate([np.zeros(n), -loss.values.ravel(), [self.value + face_tol]])
-        lb = np.concatenate([np.full(nx + ny, -np.inf), np.zeros(n), [-np.inf]])
-        ub = np.full(nv, np.inf)
-        lb[0] = ub[0] = 0.0  # phi[0] normalization
-        self._a_ub = a_ub
-        self._b_ub = b_ub
-        self._lb = lb
-        self._ub = ub
-        self._nx, self._ny, self._n = nx, ny, n
+        self._nx, self._ny = loss.shape
+        self._model = _dual_face(build_msp_lp(mu, nu, loss, SpectralGrid.dirac(self.alpha)),
+                                 self.value)
 
     def derivative(self, d_mu: np.ndarray, d_nu: np.ndarray) -> float:
         d_mu = np.asarray(d_mu, dtype=float)
@@ -169,10 +158,9 @@ class DualFace:
         # the dual face is unbounded in the matching potential
         d_mu = np.where((self.mu.weights == 0.0), np.maximum(d_mu, 0.0), d_mu)
         d_nu = np.where((self.nu.weights == 0.0), np.maximum(d_nu, 0.0), d_nu)
-        c = np.concatenate([d_mu, d_nu, np.zeros(self._n + 1)])
-        lp = LinearProgram(sense="min", c=c, a_ub=self._a_ub, b_ub=self._b_ub,
-                           lb=self._lb, ub=self._ub)
-        sol = solve_lp(lp)
+        self._model.set_cost(np.concatenate(
+            [d_mu, d_nu, np.zeros(self._model.n_vars - self._nx - self._ny)]))
+        sol = solve_lp(self._model)
         if sol.status != "optimal":
             raise NumericalFailure(f"dual-face LP terminated with status {sol.status}")
         return float(sol.objective)

@@ -300,6 +300,15 @@ def _staircase(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMatrix):
     return np.divmod(flat, b.size)
 
 
+def _segment_max(a: np.ndarray, labels: np.ndarray, n: int) -> np.ndarray:
+    """Row c: the entrywise maximum of the rows of ``a`` labelled c; -inf if none is."""
+    order = np.argsort(labels, kind="stable")
+    present, first = np.unique(labels[order], return_index=True)
+    out = np.full((n, a.shape[1]), -np.inf)
+    out[present] = np.maximum.reduceat(a[order], first, axis=0)
+    return out
+
+
 def _component_shifts(ci: np.ndarray, cj: np.ndarray, support: np.ndarray,
                       price: np.ndarray):
     """Row and column potential shifts that make a master's dual cover every
@@ -317,14 +326,13 @@ def _component_shifts(ci: np.ndarray, cj: np.ndarray, support: np.ndarray,
     all c != d is a longest-path problem, solved by Bellman-Ford.
     """
     mm, nn = price.shape
-    graph = sp.csr_matrix((np.ones(int(support.sum())), (ci[support], mm + cj[support])),
+    rows, order = ci[support], np.argsort(ci[support], kind="stable")
+    graph = sp.csr_matrix((np.ones(order.size), mm + cj[support][order],  # row node -> column node
+                           np.searchsorted(rows[order], np.arange(mm + nn + 1))),
                           shape=(mm + nn, mm + nn))
     nc, label = connected_components(graph, directed=False)
     row_c, col_c = label[:mm], label[mm:]
-    by_row = np.full((nc, nn), -np.inf)
-    np.maximum.at(by_row, row_c, price)
-    w = np.full((nc, nc), -np.inf)              # w[c, d]: rows of c, columns of d
-    np.maximum.at(w.T, col_c, by_row.T)
+    w = _segment_max(_segment_max(price, row_c, nc).T, col_c, nc).T  # rows of c, columns of d
     np.fill_diagonal(w, -np.inf)
     s = np.zeros(nc)
     changed = np.arange(nc)
@@ -380,7 +388,7 @@ def _solve_lifted(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMatrix
     mm, nn = loss_r.shape
     # the u = 0 atom is covered exactly by any beta0 below the whole loss range
     beta0 = float(loss.values.min() - 1.0)
-    lead = [beta0] if grid.z0 > 0.0 else []
+    gammas = np.concatenate([[grid.z0], grid.gamma_weights])
     ci, cj = _staircase(mu_r, nu_r, loss_r)
     active = np.zeros((mm, nn), dtype=bool)
     active[ci, cj] = True
@@ -396,8 +404,10 @@ def _solve_lifted(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMatrix
         phi_r = sol.duals_eq[:mm] - grid.z0 * beta0
         psi_r = sol.duals_eq[mm:mm + nn]
         beta = sol.duals_eq[mm + nn:] / grid.weights
-        price = (c_beta_evaluate(loss_r, grid, np.concatenate([lead, beta])).values
-                 - phi_r[:, None] - psi_r[None, :])
+        betas = np.concatenate([[beta0], beta])
+        price = _c_beta(loss_r.values, gammas, betas)
+        price -= phi_r[:, None]
+        price -= psi_r[None, :]
         if price[~active].max(initial=-np.inf) > _CERT_FEAS_TOL:
             shift = _component_shifts(ci, cj, sol.x[col[0]] > 0.0, price)
             if shift is not None:
@@ -432,13 +442,14 @@ def _solve_lifted(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMatrix
     psi = np.zeros(ny)
     phi[keep_i] = phi_r
     psi[keep_j] = psi_r
-    cover = c_beta_evaluate(loss, grid, np.concatenate([lead, beta])).values
     drop_i = np.setdiff1d(np.arange(nx), keep_i)
     drop_j = np.setdiff1d(np.arange(ny), keep_j)
     if drop_i.size:
-        phi[drop_i] = (cover[drop_i][:, keep_j] - psi[keep_j][None, :]).max(axis=1)
+        cover = _c_beta(loss.values[np.ix_(drop_i, keep_j)], gammas, betas)
+        phi[drop_i] = (cover - psi[keep_j][None, :]).max(axis=1)
     if drop_j.size:
-        psi[drop_j] = (cover[:, drop_j] - phi[:, None]).max(axis=0)
+        cover = _c_beta(loss.values[:, drop_j], gammas, betas)
+        psi[drop_j] = (cover - phi[:, None]).max(axis=0)
     shift = phi[0]
     return _LiftedSolve(value=float(sol.objective), pi=pi, thetas=thetas,
                         phi=phi - shift, psi=psi + shift, beta=beta, beta0=beta0,
@@ -482,15 +493,6 @@ def solve_mes(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMatrix,
                       certificate=cert, gap=gap, alpha=a, rounds=res.rounds,
                       active_cells=res.active_cells, iterations=res.iterations)
     return _certified(sol, loss, mu, nu)
-
-
-def bracket_beta(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMatrix,
-                 alpha: float) -> tuple[float, float]:
-    """An interval certain to contain every tail-threshold minimizer, for
-    every coupling at once.  On finite supports the loss range suffices."""
-    check_instance(mu, nu, loss)
-    _require_alpha(alpha)
-    return float(loss.values.min() - 1.0), float(loss.values.max() + 1.0)
 
 
 def brute_force_mes(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMatrix,
@@ -590,25 +592,34 @@ def brute_force_mes(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMatr
 # ---------------------------------------------------------------------------
 
 
+def _c_beta(values: np.ndarray, gammas, betas) -> np.ndarray:
+    """Entrywise  sum_k g_k max(values - beta_k, 0)  over the terms with g_k != 0
+    (so (z0, beta0) may always lead), in the output and one scratch buffer.
+    Adding 0.0 to the first term, as summing into zeros does, keeps the
+    result bit for bit that sum's."""
+    terms = [(g, bk) for g, bk in zip(gammas, betas) if g]
+    out = np.zeros(values.shape) if not terms else np.empty(values.shape)
+    scratch = np.empty(values.shape) if len(terms) > 1 else None
+    for k, (g, bk) in enumerate(terms):
+        buf = scratch if k else out
+        np.subtract(values, bk, out=buf)
+        np.maximum(buf, 0.0, out=buf)
+        buf *= g
+        out += buf if k else 0.0
+    return out
+
+
 def c_beta_evaluate(loss: LossMatrix, grid: SpectralGrid, beta) -> LossMatrix:
     """Entrywise  sum_k g_k max(L - beta_k, 0)  against the grid's
     gamma-masses.  ``beta`` has one entry per level, optionally preceded by
     beta0 for the u = 0 atom (required when z0 > 0)."""
     b = np.atleast_1d(np.asarray(beta, dtype=float))
-    gammas = grid.gamma_weights
-    levels_only = b.size == grid.n_levels
-    if not levels_only:
-        if b.size != grid.n_levels + 1:
-            raise DimensionMismatch(
-                f"beta has {b.size} entries for {grid.n_levels} levels")
-        gammas = np.concatenate([[grid.z0], gammas])
-    elif grid.z0 > 0.0:
-        raise DimensionMismatch("grid has a u=0 atom: include beta0 as the first entry")
-    out = np.zeros(loss.shape)
-    for g, bk in zip(gammas, b):
-        if g:
-            out += g * np.maximum(loss.values - bk, 0.0)
-    return LossMatrix(out)
+    if b.size == grid.n_levels and grid.z0 == 0.0:
+        b = np.concatenate([[0.0], b])          # the u = 0 term, skipped as z0 = 0
+    if b.size != grid.n_levels + 1:
+        raise DimensionMismatch(f"beta has {b.size} entries for {grid.n_levels} levels"
+                                + (" and a u=0 atom: include beta0 first" if grid.z0 > 0.0 else ""))
+    return LossMatrix(_c_beta(loss.values, np.concatenate([[grid.z0], grid.gamma_weights]), b))
 
 
 def solve_msp(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMatrix,
@@ -674,12 +685,12 @@ def verify_duality(sol: MesSolution | MspSolution, loss: LossMatrix,
     theta_box = float(np.maximum(thetas - inv[:, None, None] * pi, 0.0).max(initial=0.0))
     mass_res = float(np.abs(thetas.sum(axis=(1, 2)) - 1.0).max(initial=0.0))
     dual = cert.value(mu, nu, grid)
-    beta = np.atleast_1d(cert.beta)
-    if grid.z0 > 0.0:
-        beta = np.concatenate([[cert.beta0], beta])
-    cover = c_beta_evaluate(loss, grid, beta).values
-    cover_res = unit * float(np.maximum(cover - cert.phi[:, None] - cert.psi[None, :],
-                                        0.0).max(initial=0.0))
+    cover = _c_beta(loss.values, np.concatenate([[grid.z0], grid.gamma_weights]),
+                    np.concatenate([[cert.beta0 if grid.z0 > 0.0 else 0.0],
+                                    np.atleast_1d(cert.beta)]))
+    cover -= cert.phi[:, None]
+    cover -= cert.psi[None, :]
+    cover_res = unit * float(cover.max(initial=0.0))
     violations: list[str] = []
     if cover_res > _CERT_FEAS_TOL:
         violations.append(f"phi + psi >= C^beta violated by {cover_res:.3e}")
@@ -831,7 +842,6 @@ __all__ = [
     "GapReport",
     "MesSolution",
     "MspSolution",
-    "bracket_beta",
     "brute_force_mes",
     "build_mes_lp",
     "build_msp_lp",

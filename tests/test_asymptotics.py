@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from riskbound import asymptotics
 from riskbound.core import (
     DirectionNotTangent,
     LossMatrix,
@@ -18,7 +20,11 @@ from riskbound.asymptotics import (
     simulate_limit_distribution,
 )
 from riskbound.bounds import solve_mes
+from riskbound.losses import DEFAULT_CCR_PARAMS, build_ccr_instance
+from riskbound.lpsolver import LinearProgram, LpModel, solve_lp
 from riskbound.rng import box_muller, make_rng, substream
+
+from test_bounds import degenerate_instance
 
 
 def tie_instance():
@@ -169,6 +175,78 @@ class TestHadamardDerivative:
         assert not DualFace(mu, nu, loss, a).linearity_diagnostic(seed=4)["linear"]
         mu, nu, loss, a = unique_instance()
         assert DualFace(mu, nu, loss, a).linearity_diagnostic(seed=4)["linear"]
+
+
+def hand_built_face_derivative(mu, nu, loss, alpha, value, d_mu, d_nu):
+    """The derivative over the MES dual face assembled by hand: phi, psi,
+    one rho >= 0 per cell and beta, with rho - (1-a)(phi + psi) <= 0,
+    -rho - beta <= -L, the face row phi.mu + psi.nu + beta <= V + 1e-7 and
+    phi[0] = 0."""
+    nx, ny = loss.shape
+    n = nx * ny
+    nv = nx + ny + n + 1
+    one_m_a = 1.0 - alpha
+    ii = np.repeat(np.arange(nx), ny)
+    jj = np.tile(np.arange(ny), nx)
+    cell = np.arange(n)
+    rows = np.concatenate([cell, cell, cell, n + cell, n + cell, np.full(nx + ny + 1, 2 * n)])
+    cols = np.concatenate([nx + ny + cell, ii, nx + jj, nx + ny + cell, np.full(n, nv - 1),
+                           np.arange(nx), nx + np.arange(ny), [nv - 1]])
+    vals = np.concatenate([np.ones(n), -one_m_a * np.ones(2 * n), -np.ones(2 * n),
+                           mu.weights, nu.weights, [1.0]])
+    a_ub = sp.csr_matrix((vals, (rows, cols)), shape=(2 * n + 1, nv))
+    b_ub = np.concatenate([np.zeros(n), -loss.values.ravel(), [value + 1e-7]])
+    lb = np.concatenate([np.full(nx + ny, -np.inf), np.zeros(n), [-np.inf]])
+    ub = np.full(nv, np.inf)
+    lb[0] = ub[0] = 0.0
+    c = np.concatenate([d_mu, d_nu, np.zeros(n + 1)])
+    return solve_lp(LinearProgram(sense="min", c=c, a_ub=a_ub, b_ub=b_ub, lb=lb, ub=ub)).objective
+
+
+def face_direction(rng, p):
+    """A tangent direction that moves mass onto some zero atoms, never off."""
+    d = rng.normal(size=p.size)
+    zero = p.weights == 0.0
+    d[zero] = np.abs(d[zero]) * (rng.random(zero.sum()) < 0.5)
+    d[~zero] -= d.sum() / (~zero).sum()
+    return d
+
+
+class TestDualFaceProgram:
+    def test_equals_hand_built_mes_face(self):
+        rng = np.random.default_rng(808)
+        for k in range(200):
+            mu, nu, loss = degenerate_instance(rng, max_side=6)
+            a = (0.1, 0.5, 0.9, 0.99)[k % 4]
+            face = DualFace(mu, nu, loss, a)
+            for _ in range(3):
+                d_mu, d_nu = face_direction(rng, mu), face_direction(rng, nu)
+                ref = hand_built_face_derivative(mu, nu, loss, a, face.value, d_mu, d_nu)
+                assert face.derivative(d_mu, d_nu) == pytest.approx(ref, abs=1e-9)
+
+    def test_warm_derivatives_equal_fresh_faces(self, monkeypatch):
+        mu, nu, loss = build_ccr_instance(DEFAULT_CCR_PARAMS, 60, 31)
+        solves = []
+
+        def spy(model):
+            sol = solve_lp(model)
+            solves.append((model, sol.iterations))
+            return sol
+
+        monkeypatch.setattr(asymptotics, "solve_lp", spy)
+        warm = DualFace(mu, nu, loss, 0.9)
+        rng = np.random.default_rng(60)
+        fresh_its, warm_solves = [], []
+        for _ in range(20):
+            d_mu, d_nu = tangent_direction(rng, mu.size), tangent_direction(rng, nu.size)
+            fresh = DualFace(mu, nu, loss, 0.9, value=warm.value).derivative(d_mu, d_nu)
+            fresh_its.append(solves[-1][1])
+            assert warm.derivative(d_mu, d_nu) == pytest.approx(fresh, abs=1e-9)
+            warm_solves.append(solves[-1])
+        # one model, re-solved from its last basis
+        assert isinstance(warm_solves[0][0], LpModel)
+        assert all(model is warm_solves[0][0] for model, _ in warm_solves)
+        assert np.median([its for _, its in warm_solves[1:]]) < np.median(fresh_its)
 
 
 class TestErrorSimulation:

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from riskbound import bounds
 from riskbound.core import (
@@ -23,7 +24,6 @@ from riskbound.core import (
 from riskbound.bounds import (
     DualCertificate,
     MesSolution,
-    bracket_beta,
     brute_force_mes,
     build_mes_lp,
     build_msp_lp,
@@ -334,16 +334,6 @@ class TestColumnGeneration:
         assert total > 0
 
 
-class TestBracketBeta:
-    def test_examples(self):
-        mu, nu, loss = two_by_two_sum()
-        assert bracket_beta(mu, nu, loss, 0.5) == (-1.0, 3.0)
-        const = LossMatrix(np.full((2, 2), 5.0))
-        assert bracket_beta(mu, nu, const, 0.3) == (4.0, 6.0)
-        scaled = LossMatrix(np.array([[0.0, 10.0], [3.0, 7.0]]))
-        assert bracket_beta(mu, nu, scaled, 0.7) == (-1.0, 11.0)
-
-
 class TestBruteForce:
     def test_one_by_one(self):
         mu = validate_marginal([1.0])
@@ -478,6 +468,71 @@ class TestCBeta:
             c_beta_evaluate(loss, grid, [1.0])
         out = c_beta_evaluate(loss, grid, [0.0, 1.0])
         assert out.values[0, 0] == pytest.approx(0.5 * 1.0 + 1.0 * 0.0)
+
+    @pytest.mark.parametrize("grid", ["dirac", "c2", "power-sqrt-16", "flat"])
+    def test_kernel_equals_summing_into_zeros_bit_for_bit(self, grid):
+        grid = {"dirac": SpectralGrid.dirac(0.8), "c2": C2_GRID, "flat": FLAT_GRID,
+                "power-sqrt-16": discretize_spectrum(SpectralFunction.power_sqrt(), 16)}[grid]
+        rng = np.random.default_rng(12)
+        values = rng.integers(-3, 4, size=(7, 9)).astype(float)
+        values[0, :3] = -0.0                    # a -0.0 term becomes +0.0 when summed into zeros
+        gammas = np.concatenate([[grid.z0], grid.gamma_weights])
+        for _ in range(20):
+            betas = np.where(rng.random(gammas.size) < 0.5, rng.integers(-3, 4, gammas.size),
+                             rng.normal(size=gammas.size))
+            ref = np.zeros(values.shape)
+            for g, bk in zip(gammas, betas):
+                if g:
+                    ref += g * np.maximum(values - bk, 0.0)
+            got = bounds._c_beta(values, gammas, betas)
+            assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+            lead = betas if grid.z0 > 0.0 else betas[1:]
+            assert np.array_equal(c_beta_evaluate(LossMatrix(values), grid, lead).values, ref)
+
+
+def reference_component_shifts(ci, cj, support, price):
+    """_component_shifts as computed through a COO-built graph and two
+    np.maximum.at scatters."""
+    mm, nn = price.shape
+    graph = sp.csr_matrix((np.ones(int(support.sum())), (ci[support], mm + cj[support])),
+                          shape=(mm + nn, mm + nn))
+    nc, label = connected_components(graph, directed=False)
+    row_c, col_c = label[:mm], label[mm:]
+    by_row = np.full((nc, nn), -np.inf)
+    np.maximum.at(by_row, row_c, price)
+    w = np.full((nc, nc), -np.inf)
+    np.maximum.at(w.T, col_c, by_row.T)
+    np.fill_diagonal(w, -np.inf)
+    s = np.zeros(nc)
+    changed = np.arange(nc)
+    for _ in range(nc + 1):
+        cand = (w[:, changed] + s[changed][None, :]).max(axis=1)
+        up = cand > s + 0.1 * bounds._CERT_FEAS_TOL
+        if not up.any():
+            return s[row_c], s[col_c]
+        s[up] = cand[up]
+        changed = np.nonzero(up)[0]
+    return None
+
+
+class TestComponentShifts:
+    def test_equal_to_scatter_reference_on_random_labelings(self):
+        rng = np.random.default_rng(31)
+        outcomes = {"shifted": 0, "cycle": 0}
+        for _ in range(400):
+            mm, nn = (int(v) for v in rng.integers(1, 13, size=2))
+            flat = np.flatnonzero(rng.random(mm * nn) < rng.uniform(0.05, 0.6))
+            ci, cj = np.divmod(rng.permutation(flat), nn)
+            # rows and columns without a positive-mass cell are empty segments
+            support = rng.random(ci.size) < rng.uniform(0.2, 1.0)
+            price = rng.normal(size=(mm, nn)) - rng.uniform(0.0, 3.0)
+            got = bounds._component_shifts(ci, cj, support, price)
+            ref = reference_component_shifts(ci, cj, support, price)
+            assert (got is None) == (ref is None)
+            if got is not None:
+                assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+            outcomes["cycle" if got is None else "shifted"] += 1
+        assert min(outcomes.values()) > 0
 
 
 def json_round_trip(sol):
