@@ -678,11 +678,13 @@ def verify_duality(sol: MesSolution | MspSolution, loss: LossMatrix,
     cert = sol.certificate
     pi = sol.coupling.matrix
     row_res, col_res = sol.coupling.marginal_residuals(mu, nu)
-    primal = grid.z0 * float((loss.values * pi).sum())
-    for w, theta in zip(grid.weights, thetas):
-        primal += w * float((loss.values * theta).sum())
-    inv = 1.0 / (1.0 - grid.levels)
-    theta_box = float(np.maximum(thetas - inv[:, None, None] * pi, 0.0).max(initial=0.0))
+    # dot products, and one buffer for the box: no product array per term
+    lvec = loss.values.ravel()
+    primal = grid.z0 * float(lvec @ pi.ravel())
+    primal += float(grid.weights @ (thetas.reshape(grid.n_levels, lvec.size) @ lvec))
+    box = np.multiply(pi, (-1.0 / (1.0 - grid.levels))[:, None, None])
+    box += thetas
+    theta_box = float(box.max(initial=0.0))
     mass_res = float(np.abs(thetas.sum(axis=(1, 2)) - 1.0).max(initial=0.0))
     dual = cert.value(mu, nu, grid)
     cover = _c_beta(loss.values, np.concatenate([[grid.z0], grid.gamma_weights]),

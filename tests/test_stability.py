@@ -1,11 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 
+from riskbound import lpsolver, stability
 from riskbound.core import (
     Coupling,
     DomainError,
     InvalidHolderData,
     LossMatrix,
+    ProbabilityVector,
     SpectralGrid,
     validate_marginal,
 )
@@ -22,6 +26,44 @@ def random_ground(rng, n):
     """Random metric from points on the line."""
     x = np.sort(rng.normal(size=n))
     return LossMatrix(np.abs(x[:, None] - x[None, :]))
+
+
+def quantile_coupling_wr(x, p, q, r):
+    """Exact W_r^r of two laws on the points x of the line: the integral over
+    t in (0, 1) of |F^-1(t) - G^-1(t)|^r, piecewise constant between the
+    breakpoints of the two cumulative sums."""
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    cp = np.cumsum(p[order])
+    cq = np.cumsum(q[order])
+    t = np.unique(np.concatenate([[0.0, 1.0], cp, cq]))
+    t = t[t <= 1.0]
+    mid = 0.5 * (t[1:] + t[:-1])
+    i = np.minimum(np.searchsorted(cp, mid), x.size - 1)   # F^-1(t) = min{x: F(x) >= t}
+    j = np.minimum(np.searchsorted(cq, mid), x.size - 1)
+    return float(np.sum(np.diff(t) * np.abs(xs[i] - xs[j]) ** r))
+
+
+def random_law(rng, n):
+    """Dirichlet weights, with one atom set to zero on about half the draws."""
+    w = rng.dirichlet(np.ones(n))
+    if n > 1 and rng.random() < 0.5:
+        w[rng.integers(n)] = 0.0
+    return ProbabilityVector(w / w.sum())
+
+
+def pairwise_lipschitz(lv, dx, dy):
+    """The one-coordinate finite-difference constant, one pair at a time."""
+    best = 0.0
+    for i in range(lv.shape[0]):
+        for i2 in range(i + 1, lv.shape[0]):
+            if dx[i, i2] > 0.0:
+                best = max(best, float(np.abs(lv[i] - lv[i2]).max()) / dx[i, i2])
+    for j in range(lv.shape[1]):
+        for j2 in range(j + 1, lv.shape[1]):
+            if dy[j, j2] > 0.0:
+                best = max(best, float(np.abs(lv[:, j] - lv[:, j2]).max()) / dy[j, j2])
+    return best
 
 
 class TestWasserstein:
@@ -49,6 +91,58 @@ class TestWasserstein:
         with pytest.raises(DomainError):
             wasserstein_discrete(p, p, g, 0.5)
 
+    def test_identical_laws_give_positive_zero(self):
+        p = validate_marginal([0.2, 0.5, 0.3])
+        g = random_ground(np.random.default_rng(2), 3)
+        for r in (1.0, 2.0):
+            assert math.copysign(1.0, wasserstein_discrete(p, p, g, r)) == 1.0
+
+    def test_zero_ground_needs_no_solve(self, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a zero ground must not be solved")
+
+        monkeypatch.setattr(stability, "solve_msp", no_solve)
+        p = validate_marginal([0.2, 0.8])
+        q = validate_marginal([0.6, 0.1, 0.3])
+        w = wasserstein_discrete(p, q, LossMatrix(np.zeros((2, 3))), 2.0)
+        assert w == 0.0 and math.copysign(1.0, w) == 1.0
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3, 1e6])
+    def test_exact_on_the_line_at_every_scale(self, scale):
+        # 300 square instances: 1-8 atoms, zero atoms, tied labels, r in {1, 2, 3};
+        # W_r^r must match the quantile coupling to 1e-12 of max d^r
+        rng = np.random.default_rng(3)
+        for _ in range(300):
+            n = int(rng.integers(1, 9))
+            x = rng.normal(size=n)
+            if n > 2 and rng.random() < 0.3:
+                x[1] = x[0]
+            x *= scale
+            p, q = random_law(rng, n), random_law(rng, n)
+            r = float(rng.integers(1, 4))
+            d = np.abs(x[:, None] - x[None, :])
+            top = float((d ** r).max())
+            got = wasserstein_discrete(p, q, LossMatrix(d), r) ** r
+            exact = quantile_coupling_wr(x, p.weights, q.weights, r)
+            assert abs(got - exact) <= 1e-12 * top, (n, r, got, exact)
+
+    def test_rectangular_and_planar_grounds_match_transport(self):
+        rng = np.random.default_rng(41)
+        for _ in range(20):
+            m = int(rng.integers(1, 8))
+            n = m + int(rng.integers(1, 4))                      # never square
+            r = float(rng.integers(1, 4))
+            p, q = random_law(rng, m), random_law(rng, n)
+            xs, ys = rng.normal(size=m), rng.normal(size=n)
+            line = np.abs(xs[:, None] - ys[None, :])             # rectangular
+            pts = rng.normal(size=(m, 2))
+            plane = np.linalg.norm(pts[:, None] - pts[None, :], axis=-1)
+            pm, qm = random_law(rng, m), random_law(rng, m)
+            for a, b, d in ((p, q, line), (pm, qm, plane)):
+                ref, _, _ = lpsolver.solve_transport(a, b, LossMatrix(d ** r), "min")
+                got = wasserstein_discrete(a, b, LossMatrix(d), r) ** r
+                assert got == pytest.approx(max(ref, 0.0), abs=1e-9)
+
     def test_metric_properties_sampled(self):
         rng = np.random.default_rng(19)
         n = 6
@@ -75,6 +169,27 @@ class TestLipschitzEstimate:
         gx = LossMatrix(np.abs(x[:, None] - x[None, :]))
         gy = LossMatrix(np.abs(y[:, None] - y[None, :]))
         assert lipschitz_estimate(loss, gx, gy) == pytest.approx(1.0, abs=1e-12)
+
+    def test_equals_pairwise_loop(self):
+        # general grounds with zero off-diagonal distances (repeated points)
+        rng = np.random.default_rng(13)
+        for _ in range(30):
+            m, n = (int(k) for k in rng.integers(1, 9, size=2))
+            lv = rng.normal(size=(m, n)) * 10.0 ** rng.integers(-3, 4)
+            grounds = []
+            for k in (m, n):
+                d = np.abs(rng.normal(size=(k, k)))
+                d = d + d.T
+                d[rng.random((k, k)) < 0.3] = 0.0
+                d = np.triu(d, 1) + np.triu(d, 1).T
+                grounds.append(d)
+            got = lipschitz_estimate(LossMatrix(lv), LossMatrix(grounds[0]), LossMatrix(grounds[1]))
+            assert got == pairwise_lipschitz(lv, *grounds)
+
+    def test_no_positive_distance(self):
+        loss = LossMatrix(np.arange(6.0).reshape(2, 3))
+        assert lipschitz_estimate(loss, LossMatrix(np.zeros((2, 2))),
+                                  LossMatrix(np.zeros((3, 3)))) == 0.0
 
 
 class TestPerturbationSweep:
@@ -209,6 +324,11 @@ class TestHolderCheck:
             holder_sensitivity_check(loss, pi, pi, SpectralGrid.dirac(0.5),
                                      c_q=1.0, q=0.5, r=1.0, ground_x=g, ground_y=g,
                                      r_q=1.5)
+
+
+def test_stability_keeps_the_traced_transport_attribute():
+    # the benchmark tracer wraps riskbound.stability.solve_transport by name
+    assert stability.solve_transport is lpsolver.solve_transport
 
 
 class TestGroundFromLabels:
