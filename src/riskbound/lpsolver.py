@@ -597,68 +597,194 @@ def transport_polytope_vertices(mu: ProbabilityVector, nu: ProbabilityVector):
 # ---------------------------------------------------------------------------
 
 
+MPS_NAME_DIGITS = 7             # digits of the row and column numbers in MPS names
+_MPS_CHUNK_LINES = 1 << 11      # lines per block of write_mps: about 128 KB of bytes
+_POW10 = 10 ** np.arange(19, dtype=np.int64)
+
+
+def _mps_table(mat: np.ndarray, lengths: np.ndarray, pad: int):
+    """A byte table, one entry per row, whose row i keeps its first
+    ``max(lengths[i], pad)`` bytes; the lengths are None when every row
+    keeps the whole width."""
+    if mat.shape[1] < pad:
+        mat = np.pad(mat, ((0, 0), (0, pad - mat.shape[1])), constant_values=ord(" "))
+    if mat.shape[1] == pad or (lengths.size and lengths.min() == mat.shape[1]):
+        return mat, None
+    return mat, np.maximum(lengths, pad)
+
+
+def _mps_names(letters, numbers: np.ndarray, pad: int):
+    """Names: each letter followed by its number, zero-padded to
+    ``MPS_NAME_DIGITS`` digits or as wide as the number needs, padded with
+    spaces to ``pad`` bytes, as a :func:`_mps_table`."""
+    numbers = np.asarray(numbers, dtype=np.int64)
+    digits = np.maximum(MPS_NAME_DIGITS, np.searchsorted(_POW10[1:], numbers, side="right") + 1)
+    top = int(digits.max(initial=MPS_NAME_DIGITS))
+    mat = np.full((numbers.size, 1 + top), ord(" "), dtype=np.uint8)
+    mat[:, 0] = letters
+    for d in range(MPS_NAME_DIGITS, top + 1):
+        rows = slice(None) if top == MPS_NAME_DIGITS else digits == d
+        rest = numbers[rows]
+        for p in range(d, 0, -1):
+            mat[rows, p] = rest % 10 + ord("0")
+            rest = rest // 10
+    return _mps_table(mat, 1 + digits, pad)
+
+
+def _mps_numbers(strings: list, pad: int):
+    """Formatted numbers as a :func:`_mps_table`."""
+    lengths = np.fromiter(map(len, strings), dtype=np.int64, count=len(strings))
+    mat = np.full((len(strings), int(lengths.max(initial=0))), ord(" "), dtype=np.uint8)
+    mat[np.arange(mat.shape[1]) < lengths[:, None]] = np.frombuffer(
+        "".join(strings).encode("ascii"), dtype=np.uint8)
+    return _mps_table(mat, lengths, pad)
+
+
+def _mps_pick(table, index: np.ndarray, present=None):
+    """The table rows at ``index`` as a line field, dropped from the lines
+    where ``present`` is false."""
+    mat, lengths = table
+    width = mat.shape[1]
+    # one void item per row gathers much faster than a 2-D uint8 take
+    rows = mat.view(f"V{width}")[index, 0].view(np.uint8).reshape(index.size, width)
+    if lengths is None:
+        return rows, present
+    return rows, lengths[index] if present is None else lengths[index] * present
+
+
+def _mps_lines(*fields) -> np.ndarray:
+    """Lay fields side by side in a byte matrix, one line per row, and return
+    each line's valid bytes in order as one flat byte array.  A field is a
+    byte string repeated on every line, or a pair of a matrix with one row
+    per line (or a byte string) and the lengths to keep: line i keeps the
+    first ``lengths[i]`` bytes of its row, all of them where ``lengths`` is
+    None, and all or none where ``lengths`` is boolean."""
+    fields = [(f, None) if isinstance(f, bytes) else f for f in fields]
+    fields = [(np.frombuffer(mat, dtype=np.uint8) if isinstance(mat, bytes) else mat, lengths)
+              for mat, lengths in fields]
+    n = max(mat.shape[0] for mat, _ in fields if mat.ndim == 2)
+    width = sum(mat.shape[-1] for mat, _ in fields)
+    out = np.empty((n, width), dtype=np.uint8)
+    keep = None
+    col = 0
+    for mat, lengths in fields:
+        w = mat.shape[-1]
+        out[:, col:col + w] = mat
+        if lengths is not None:
+            if keep is None:
+                keep = np.ones((n, width), dtype=bool)
+            if lengths.dtype == bool:
+                keep[:, col:col + w] = lengths[:, None]
+            else:
+                keep[:, col:col + w] = np.arange(w) < lengths[:, None]
+        col += w
+    return out.ravel() if keep is None else out[keep]
+
+
 def write_mps(lp: LinearProgram, path, name: str = "RISKLP", exact: bool = False) -> None:
     """Dump the program in MPS format (objective always minimized; a
     maximization is negated and flagged in a comment).
 
     By default every number keeps six significant digits in its fixed-format
-    field.  With ``exact=True`` every coefficient, right-hand side and bound
-    is printed as ``repr(float(v))``, which reads back bit for bit; such a
-    file is free MPS, because a number may outgrow its fixed field.
+    field, and row and column names have ``MPS_NAME_DIGITS`` digits; a
+    program with more rows of a kind or more columns than those digits can
+    number raises ``ProblemTooLarge``.  With ``exact=True`` every
+    coefficient, right-hand side and bound is printed as ``repr(float(v))``,
+    which reads back bit for bit; such a file is free MPS, because a number
+    may outgrow its fixed field, and names widen as their numbers need.
+
+    The ROWS, COLUMNS and RHS sections are assembled from numpy arrays, in
+    blocks of ``_MPS_CHUNK_LINES`` lines: names come from digit arithmetic
+    on the row and column indices, each distinct value is formatted once,
+    and each line's fields are laid side by side in a byte matrix whose
+    valid bytes a length mask keeps.  Each column lists its cost first, then
+    its nonzeros by row, two entries per line.  The file is the same, byte
+    for byte, as one written entry by entry with the formats above.  BOUNDS
+    lists only the variables without the default bounds [0, inf), line by
+    line.
     """
     sign = 1.0 if lp.sense == "min" else -1.0
-    fmt = (lambda v: repr(float(v))) if exact else (lambda v: f"{v:.6G}")
-    lines = [f"* sense: {lp.sense}" + (" (objective negated)" if sign < 0 else "")
-             + ("; free MPS, exact floats" if exact else ""),
-             f"NAME          {name:<8s}", "ROWS", " N  COST"]
     m_eq = lp.a_eq.shape[0] if lp.a_eq is not None else 0
     m_ub = lp.a_ub.shape[0] if lp.a_ub is not None else 0
-    rnames = [f"E{i + 1:07d}" for i in range(m_eq)] + [f"L{i + 1:07d}" for i in range(m_ub)]
-    lines += [f" {r[0]}  {r}" for r in rnames]
-    lines.append("COLUMNS")
-    blocks = [a for a in (lp.a_eq, lp.a_ub) if a is not None]
-    stacked = sp.vstack(blocks, format="csc") if blocks else sp.csc_matrix((0, lp.n_vars))
+    if not exact and max(m_eq, m_ub, lp.n_vars) >= 10 ** MPS_NAME_DIGITS:
+        raise ProblemTooLarge(f"{m_eq}+{m_ub} rows and {lp.n_vars} columns exceed the "
+                              f"{MPS_NAME_DIGITS}-digit names of fixed-format MPS; "
+                              f"write it with exact=True")
+    fmt = repr if exact else "{:.6G}".format      # of Python floats
+    head = [f"* sense: {lp.sense}" + (" (objective negated)" if sign < 0 else "")
+            + ("; free MPS, exact floats" if exact else ""),
+            f"NAME          {name:<8s}", "ROWS", " N  COST"]
+    # row 0 of the stacked matrix is the cost, rows 1.. the E rows, then the L rows
+    blocks = [sp.csr_matrix(sign * lp.c[None, :])]
+    blocks += [a for a in (lp.a_eq, lp.a_ub) if a is not None]
+    stacked = sp.vstack(blocks, format="csc")
     stacked.eliminate_zeros()
     stacked.sort_indices()
-    indptr = stacked.indptr.tolist()
-    indices = stacked.indices.tolist()
-    data = stacked.data.tolist()
-    cost = (sign * lp.c).tolist()
-    for j in range(lp.n_vars):
-        entries = [("COST", cost[j])] if cost[j] != 0.0 else []
-        entries += [(rnames[indices[k]], data[k]) for k in range(indptr[j], indptr[j + 1])]
-        xname = f"X{j + 1:07d}"
-        for k in range(0, len(entries), 2):
-            line = f"    {xname:<8s}  {entries[k][0]:<8s}  {fmt(entries[k][1]):<12s}"
-            if k + 1 < len(entries):
-                line += f"   {entries[k + 1][0]:<8s}  {fmt(entries[k + 1][1]):<12s}"
-            lines.append(line)
-    lines.append("RHS")
-    b_all = [b for b in (lp.b_eq, lp.b_ub) if b is not None]
-    for rname, bv in zip(rnames, np.concatenate(b_all).tolist() if b_all else []):
-        if bv != 0.0:
-            lines.append(f"    RHS       {rname:<8s}  {fmt(bv):<12s}")
-    lines.append("BOUNDS")
-    # variables with the MPS default bounds [0, inf) are not listed
-    for j in np.nonzero((lp.lb != 0.0) | np.isfinite(lp.ub))[0].tolist():
-        xname = f"X{j + 1:07d}"
-        l, u = lp.lb[j], lp.ub[j]
-        if not np.isfinite(l) and not np.isfinite(u):
-            lines.append(f" FR BND       {xname:<8s}")
-            continue
-        if not np.isfinite(l):
-            lines.append(f" MI BND       {xname:<8s}")
-        elif l != 0.0:
-            lines.append(f" LO BND       {xname:<8s}  {fmt(l):<12s}")
-        if np.isfinite(u):
-            lines.append(f" UP BND       {xname:<8s}  {fmt(u):<12s}")
-    lines.append("ENDATA")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    nnz = stacked.data.size
+    b_all = np.concatenate([[0.0]] + [b for b in (lp.b_eq, lp.b_ub) if b is not None])
+    rhs_rows = np.flatnonzero(b_all)
+    uniq, number_of = np.unique(np.concatenate([stacked.data, b_all[rhs_rows]]),
+                                return_inverse=True)
+    number_of = number_of.ravel()
+    numbers = _mps_numbers(list(map(fmt, uniq.tolist())), 12)
+
+    def row_names(rows, pad):
+        return _mps_names(np.where(rows <= m_eq, ord("E"), ord("L")),
+                          np.where(rows <= m_eq, rows, rows - m_eq), pad)
+
+    mat, lengths = row_names(np.arange(1, m_eq + m_ub + 1), 8)
+    cost = np.frombuffer(b"COST".ljust(mat.shape[1]), dtype=np.uint8)
+    row_table = (np.vstack([cost, mat]), None if lengths is None else np.r_[8, lengths])
+    # column j has ceil(entries / 2) lines; its line t starts at entry 2t
+    n_lines = (np.diff(stacked.indptr) + 1) // 2
+    line_col = np.repeat(np.arange(lp.n_vars), n_lines)
+    line_first = (stacked.indptr[:-1] - 2 * (np.cumsum(n_lines) - n_lines))[line_col]
+    line_first += 2 * np.arange(line_col.size)
+    with open(path, "wb") as fh:
+        fh.write(("\n".join(head) + "\n").encode("utf-8"))
+        for lo in range(1, m_eq + m_ub + 1, _MPS_CHUNK_LINES):
+            mat, lengths = row_names(np.arange(lo, min(lo + _MPS_CHUNK_LINES, m_eq + m_ub + 1)), 0)
+            fh.write(_mps_lines(b" ", (mat[:, :1], None), b"  ", (mat, lengths), b"\n"))
+        fh.write(b"COLUMNS\n")
+        for lo in range(0, line_col.size, _MPS_CHUNK_LINES):
+            cols = line_col[lo:lo + _MPS_CHUNK_LINES]
+            first = line_first[lo:lo + _MPS_CHUNK_LINES]
+            pair = first + 1 < stacked.indptr[cols + 1]
+            second = np.minimum(first + 1, nnz - 1)
+            col_names = _mps_names(ord("X"), np.arange(cols[0] + 1, cols[-1] + 2), 8)
+            fh.write(_mps_lines(
+                b"    ", _mps_pick(col_names, cols - cols[0]), b"  ",
+                _mps_pick(row_table, stacked.indices[first]), b"  ",
+                _mps_pick(numbers, number_of[first]),
+                (b"   ", pair), _mps_pick(row_table, stacked.indices[second], pair),
+                (b"  ", pair), _mps_pick(numbers, number_of[second], pair), b"\n"))
+        fh.write(b"RHS\n")
+        for lo in range(0, rhs_rows.size, _MPS_CHUNK_LINES):
+            rows = rhs_rows[lo:lo + _MPS_CHUNK_LINES]
+            fh.write(_mps_lines(b"    RHS       ", _mps_pick(row_table, rows), b"  ",
+                                _mps_pick(numbers, number_of[nnz + lo:nnz + lo + rows.size]),
+                                b"\n"))
+        bounds = ["BOUNDS"]
+        # variables with the MPS default bounds [0, inf) are not listed
+        for j in np.nonzero((lp.lb != 0.0) | np.isfinite(lp.ub))[0].tolist():
+            xname = f"X{j + 1:0{MPS_NAME_DIGITS}d}"
+            l, u = float(lp.lb[j]), float(lp.ub[j])
+            if not np.isfinite(l) and not np.isfinite(u):
+                bounds.append(f" FR BND       {xname:<8s}")
+                continue
+            if not np.isfinite(l):
+                bounds.append(f" MI BND       {xname:<8s}")
+            elif l != 0.0:
+                bounds.append(f" LO BND       {xname:<8s}  {fmt(l):<12s}")
+            if np.isfinite(u):
+                bounds.append(f" UP BND       {xname:<8s}  {fmt(u):<12s}")
+        bounds.append("ENDATA")
+        fh.write(("\n".join(bounds) + "\n").encode("utf-8"))
 
 
 __all__ = [
     "GAP_TOL",
+    "MPS_NAME_DIGITS",
     "LinearProgram",
     "LpModel",
     "LpSolution",

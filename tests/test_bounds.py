@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -876,3 +877,21 @@ class TestVerifyDuality:
             verify_duality(dataclasses.replace(sol, certificate=cert), loss, mu, nu)
         reported = float(str(err.value).split("violated by ")[1].split(";")[0])
         assert reported == pytest.approx(1e-6, rel=1e-3)
+
+    @pytest.mark.parametrize("kind", ["lg200x400-mes", "ccr40-k16-msp"])
+    def test_primal_value_matches_exact_sum(self, kind):
+        if kind == "lg200x400-mes":
+            mu, nu, loss = build_gaussian_linear_instance(200, 400, 701)
+            sol = solve_mes(mu, nu, loss, 0.9)
+            thetas = sol.theta[None]
+        else:
+            mu, nu, loss = build_ccr_instance(DEFAULT_CCR_PARAMS, 40, 31)
+            sol = solve_msp(mu, nu, loss, discretize_spectrum(SpectralFunction.power_sqrt(), 16))
+            thetas = sol.thetas
+        grid = sol.grid
+        terms = [grid.z0 * x for x in (loss.values * sol.coupling.matrix).ravel().tolist()]
+        for w, theta in zip(grid.weights.tolist(), thetas):
+            terms += [w * x for x in (loss.values * theta).ravel().tolist()]
+        reference = math.fsum(terms)
+        report = verify_duality(sol, loss, mu, nu)
+        assert report.primal_value == pytest.approx(reference, rel=1e-12, abs=0.0)

@@ -12,7 +12,9 @@ from riskbound.core import (
     LossMatrix,
     NumericalFailure,
     ProblemTooLarge,
+    SpectralFunction,
     SpectralGrid,
+    discretize_spectrum,
     validate_marginal,
 )
 from riskbound.losses import DEFAULT_CCR_PARAMS, build_ccr_instance, build_gaussian_linear_instance
@@ -482,6 +484,44 @@ class TestMpsDump:
         True: (1130754, "99f175627d070d1f3e5647948494db4b8911259f7f5c0b40beb856551c01ed98"),
     }
 
+    # sha256 and size of both exports of the programs below, as written by
+    # the per-entry string writer that preceded the columnar one
+    PINNED_MPS = {
+        ("ccr20_k8", False): (455296, "18d46b88f43cbd7692746fa612442247f36f873a54495b55cbea172afc718759"),
+        ("ccr20_k8", True): (495424, "1da11ad0d6912febbbb7a87557cf1f8c223eeab6b0f159a6cc51e0874456d730"),
+        ("bounded", False): (1183, "089e109d75ddda1e83c8d9e6de92e64dde21df4b8eda203cc4be1fd0465db5d1"),
+        ("bounded", True): (1232, "b3f7658ffe7133f407a432c87ad6ed986a6fa714dd8e5c711f248b1327f951c4"),
+        ("eq_only", False): (14221, "7f4bdad7ec0b6c38c331b88ddaedb165c1e21d9d588989161863ddc3f18a3f98"),
+        ("eq_only", True): (16859, "d2ff93d84a1918adec7152a2b3470933304818ee8f57db8e3c071848d126da07"),
+        ("ub_only", False): (14241, "fa43df0572dde71419fa830e6876397ee96565a35fe50c9e26756c67a81d30b8"),
+        ("ub_only", True): (16887, "c391d7fe6a27b6d55d0258561134d88bf813837a0501597ce3df133666b360e5"),
+    }
+
+    @staticmethod
+    def pinned_lp(kind):
+        if kind == "ccr20_k8":
+            grid = discretize_spectrum(SpectralFunction.power_sqrt(), 8)
+            return build_msp_lp(*build_ccr_instance(DEFAULT_CCR_PARAMS, 20, 31), grid)
+        if kind == "bounded":
+            # FR, MI, LO and UP bounds, an explicit zero coefficient, a column
+            # with no entries and zero cost, one with a cost and no entries
+            return LinearProgram.from_rows(
+                "max", [1.5, -2.0 / 3.0, 0.0, 1e-12, 7.25e20, 0.0, -3.0, 0.1],
+                rows=[([0, 1, 2, 3], [1.0, 0.0, -0.125, 2.5e-7], "<=", 4.0),
+                      ([1, 3, 4, 6], [1.0 / 3.0, -1e5, 123456789.0, 2.0], "=", 0.0),
+                      ([0, 4, 6], [-1.0, 0.3, 1e-300], ">=", -1.0 / 7.0),
+                      ([3, 4], [0.5, -0.5], "=", 1e300)],
+                lb=[-np.inf, -np.inf, -2.5, 0.0, 1.0 / 3.0, 0.0, 0.0, 1.0],
+                ub=[np.inf, 10.0, 2.5, 4.0, np.inf, np.inf, 0.0, 1.0])
+        m, n = 30, 45
+        rows = [([j for j in range(n) if (3 * i + 5 * j) % 7 < 2],
+                 [((i * 11 + j * 13) % 23 - 11) / 9.0 for j in range(n) if (3 * i + 5 * j) % 7 < 2],
+                 rel, (i % 5 - 2) / 3.0)
+                for i in range(m) for rel in ["=" if kind == "eq_only" else ("<=", ">=")[i % 2]]]
+        return LinearProgram.from_rows(
+            "min" if kind == "eq_only" else "max",
+            [((j * 17) % 19 - 9) / 7.0 for j in range(n)], rows=rows)
+
     @pytest.mark.parametrize("exact", [False, True])
     def test_lifted_export_is_byte_identical(self, exact, tmp_path):
         lp = build_mes_lp(*build_gaussian_linear_instance(50, 100, 701), 0.9)
@@ -489,6 +529,78 @@ class TestMpsDump:
         write_mps(lp, path, name="MESLP", exact=exact)
         data = path.read_bytes()
         assert (len(data), hashlib.sha256(data).hexdigest()) == self.LG50X100_MPS[exact]
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("kind", ["ccr20_k8", "bounded", "eq_only", "ub_only"])
+    def test_export_is_byte_identical(self, kind, exact, tmp_path):
+        path = tmp_path / "lp.mps"
+        write_mps(self.pinned_lp(kind), path, exact=exact)
+        data = path.read_bytes()
+        assert (len(data), hashlib.sha256(data).hexdigest()) == self.PINNED_MPS[kind, exact]
+
+    @pytest.mark.parametrize("overflow", ["columns", "eq rows", "ub rows"])
+    def test_names_past_the_digit_limit(self, overflow, tmp_path, monkeypatch):
+        # with two-digit names, 99 columns or rows of a kind fit and 100 do not
+        monkeypatch.setattr(lpsolver, "MPS_NAME_DIGITS", 2)
+        n, m = (100, 99) if overflow == "columns" else (99, 100)
+        rel = "<=" if overflow == "ub rows" else "="
+        lp = LinearProgram.from_rows(
+            "min", np.arange(1.0, n + 1.0),
+            rows=[([i % n, (i + 1) % n], [1.0, -2.0], rel, i + 1.0) for i in range(m)])
+        path = tmp_path / "lp.mps"
+        with pytest.raises(ProblemTooLarge, match="2-digit names"):
+            write_mps(lp, path)
+        write_mps(lp, path, exact=True)
+        lines = path.read_text().splitlines()
+        big = {"columns": "X100", "eq rows": "E100", "ub rows": "L100"}[overflow]
+        assert any(big in line.split() for line in lines)
+        # names that fit keep two zero-padded digits in an 8-byte field
+        assert lines[lines.index("COLUMNS") + 1].startswith("    X01       COST      1.0         ")
+        back = read_mps(path)
+        assert np.array_equal(back.c, lp.c)
+        for name in ("a_eq", "a_ub"):
+            if getattr(lp, name) is not None:
+                assert np.array_equal(getattr(back, name).toarray(), getattr(lp, name).toarray())
+        monkeypatch.setattr(lpsolver, "MPS_NAME_DIGITS", 3)
+        write_mps(lp, path)
+        lines = path.read_text().splitlines()
+        assert lines[lines.index("COLUMNS") + 1].startswith("    X001      COST      1           ")
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_the_per_entry_writer(self, seed, tmp_path, monkeypatch):
+        # random programs against the reference writer, with names short
+        # enough to widen and blocks of lines small enough to split columns
+        rng = np.random.default_rng(seed)
+
+        def values(k):
+            v = rng.normal(size=k) * 10.0 ** rng.integers(-300, 300, k)
+            return np.where(rng.random(k) < 0.3, rng.choice([0.0, 1.0, -2.5, 0.1], k), v)
+
+        for trial in range(25):
+            n, m_eq, m_ub = (int(k) for k in rng.integers(1, 120, 3))
+            blocks = {}
+            for name, m in (("eq", m_eq), ("ub", m_ub)):
+                if rng.random() < 0.8:
+                    a = sp.random(m, n, density=0.2 * rng.random(), format="csr",
+                                  random_state=int(rng.integers(1 << 30)))
+                    a.data = values(a.nnz)
+                    blocks[f"a_{name}"], blocks[f"b_{name}"] = a, values(m)
+            lb = np.where(rng.random(n) < 0.6, 0.0, np.where(rng.random(n) < 0.5, -np.inf,
+                                                              values(n)))
+            ub = np.where(rng.random(n) < 0.6, np.inf, np.maximum(lb, 0.0) + np.abs(values(n)))
+            lp = LinearProgram(sense=("min", "max")[trial % 2], c=values(n) * (rng.random(n) < 0.7),
+                               lb=lb, ub=ub, **blocks)
+            digits, exact = int(rng.choice([1, 2, 7])), bool(trial % 3)
+            monkeypatch.setattr(lpsolver, "MPS_NAME_DIGITS", digits)
+            monkeypatch.setattr(lpsolver, "_MPS_CHUNK_LINES", int(rng.choice([1, 3, 2048])))
+            path = tmp_path / "lp.mps"
+            sizes = [n] + [a.shape[0] for a in (lp.a_eq, lp.a_ub) if a is not None]
+            if not exact and max(sizes) >= 10 ** digits:
+                with pytest.raises(ProblemTooLarge):
+                    write_mps(lp, path)
+                continue
+            write_mps(lp, path, exact=exact)
+            assert path.read_text() == reference_mps(lp, exact, digits)
 
     def test_fixed_format_sections(self, tmp_path):
         path = tmp_path / "lp.mps"
@@ -526,6 +638,56 @@ class TestMpsDump:
                                                               abs=1e-9)
 
 
+def reference_mps(lp: LinearProgram, exact: bool, digits: int = 7) -> str:
+    """The MPS text of ``write_mps``, written one entry at a time."""
+    sign = 1.0 if lp.sense == "min" else -1.0
+    fmt = (lambda v: repr(float(v))) if exact else (lambda v: f"{v:.6G}")
+    lines = [f"* sense: {lp.sense}" + (" (objective negated)" if sign < 0 else "")
+             + ("; free MPS, exact floats" if exact else ""),
+             f"NAME          {'RISKLP':<8s}", "ROWS", " N  COST"]
+    m_eq = lp.a_eq.shape[0] if lp.a_eq is not None else 0
+    m_ub = lp.a_ub.shape[0] if lp.a_ub is not None else 0
+    rnames = ([f"E{i + 1:0{digits}d}" for i in range(m_eq)]
+              + [f"L{i + 1:0{digits}d}" for i in range(m_ub)])
+    lines += [f" {r[0]}  {r}" for r in rnames]
+    lines.append("COLUMNS")
+    blocks = [a for a in (lp.a_eq, lp.a_ub) if a is not None]
+    stacked = sp.vstack(blocks, format="csc") if blocks else sp.csc_matrix((0, lp.n_vars))
+    stacked.eliminate_zeros()
+    stacked.sort_indices()
+    cost = (sign * lp.c).tolist()
+    for j in range(lp.n_vars):
+        entries = [("COST", cost[j])] if cost[j] != 0.0 else []
+        entries += [(rnames[stacked.indices[k]], float(stacked.data[k]))
+                    for k in range(stacked.indptr[j], stacked.indptr[j + 1])]
+        xname = f"X{j + 1:0{digits}d}"
+        for k in range(0, len(entries), 2):
+            line = f"    {xname:<8s}  {entries[k][0]:<8s}  {fmt(entries[k][1]):<12s}"
+            if k + 1 < len(entries):
+                line += f"   {entries[k + 1][0]:<8s}  {fmt(entries[k + 1][1]):<12s}"
+            lines.append(line)
+    lines.append("RHS")
+    b_all = [b for b in (lp.b_eq, lp.b_ub) if b is not None]
+    for rname, bv in zip(rnames, np.concatenate(b_all).tolist() if b_all else []):
+        if bv != 0.0:
+            lines.append(f"    RHS       {rname:<8s}  {fmt(bv):<12s}")
+    lines.append("BOUNDS")
+    for j in np.nonzero((lp.lb != 0.0) | np.isfinite(lp.ub))[0].tolist():
+        xname = f"X{j + 1:0{digits}d}"
+        l, u = lp.lb[j], lp.ub[j]
+        if not np.isfinite(l) and not np.isfinite(u):
+            lines.append(f" FR BND       {xname:<8s}")
+            continue
+        if not np.isfinite(l):
+            lines.append(f" MI BND       {xname:<8s}")
+        elif l != 0.0:
+            lines.append(f" LO BND       {xname:<8s}  {fmt(l):<12s}")
+        if np.isfinite(u):
+            lines.append(f" UP BND       {xname:<8s}  {fmt(u):<12s}")
+    lines.append("ENDATA")
+    return "\n".join(lines) + "\n"
+
+
 def read_mps(path) -> LinearProgram:
     """Parse a file written by ``write_mps`` back into a minimization."""
     rows, entries, rhs, bound_lines = {}, [], {}, []
@@ -545,8 +707,11 @@ def read_mps(path) -> LinearProgram:
             rhs.update((f[k], float(f[k + 1])) for k in range(1, len(f), 2))
         elif section == "BOUNDS":
             bound_lines.append(f)
-    cols = {x: k for k, x in enumerate(sorted({e[0] for e in entries}))}
-    index = {kind: {r: k for k, r in enumerate(sorted(r for r, t in rows.items() if t == kind))}
+    # names widen past their zero-padded digits, so shorter names come first
+    by_number = dict(key=lambda s: (len(s), s))
+    cols = {x: k for k, x in enumerate(sorted({e[0] for e in entries}, **by_number))}
+    index = {kind: {r: k for k, r in enumerate(sorted((r for r, t in rows.items() if t == kind),
+                                                      **by_number))}
              for kind in ("E", "L")}
     n = len(cols)
     c = np.zeros(n)
