@@ -20,9 +20,10 @@ from .bounds import (
     brute_force_mes,
     solve_mes,
     solve_msp,
+    solve_transport,
     verify_duality,
 )
-from .lpsolver import LinearProgram, LpModel, LpSolution, solve_lp, solve_transport
+from .lpsolver import LinearProgram, LpModel, LpSolution, solve_lp
 from .riskmeasures import (
     DiscreteLaw,
     es_dual_density,

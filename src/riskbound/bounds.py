@@ -13,6 +13,8 @@ Pi(mu, nu) by solving the lifted linear program in the pair (pi, Theta):
 variable Theta^k per grid level, objective z0 E_pi[L] + sum_k w_k (L.Theta^k).
 The u = 0 atom is always carried by the expectation term, never by a level.
 MES is MSP on the Dirac grid at alpha, and both share one solve path.
+``solve_transport`` is MSP on the grid without levels (sigma == 1), on
+which the program is plain optimal transport.
 
 Neither program is handed to the solver whole.  Column generation starts
 from the comonotone staircase of cells, solves the program restricted to the
@@ -64,12 +66,12 @@ from .lpsolver import (
     LpModel,
     _Transport,
     solve_lp,
-    solve_transport,  # unused here; perfbench's tracer wraps it at this attribute
     transport_polytope_vertices,
 )
 from .riskmeasures import DiscreteLaw, law_from_coupling, var
 
 MSP_MAX_CELLS_TIMES_LEVELS = 5_000_000
+_FLAT = SpectralGrid(z0=1.0, levels=np.array([]), weights=np.array([]))  # sigma == 1: E_pi[L]
 _WEAK_DUALITY_TOL = 1e-9
 _GAP_TOL = 1e-7
 _CERT_FEAS_TOL = 1e-8
@@ -651,6 +653,28 @@ def solve_msp(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMatrix,
     return _certified(sol, loss, mu, nu)
 
 
+def solve_transport(mu: ProbabilityVector, nu: ProbabilityVector, cost: LossMatrix,
+                    sense: str = "max"
+                    ) -> tuple[float, Coupling, tuple[np.ndarray, np.ndarray]]:
+    """Extremal transport value over Pi(mu, nu), its plan, and Kantorovich
+    potentials (phi, psi).
+
+    :func:`solve_msp` on the grid without levels, whose lifted program is
+    plain optimal transport, on ``-cost`` when ``sense`` is "min"; so the
+    value has passed :func:`verify_duality`.  That certificate covers
+    cost - beta0, and beta0 is moved into psi: phi_i + psi_j >= cost_ij for
+    "max" (<= for "min") on every cell, zero-mass atoms included,
+    phi . mu + psi . nu is the value, and phi[0] = 0.
+    """
+    if sense not in ("max", "min"):
+        raise InvalidParams(f"sense must be 'max' or 'min', got {sense!r}")
+    sign = 1.0 if sense == "max" else -1.0
+    sol = solve_msp(mu, nu, cost if sense == "max" else LossMatrix(-cost.values), _FLAT)
+    cert = sol.certificate
+    return (sign * sol.value, sol.coupling,
+            (sign * cert.phi, sign * (cert.psi + cert.beta0)))
+
+
 # ---------------------------------------------------------------------------
 # Duality verification
 # ---------------------------------------------------------------------------
@@ -829,9 +853,13 @@ def msp_solution_from_dict(d: dict) -> MspSolution:
                         levels=np.asarray(d["grid"]["levels"], dtype=float),
                         weights=np.asarray(d["grid"]["weights"], dtype=float))
     coupling = Coupling(_decode_array(d["coupling"], "coupling"))
+    beta0 = d["certificate"].get("beta0")
+    if beta0 is None and grid.z0 > 0.0:
+        raise DimensionMismatch("certificate.beta0 is required when the grid has z0 > 0")
     cert = DualCertificate(**_decode_potentials(d["certificate"], coupling.matrix.shape),
-                           beta=np.asarray(d["certificate"]["beta"], dtype=float),
-                           beta0=d["certificate"].get("beta0"))
+                           beta=_decode_array(d["certificate"]["beta"], "certificate.beta",
+                                              (grid.n_levels,)),
+                           beta0=None if beta0 is None else float(beta0))
     thetas = _decode_array(d["theta"], "theta", (grid.n_levels, *coupling.matrix.shape))
     return MspSolution(value=float(d["value"]), coupling=coupling, thetas=thetas,
                        betas=np.asarray(d["betas"], dtype=float), certificate=cert,
@@ -856,5 +884,6 @@ __all__ = [
     "msp_solution_to_dict",
     "solve_mes",
     "solve_msp",
+    "solve_transport",
     "verify_duality",
 ]

@@ -143,10 +143,7 @@ def _build_from_generator(gen: dict):
 
 def _instance_from_config(cfg: dict):
     if "file" in cfg.get("instance", {}):
-        path = cfg["instance"]["file"]
-        if not Path(path).exists():
-            raise FileNotFoundError(f"instance file not found: {path}")
-        mu, nu, loss, sigma = load_instance(path)
+        mu, nu, loss, _ = load_instance(cfg["instance"]["file"])
         return mu, nu, loss
     if "generator" in cfg:
         return _build_from_generator(cfg["generator"])

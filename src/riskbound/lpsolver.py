@@ -1,6 +1,6 @@
 """
-Linear programming layer: one LP engine, a persistent model of it, and an
-optimal-transport wrapper.  Every optimal solve returns primal values, row
+Linear programming layer: one LP engine, a persistent model of it, and the
+transport model of the MES oracle.  Every optimal solve returns primal values, row
 duals, and reduced costs, and is certified against feasibility /
 complementary-slackness / duality-gap residuals before being handed back.
 
@@ -27,10 +27,12 @@ more per call but returns the same values.  Both routes report
 
 The MES oracle of :mod:`riskbound.bounds` (``brute_force_mes``) runs on the
 same engine as the lifted programs it checks.  Its independence rests on
-its own assembly (the plain transport rows over the original cells that
-:func:`solve_transport` also uses, no lifted variables, no column
-generation) and on the cross-check of its transport values with
-:func:`transport_polytope_vertices` on tiny instances.
+its own assembly (:class:`_Transport`: the plain transport rows over the
+cells between atoms of positive mass, whole, with no lifted variables and
+no column generation) and on the cross-check of its transport values with
+:func:`transport_polytope_vertices` on tiny instances.  Optimal transport
+for callers is ``bounds.solve_transport``, the certified column generation
+on the grid without levels.
 
 Dual sign convention: duals are reported for the problem *as posed*, so
 that  objective == duals_eq . b_eq + duals_ub . b_ub + bound terms.  For a
@@ -53,15 +55,12 @@ except ImportError:  # pragma: no cover - scipy builds without the binding
     _highspy = None
 
 from .core import (
-    Coupling,
     DimensionMismatch,
-    LossMatrix,
     NumericalFailure,
     ProbabilityVector,
     ProblemTooLarge,
 )
 
-TRANSPORT_MAX_CELLS = 2_000 * 2_000
 _VERTEX_CHUNK = 512             # candidate bases tested and solved per batch
 
 # residual contract for certified optimal solutions
@@ -467,7 +466,7 @@ def solve_lp(lp: LinearProgram | LpModel) -> LpSolution:
 
 
 # ---------------------------------------------------------------------------
-# Optimal transport layer
+# The MES oracle's transport model
 # ---------------------------------------------------------------------------
 
 
@@ -511,44 +510,6 @@ class _Transport:
         plan = np.zeros(self.shape)
         plan[np.ix_(self.keep_i, self.keep_j)] = sol.x.reshape(mm, nn)
         return sol, plan
-
-
-def solve_transport(mu: ProbabilityVector, nu: ProbabilityVector, cost: LossMatrix,
-                    sense: str = "max"
-                    ) -> tuple[float, Coupling, tuple[np.ndarray, np.ndarray]]:
-    """Extremal transport value over Pi(mu, nu) with Kantorovich potentials,
-    solved whole by :func:`solve_lp`.
-
-    Zero-mass atoms are dropped before assembly and reinserted as zero
-    rows/columns of the plan; their potentials are filled from the cover
-    condition so that dual feasibility holds on every cell.  Potentials are
-    normalized to phi[0] = 0.
-    """
-    m, n = mu.size, nu.size
-    if cost.shape != (m, n):
-        raise DimensionMismatch("cost shape does not match the marginals")
-    if m * n > TRANSPORT_MAX_CELLS:
-        raise ProblemTooLarge(f"{m}x{n} transport exceeds the desk-scale envelope")
-    transport = _Transport(mu, nu, sense)
-    sol, plan = transport.solve(cost.values)
-    keep_i, keep_j = transport.keep_i, transport.keep_j
-    phi = np.zeros(m)
-    psi = np.zeros(n)
-    phi[keep_i] = sol.duals_eq[:keep_i.size]
-    psi[keep_j] = sol.duals_eq[keep_i.size:]
-    # cover the dropped atoms so phi_i + psi_j >= / <= cost holds everywhere
-    drop_i = np.setdiff1d(np.arange(m), keep_i)
-    drop_j = np.setdiff1d(np.arange(n), keep_j)
-    red = cost.values - psi[None, :]
-    if drop_i.size:
-        phi[drop_i] = red[drop_i, :].max(axis=1) if sense == "max" else red[drop_i, :].min(axis=1)
-    redc = cost.values - phi[:, None]
-    if drop_j.size:
-        psi[drop_j] = redc[:, drop_j].max(axis=0) if sense == "max" else redc[:, drop_j].min(axis=0)
-    shift = phi[0]
-    phi -= shift
-    psi += shift
-    return float(sol.objective), Coupling(plan), (phi, psi)
 
 
 def transport_polytope_vertices(mu: ProbabilityVector, nu: ProbabilityVector):
@@ -789,7 +750,6 @@ __all__ = [
     "LpModel",
     "LpSolution",
     "solve_lp",
-    "solve_transport",
     "transport_polytope_vertices",
     "write_mps",
 ]

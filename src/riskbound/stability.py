@@ -11,10 +11,10 @@ obtained by gluing optimal marginal couplings (the sum of marginal costs
 dominates the product-space transport cost).  Prokhorov-metric statements
 are evaluated through Wasserstein distances instead: on finite supports
 W_1-convergence is equivalent to weak convergence.  W_r^r is an optimal
-transport value, computed by the certified column generation of
-``solve_msp`` on the grid without levels, on the ground cost rescaled to
-the unit range so that the solver's absolute tolerances hold at every
-ground scale.
+transport value, computed by ``bounds.solve_transport`` (the certified
+column generation of ``solve_msp`` on the grid without levels) on the
+ground cost rescaled to the unit range, so that the solver's absolute
+tolerances hold at every ground scale.
 """
 
 from __future__ import annotations
@@ -36,13 +36,12 @@ from .core import (
     grid_sigma_norm,
     validate_marginal,
 )
-from .bounds import solve_mes, solve_msp
-from .lpsolver import solve_transport  # unused here; perfbench's tracer wraps it at this attribute
+from .asymptotics import sample_empirical
+from .bounds import solve_mes, solve_msp, solve_transport
 from .riskmeasures import law_from_coupling, spectral_risk
 from .rng import substream
 
 _BOUND_SLACK = 1e-7
-_FLAT = SpectralGrid(z0=1.0, levels=np.array([]), weights=np.array([]))  # sigma == 1: E_pi[L]
 
 
 def wasserstein_discrete(p: ProbabilityVector, q: ProbabilityVector,
@@ -51,11 +50,11 @@ def wasserstein_discrete(p: ProbabilityVector, q: ProbabilityVector,
     metric (symmetry and zero diagonal are checked; the triangle inequality
     is the caller's contract).
 
-    W_r^r = -top * max_pi E_pi[-d^r / top] with top = max |d^r|: a
-    certified :func:`solve_msp` on the grid without levels, whose loss lies
-    in [-1, 1] whatever the scale of the ground, so that the solver's
-    absolute tolerances are relative to top.  A ground that is zero
-    everywhere gives 0.0 without a solve.
+    W_r^r = top * min_pi E_pi[d^r / top] with top = max |d^r|: a certified
+    :func:`~riskbound.bounds.solve_transport`, whose cost lies in [-1, 1]
+    whatever the scale of the ground, so that the solver's absolute
+    tolerances are relative to top.  A ground that is zero everywhere gives
+    0.0 without a solve.
     """
     if r < 1.0:
         raise DomainError(f"Wasserstein order must satisfy r >= 1, got {r}")
@@ -69,7 +68,7 @@ def wasserstein_discrete(p: ProbabilityVector, q: ProbabilityVector,
     top = float(np.abs(cost).max())
     if top == 0.0:
         return 0.0
-    value = -top * solve_msp(p, q, LossMatrix(cost / -top), _FLAT).value
+    value = top * solve_transport(p, q, LossMatrix(cost / top), "min")[0]
     return float(value ** (1.0 / r)) if value > 0.0 else 0.0
 
 
@@ -142,11 +141,6 @@ def _mix_with_uniform(p: ProbabilityVector, eps: float) -> ProbabilityVector:
     return ProbabilityVector(w / w.sum(), labels=p.labels)
 
 
-def _resample(p: ProbabilityVector, n: int, rng) -> ProbabilityVector:
-    counts = rng.multinomial(n, p.weights)
-    return ProbabilityVector(counts.astype(float) / n, labels=p.labels)
-
-
 def _trend_slope(eps: np.ndarray, dv: np.ndarray) -> float:
     mask = dv > 1e-14
     if mask.sum() < 2:
@@ -166,15 +160,18 @@ def perturbation_sweep(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossM
 
     ``mixing`` blends each marginal with the uniform law at weight eps;
     ``resampling`` replaces it by an empirical law of ceil(1/eps^2) *
-    resample_base draws (so the expected W_1 error scales like eps).  The
-    recorded bound uses the finite-difference Lipschitz constant and the
-    sup-norm of the grid spectrum; the trend statistic is the least-squares
-    slope of log |delta V| against log eps (positive = vanishing error).
+    resample_base draws, with resample_base >= 1 (so the expected W_1 error
+    scales like eps).  The recorded bound uses the finite-difference
+    Lipschitz constant and the sup-norm of the grid spectrum; the trend
+    statistic is the least-squares slope of log |delta V| against log eps
+    (positive = vanishing error).
     """
     if scheme not in ("mixing", "resampling"):
         raise DomainError(f"unknown perturbation scheme {scheme!r}")
     if steps < 1:
         raise DomainError("steps must be positive")
+    if resample_base < 1:
+        raise DomainError(f"resample_base must be at least 1, got {resample_base}")
     gx = ground_from_labels(mu)
     gy = ground_from_labels(nu)
     c_lip = lipschitz_estimate(loss, gx, gy)
@@ -191,8 +188,8 @@ def perturbation_sweep(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossM
             nu_e = _mix_with_uniform(nu, eps)
         else:
             n = int(math.ceil(resample_base / eps ** 2))
-            mu_e = _resample(mu, n, substream(seed, 2 * s))
-            nu_e = _resample(nu, n, substream(seed, 2 * s + 1))
+            mu_e = sample_empirical(mu, n, substream(seed, 2 * s))
+            nu_e = sample_empirical(nu, n, substream(seed, 2 * s + 1))
         w_mu = wasserstein_discrete(mu, mu_e, gx, r)
         w_nu = wasserstein_discrete(nu, nu_e, gy, r)
         value = _solve_value(mu_e, nu_e, loss, alpha_or_grid)

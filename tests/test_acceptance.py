@@ -34,7 +34,7 @@ from riskbound.asymptotics import (
 from riskbound.bounds import brute_force_mes, solve_mes, solve_msp, verify_duality
 from riskbound.cli import main
 from riskbound.losses import build_gaussian_linear_instance
-from riskbound.lpsolver import solve_transport
+from riskbound.lpsolver import _Transport
 from riskbound.riskmeasures import (
     DiscreteLaw,
     es_dual_density,
@@ -271,7 +271,7 @@ def test_c09_value_map_coherence():
             worst_dirac = max(worst_dirac, abs(
                 solve_msp(mu, nu, loss, SpectralGrid.dirac(a)).value - v))
             flat = discretize_spectrum(SpectralFunction.flat(), 1)
-            v_ot, _, _ = solve_transport(mu, nu, loss, "max")
+            v_ot = _Transport(mu, nu, "max").solve(loss.values)[0].objective
             worst_flat = max(worst_flat, abs(
                 solve_msp(mu, nu, loss, flat).value - v_ot))
     elapsed = time.time() - t0

@@ -39,7 +39,7 @@ from riskbound.bounds import (
 )
 from riskbound.losses import DEFAULT_CCR_PARAMS, build_ccr_instance, build_gaussian_linear_instance
 from riskbound.riskmeasures import DiscreteLaw, es_tail_average
-from riskbound.lpsolver import solve_lp, solve_transport
+from riskbound.lpsolver import _Transport, solve_lp
 
 # the mixed grid of acceptance criterion C2: a u = 0 atom plus two levels
 C2_GRID = SpectralGrid(z0=0.4, levels=np.array([0.3, 0.7]), weights=np.array([0.3, 0.3]))
@@ -248,7 +248,7 @@ class TestColumnGeneration:
     def test_ccr_flat_grid_matches_transport(self):
         mu, nu, loss = build_ccr_instance(DEFAULT_CCR_PARAMS, 100, 31)
         sol = solve_msp(mu, nu, loss, FLAT_GRID)
-        v_ot, _, _ = solve_transport(mu, nu, loss, "max")
+        v_ot = _Transport(mu, nu, "max").solve(loss.values)[0].objective
         assert sol.value == pytest.approx(v_ot, abs=1e-9)
         assert sol.active_cells < loss.values.size
 
@@ -717,6 +717,20 @@ class TestSolutionJson:
         with pytest.raises(DimensionMismatch, match="betas"):
             msp_solution_from_dict(d)
 
+    def test_msp_certificate_without_beta0_names_the_field(self):
+        # C2_GRID has z0 > 0: the certificate covers its u = 0 atom with beta0
+        d = msp_solution_to_dict(solve_msp(*two_by_two_sum(), C2_GRID))
+        del d["certificate"]["beta0"]
+        with pytest.raises(DimensionMismatch, match="certificate.beta0"):
+            msp_solution_from_dict(d)
+
+    @pytest.mark.parametrize("length", [1, 3])
+    def test_msp_certificate_beta_length_names_the_field(self, length):
+        d = msp_solution_to_dict(solve_msp(*two_by_two_sum(), C2_GRID))
+        d["certificate"]["beta"] = [0.0] * length
+        with pytest.raises(DimensionMismatch, match="certificate.beta has shape"):
+            msp_solution_from_dict(d)
+
 
 class TestSolveMsp:
     def test_dirac_grid_equals_mes(self):
@@ -733,7 +747,7 @@ class TestSolveMsp:
         for _ in range(8):
             mu, nu, loss = random_instance(rng, max_side=5)
             v_msp = solve_msp(mu, nu, loss, FLAT_GRID)
-            v_ot, _, _ = solve_transport(mu, nu, loss, "max")
+            v_ot = _Transport(mu, nu, "max").solve(loss.values)[0].objective
             assert abs(v_msp.value - v_ot) <= 1e-8
             assert v_msp.gap <= 1e-7
 
@@ -779,6 +793,54 @@ class TestSolveMsp:
                             weights=np.full(501, 1.0 / 501))
         with pytest.raises(ProblemTooLarge):
             solve_msp(mu, nu, LossMatrix(np.zeros((100, 100))), grid)
+
+
+class TestSolveTransport:
+    """The flat-grid solve against the oracle's full-grid transport program,
+    on instances with zero-mass atoms, ties and duplicated rows/columns."""
+
+    def test_both_senses_match_the_full_grid_program(self):
+        rng = np.random.default_rng(515)
+        for _ in range(40):
+            mu, nu, loss = degenerate_instance(rng)
+            for sense in ("max", "min"):
+                value, plan, _ = bounds.solve_transport(mu, nu, loss, sense)
+                ref = _Transport(mu, nu, sense).solve(loss.values)[0].objective
+                assert value == pytest.approx(ref, abs=1e-9)
+                assert max(plan.marginal_residuals(mu, nu)) <= 1e-9
+                assert float((plan.matrix * loss.values).sum()) == pytest.approx(value, abs=1e-9)
+
+    def test_potentials_cover_every_cell(self):
+        rng = np.random.default_rng(516)
+        for _ in range(40):
+            mu, nu, loss = degenerate_instance(rng)
+            for sense, sign in (("max", 1.0), ("min", -1.0)):
+                value, _, (phi, psi) = bounds.solve_transport(mu, nu, loss, sense)
+                # phi + psi >= L for max, <= L for min, zero-mass atoms included
+                assert (sign * (phi[:, None] + psi[None, :] - loss.values)).min() >= -1e-8
+                assert phi[0] == 0.0
+                assert float(phi @ mu.weights + psi @ nu.weights) == pytest.approx(value,
+                                                                                  abs=1e-8)
+
+    def test_every_return_has_passed_verify_duality(self, monkeypatch):
+        checked = []
+
+        def spy(sol, loss, mu, nu):
+            checked.append(loss.values)
+            return verify_duality(sol, loss, mu, nu)
+
+        monkeypatch.setattr(bounds, "verify_duality", spy)
+        rng = np.random.default_rng(517)
+        mu, nu, loss = degenerate_instance(rng)
+        bounds.solve_transport(mu, nu, loss, "max")
+        bounds.solve_transport(mu, nu, loss, "min")
+        assert len(checked) == 2
+        assert np.array_equal(checked[0], loss.values)
+        assert np.array_equal(checked[1], -loss.values)
+
+    def test_unknown_sense_rejected(self):
+        with pytest.raises(InvalidParams, match="'sup'"):
+            bounds.solve_transport(*two_by_two_sum(), "sup")
 
 
 class TestEngineArgument:

@@ -18,11 +18,11 @@ from riskbound.core import (
     validate_marginal,
 )
 from riskbound.losses import DEFAULT_CCR_PARAMS, build_ccr_instance, build_gaussian_linear_instance
+from riskbound.bounds import MSP_MAX_CELLS_TIMES_LEVELS, solve_transport
 from riskbound.lpsolver import (
     LinearProgram,
     LpModel,
     solve_lp,
-    solve_transport,
     transport_polytope_vertices,
     write_mps,
 )
@@ -395,10 +395,11 @@ class TestTransport:
             assert int((plan.matrix > 1e-10).sum()) <= m + n - 1
 
     def test_too_large_rejected(self):
-        mu = validate_marginal(np.full(2001, 1.0 / 2001))
-        nu = validate_marginal(np.full(2001, 1.0 / 2001))
+        side = 2237                     # the smallest square past the envelope
+        assert side ** 2 > MSP_MAX_CELLS_TIMES_LEVELS >= (side - 1) ** 2
+        mu = validate_marginal(np.full(side, 1.0 / side))
         with pytest.raises(ProblemTooLarge):
-            solve_transport(mu, nu, LossMatrix(np.zeros((2001, 2001))), "max")
+            solve_transport(mu, mu, LossMatrix(np.zeros((side, side))), "max")
 
 
 class TestVertexEnumeration:

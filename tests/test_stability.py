@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from riskbound import lpsolver, stability
+from riskbound import bounds, lpsolver, stability
 from riskbound.core import (
     Coupling,
     DomainError,
@@ -101,7 +101,7 @@ class TestWasserstein:
         def no_solve(*args, **kwargs):
             raise AssertionError("a zero ground must not be solved")
 
-        monkeypatch.setattr(stability, "solve_msp", no_solve)
+        monkeypatch.setattr(stability, "solve_transport", no_solve)
         p = validate_marginal([0.2, 0.8])
         q = validate_marginal([0.6, 0.1, 0.3])
         w = wasserstein_discrete(p, q, LossMatrix(np.zeros((2, 3))), 2.0)
@@ -139,7 +139,7 @@ class TestWasserstein:
             plane = np.linalg.norm(pts[:, None] - pts[None, :], axis=-1)
             pm, qm = random_law(rng, m), random_law(rng, m)
             for a, b, d in ((p, q, line), (pm, qm, plane)):
-                ref, _, _ = lpsolver.solve_transport(a, b, LossMatrix(d ** r), "min")
+                ref = lpsolver._Transport(a, b, "min").solve(d ** r)[0].objective
                 got = wasserstein_discrete(a, b, LossMatrix(d), r) ** r
                 assert got == pytest.approx(max(ref, 0.0), abs=1e-9)
 
@@ -255,6 +255,12 @@ class TestPerturbationSweep:
         assert rep.scheme == "resampling"
         assert len(rep.rows) == 5
 
+    def test_resample_base_below_one_rejected(self):
+        rng = np.random.default_rng(29)
+        mu, nu, loss = self.make_instance(rng, n=3)
+        with pytest.raises(DomainError, match="resample_base"):
+            perturbation_sweep(mu, nu, loss, 0.5, scheme="resampling", resample_base=0)
+
     def test_grid_argument(self):
         rng = np.random.default_rng(31)
         mu, nu, loss = self.make_instance(rng, n=3)
@@ -328,7 +334,7 @@ class TestHolderCheck:
 
 def test_stability_keeps_the_traced_transport_attribute():
     # the benchmark tracer wraps riskbound.stability.solve_transport by name
-    assert stability.solve_transport is lpsolver.solve_transport
+    assert stability.solve_transport is bounds.solve_transport
 
 
 class TestGroundFromLabels:
