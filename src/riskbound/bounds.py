@@ -21,7 +21,11 @@ from the comonotone staircase of cells, solves the program restricted to the
 active cells, and prices every cell with the restricted dual: a cell left
 out can raise the optimum only if C^beta_ij > phi_i + psi_j.  Violated cells
 join the active set until none is left, so the final dual certifies the
-whole instance (Schmitzer 2016's shielding uses the same pricing).
+whole instance (Schmitzer 2016's shielding uses the same pricing).  The
+first master's optimal basis is known in advance: the north-west-corner plan
+on the staircase, and per level the tail density of its law cut at the VaR
+(Rockafellar-Uryasev).  HiGHS gets that basis with the model and takes no
+simplex iteration on it.
 
 Every solve returns a dual certificate (phi, psi, beta) and ends in
 ``verify_duality`` on the original instance; ``brute_force_mes`` provides
@@ -42,6 +46,7 @@ oracle changes only the cost of its transport model.
 from __future__ import annotations
 
 import logging
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,6 +67,9 @@ from .core import (
     check_instance,
 )
 from .lpsolver import (
+    AT_LOWER,
+    AT_UPPER,
+    BASIC,
     LinearProgram,
     LpModel,
     _Transport,
@@ -282,11 +290,14 @@ def _lifted_columns(ci: np.ndarray, cj: np.ndarray, loss: LossMatrix, grid: Spec
 
 def _staircase(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMatrix):
     """Cells of the north-west corner plan after sorting rows and columns by
-    mean loss: the comonotone coupling of the two orders.  It is feasible for
-    any marginals, and optimal for supermodular losses (Tchen 1980).  Where
-    a row and a column run out together the staircase still takes a single
-    step, so it spans every row and column in m + n - 1 cells and the
-    master's potentials are determined."""
+    mean loss, row-major, and the plan's mass on each: the comonotone
+    coupling of the two orders.  It is feasible for any marginals, and
+    optimal for supermodular losses (Tchen 1980).  Where a row and a column
+    run out together the staircase still takes a single step, through a
+    cell of zero mass, so it spans every row and column in m + n - 1 cells
+    and the master's potentials are determined.  A weight below the
+    rounding of a cumulative sum can still hide its row or column, and the
+    staircase then has fewer cells."""
     rows = np.argsort(loss.values @ nu.weights, kind="stable")
     cols = np.argsort(mu.weights @ loss.values, kind="stable")
     a = np.cumsum(mu.weights[rows])
@@ -296,10 +307,43 @@ def _staircase(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMatrix):
     i = np.minimum(np.searchsorted(a, t, side="right"), a.size - 1)
     j = np.minimum(np.searchsorted(b, t, side="right"), b.size - 1)
     diag = (np.diff(i) > 0) & (np.diff(j) > 0)
+    mass = np.concatenate([np.diff(t, append=1.0), np.zeros(np.count_nonzero(diag))])
     i = np.concatenate([i, i[1:][diag]])
     j = np.concatenate([j, j[:-1][diag]])
-    flat = np.unique(rows[i] * b.size + cols[j])
-    return np.divmod(flat, b.size)
+    flat, cell = np.unique(rows[i] * b.size + cols[j], return_inverse=True)
+    return (*np.divmod(flat, b.size), np.bincount(cell.ravel(), weights=mass, minlength=flat.size))
+
+
+def _staircase_basis(mass: np.ndarray, lvec: np.ndarray, grid: SpectralGrid, mm: int, nn: int):
+    """The optimal basis of the staircase master, ``build_msp_lp`` on the
+    staircase cells of masses ``mass`` and losses ``lvec``, as HiGHS status
+    codes per column and per row; None when the staircase misses a row or a
+    column (it has fewer than m + n - 1 cells).
+
+    Every pi column is basic, and so is the first marginal row, whose dual
+    is then 0: the cells form a spanning tree, on which pi is the
+    north-west-corner plan.  Level k fills Theta^k = (1 - u_k)^{-1} pi from
+    the largest loss down, ties in cell order.  On the cells it fills in
+    full, zero-mass cells among them, Theta^k is basic and its density row
+    tight.  On the cell where the mass
+    1 - u_k runs out both are basic, so beta_k is that cell's loss: the VaR
+    at u_k of the staircase law.  On the rest Theta^k is zero and the
+    density row basic.  The basis is primal feasible, and dual feasible
+    because the reduced cost of each Theta^k takes the sign of L - beta_k
+    (Rockafellar-Uryasev at beta = VaR), so it is optimal as it stands."""
+    n = mass.size
+    if n != mm + nn - 1:
+        return None
+    K = grid.n_levels
+    order = np.argsort(-lvec, kind="stable")
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    cross = np.searchsorted(np.cumsum(mass[order]), 1.0 - grid.levels, side="right")
+    rank = rank[None, :] - np.minimum(cross, n - 1)[:, None]   # 0 on the crossing cell
+    cols = np.concatenate([np.full(n, BASIC), np.where(rank <= 0, BASIC, AT_LOWER).ravel()])
+    rows = np.full(mm + nn + K, AT_LOWER)
+    rows[0] = BASIC
+    return cols, np.concatenate([rows, np.where(rank >= 0, BASIC, AT_UPPER).ravel()])
 
 
 def _segment_max(a: np.ndarray, labels: np.ndarray, n: int) -> np.ndarray:
@@ -362,6 +406,7 @@ class _LiftedSolve:
     rounds: int
     active_cells: int
     iterations: int
+    seeded: bool                # HiGHS took the staircase basis for the first master
 
 
 def _solve_lifted(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMatrix,
@@ -369,9 +414,12 @@ def _solve_lifted(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMatrix
     """Column generation on the lifted program of a grid; a grid without
     levels (K = 0) is plain optimal transport, with pi as the only variable.
 
-    Zero-mass atoms are dropped.  Each round solves the restricted master on
-    the active cells, reads phi, psi and beta off its row duals and prices
-    every cell at once by  C^beta_ij - phi_i - psi_j.  The most-violated
+    Zero-mass atoms are dropped.  The first master, on the staircase, starts
+    from the optimal basis of :func:`_staircase_basis`, or cold when the
+    staircase misses a row or a column or HiGHS refuses the basis.  Each
+    round solves the restricted master on the active cells, reads phi, psi
+    and beta off its row duals and prices every cell at once by
+    C^beta_ij - phi_i - psi_j.  The most-violated
     inactive cell of each row and of each column joins the active set, as
     new columns and density rows of the one master model, which the next
     round re-solves from its last basis.  The loop stops when no cell is
@@ -391,10 +439,11 @@ def _solve_lifted(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMatrix
     # the u = 0 atom is covered exactly by any beta0 below the whole loss range
     beta0 = float(loss.values.min() - 1.0)
     gammas = np.concatenate([[grid.z0], grid.gamma_weights])
-    ci, cj = _staircase(mu_r, nu_r, loss_r)
+    ci, cj, mass = _staircase(mu_r, nu_r, loss_r)
     active = np.zeros((mm, nn), dtype=bool)
     active[ci, cj] = True
-    master = LpModel(build_msp_lp(mu_r, nu_r, loss_r, grid, cells=(ci, cj)))
+    master = LpModel(build_msp_lp(mu_r, nu_r, loss_r, grid, cells=(ci, cj)),
+                     basis=_staircase_basis(mass, loss_r.values[ci, cj], grid, mm, nn))
     col = np.arange(master.n_vars).reshape(K + 1, ci.size)  # master column of pi / Theta^k
     rounds = iterations = 0
     while True:
@@ -455,16 +504,19 @@ def _solve_lifted(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMatrix
     shift = phi[0]
     return _LiftedSolve(value=float(sol.objective), pi=pi, thetas=thetas,
                         phi=phi - shift, psi=psi + shift, beta=beta, beta0=beta0,
-                        rounds=rounds, active_cells=n, iterations=iterations)
+                        rounds=rounds, active_cells=n, iterations=iterations,
+                        seeded=master.seeded)
 
 
-def _certified(sol, loss: LossMatrix, mu: ProbabilityVector, nu: ProbabilityVector):
+def _certified(sol, loss: LossMatrix, mu: ProbabilityVector, nu: ProbabilityVector,
+               seeded: bool):
     """The exit gate of every solve: ``verify_duality`` on the original
     instance, then one info line on what the solve did."""
     report = verify_duality(sol, loss, mu, nu)
-    log.info("%s: %d round(s), %d of %d cells active, %d simplex iteration(s), "
-             "worst cover residual %.3e", type(sol).__name__, sol.rounds, sol.active_cells,
-             loss.values.size, sol.iterations, report.dual_residuals["cover"])
+    log.info("%s: %d round(s), first master %s, %d of %d cells active, "
+             "%d simplex iteration(s), worst cover residual %.3e", type(sol).__name__,
+             sol.rounds, "seeded" if seeded else "cold", sol.active_cells, loss.values.size,
+             sol.iterations, report.dual_residuals["cover"])
     return sol
 
 
@@ -494,7 +546,7 @@ def solve_mes(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMatrix,
     sol = MesSolution(value=res.value, coupling=Coupling(res.pi), theta=res.thetas[0],
                       certificate=cert, gap=gap, alpha=a, rounds=res.rounds,
                       active_cells=res.active_cells, iterations=res.iterations)
-    return _certified(sol, loss, mu, nu)
+    return _certified(sol, loss, mu, nu, res.seeded)
 
 
 def brute_force_mes(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMatrix,
@@ -650,7 +702,7 @@ def solve_msp(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMatrix,
                       betas=betas, certificate=cert, gap=gap, grid=grid,
                       rounds=res.rounds, active_cells=res.active_cells,
                       iterations=res.iterations)
-    return _certified(sol, loss, mu, nu)
+    return _certified(sol, loss, mu, nu, res.seeded)
 
 
 def solve_transport(mu: ProbabilityVector, nu: ProbabilityVector, cost: LossMatrix,
@@ -786,6 +838,14 @@ def _decode_array(obj, field: str, shape: tuple | None = None) -> np.ndarray:
     return out
 
 
+def _decode_scalar(obj, field: str) -> float:
+    """A scalar solution field, which must be a number; anything else (null,
+    a string, a list) raises ``DimensionMismatch`` naming the field."""
+    if isinstance(obj, bool) or not isinstance(obj, numbers.Real):
+        raise DimensionMismatch(f"{field} must be a number, got {type(obj).__name__}")
+    return float(obj)
+
+
 def mes_solution_to_dict(sol: MesSolution) -> dict:
     return {
         "kind": "mes",
@@ -815,10 +875,11 @@ def mes_solution_from_dict(d: dict) -> MesSolution:
     coupling = Coupling(_decode_array(d["coupling"], "coupling"))
     shape = coupling.matrix.shape
     cert = DualCertificate(**_decode_potentials(d["certificate"], shape),
-                           beta=float(d["certificate"]["beta"]))
-    return MesSolution(value=float(d["value"]), coupling=coupling,
+                           beta=_decode_scalar(d["certificate"]["beta"], "certificate.beta"))
+    return MesSolution(value=_decode_scalar(d["value"], "value"), coupling=coupling,
                        theta=_decode_array(d["theta"], "theta", shape), certificate=cert,
-                       gap=float(d["gap"]), alpha=float(d["alpha"]),
+                       gap=_decode_scalar(d["gap"], "gap"),
+                       alpha=_decode_scalar(d["alpha"], "alpha"),
                        rounds=int(d.get("rounds", 0)),
                        active_cells=int(d.get("active_cells", 0)),
                        iterations=int(d.get("iterations", 0)))
@@ -856,14 +917,16 @@ def msp_solution_from_dict(d: dict) -> MspSolution:
     beta0 = d["certificate"].get("beta0")
     if beta0 is None and grid.z0 > 0.0:
         raise DimensionMismatch("certificate.beta0 is required when the grid has z0 > 0")
+    if beta0 is not None:
+        beta0 = _decode_scalar(beta0, "certificate.beta0")
     cert = DualCertificate(**_decode_potentials(d["certificate"], coupling.matrix.shape),
                            beta=_decode_array(d["certificate"]["beta"], "certificate.beta",
                                               (grid.n_levels,)),
-                           beta0=None if beta0 is None else float(beta0))
+                           beta0=beta0)
     thetas = _decode_array(d["theta"], "theta", (grid.n_levels, *coupling.matrix.shape))
-    return MspSolution(value=float(d["value"]), coupling=coupling, thetas=thetas,
-                       betas=np.asarray(d["betas"], dtype=float), certificate=cert,
-                       gap=float(d["gap"]), grid=grid,
+    return MspSolution(value=_decode_scalar(d["value"], "value"), coupling=coupling,
+                       thetas=thetas, betas=np.asarray(d["betas"], dtype=float),
+                       certificate=cert, gap=_decode_scalar(d["gap"], "gap"), grid=grid,
                        rounds=int(d.get("rounds", 0)),
                        active_cells=int(d.get("active_cells", 0)),
                        iterations=int(d.get("iterations", 0)))

@@ -15,9 +15,12 @@ it holds, against which the solve is certified.  :func:`solve_lp` gives a
 programs differing only slightly keeps one model and edits it in place
 between solves: :meth:`LpModel.append` adds columns and ``<=`` rows, and
 :meth:`LpModel.set_cost` replaces the objective.  HiGHS then re-solves from
-the basis it already holds, with the primal simplex and without presolve.  The column generation of
-:mod:`riskbound.bounds` grows one master per solve this way, and its MES
-oracle changes only the cost of one transport model.
+the basis it already holds, with the primal simplex and without presolve.
+A model built with a starting basis (``LpModel(lp, basis=...)``) gets it
+right after the model and starts its first solve from it the same way.
+The column generation of :mod:`riskbound.bounds` starts each master from
+the staircase basis and grows it between solves, and its MES oracle
+changes only the cost of one transport model.
 
 The binding is private scipy API, so its import is guarded: where it is
 missing, a model solves its mirror through
@@ -193,6 +196,7 @@ _HIGHS_OPTIONS = (("output_flag", False), ("solver", "simplex"),
                   ("primal_feasibility_tolerance", _HIGHS_TOL),
                   ("dual_feasibility_tolerance", _HIGHS_TOL))
 _DUAL_SIMPLEX, _PRIMAL_SIMPLEX = 1, 4     # HiGHS simplex_strategy values
+AT_LOWER, BASIC, AT_UPPER = 0, 1, 2       # HiGHS HighsBasisStatus codes
 _LINPROG_OPTIONS = {"presolve": True, "primal_feasibility_tolerance": _HIGHS_TOL,
                     "dual_feasibility_tolerance": _HIGHS_TOL}
 
@@ -216,9 +220,15 @@ class LpModel:
     against exactly that program, and appending columns only concatenates
     buffers.  The HiGHS model itself is passed at the first solve; after it,
     every edit goes to both, and HiGHS re-solves from the basis it holds.
+
+    ``basis``, when given, is a starting basis for the first solve: one
+    ``HighsBasisStatus`` code per column and per row, rows in the model's
+    order.  It is handed to HiGHS right after the model, and
+    :attr:`seeded` records whether HiGHS took it; a refused basis leaves the
+    model to solve cold.  The ``linprog`` route ignores it.
     """
 
-    def __init__(self, lp: LinearProgram) -> None:
+    def __init__(self, lp: LinearProgram, basis: tuple | None = None) -> None:
         self.sense = lp.sense
         self.c, self.lb, self.ub = lp.c, lp.lb, lp.ub
         self.b_eq = lp.b_eq if lp.a_eq is not None else np.zeros(0)
@@ -234,6 +244,8 @@ class LpModel:
         self._index = rows[order]
         self._value = _stack([a.data for a in blocks])[order]
         self._highs = None
+        self._basis = basis
+        self.seeded = False
 
     @property
     def n_vars(self) -> int:
@@ -327,14 +339,22 @@ class LpModel:
             np.concatenate([self.b_eq, self.b_ub]),
             self._start[:-1], self._index, self._value, np.zeros(n, dtype=np.int32)),
             "model")
+        if self._basis is not None:
+            status = np.array([_highspy.HighsBasisStatus(code)
+                               for code in (AT_LOWER, BASIC, AT_UPPER)], dtype=object)
+            basis = _highspy.HighsBasis()
+            basis.alien = False
+            basis.col_status = status[self._basis[0]].tolist()
+            basis.row_status = status[self._basis[1]].tolist()
+            self.seeded = highs.setBasis(basis) != _highspy.HighsStatus.kError
         return highs
 
 
 def _highs_run(model: LpModel, presolve: bool):
     """Run HiGHS on the model's min-sense program, passing it at the first
-    run.  A cold model runs the dual simplex.  A model that holds a basis
-    from its last solve starts from it, and HiGHS then skips presolve
-    whatever ``presolve`` says.  Appended columns enter that basis at zero,
+    run.  A cold model runs the dual simplex.  A model that holds a basis,
+    from its last solve or the starting basis passed with it, starts from
+    it, and HiGHS then skips presolve whatever ``presolve`` says.  Appended columns enter that basis at zero,
     so a new cost, or new rows with a nonnegative right-hand side, leave it
     primal feasible, and the model re-solves with the primal simplex."""
     if model._highs is None:

@@ -2,13 +2,17 @@ import copy
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
-from riskbound import bounds
+from riskbound import bounds, lpsolver
+from riskbound.asymptotics import CltExperiment, replication_value
 from riskbound.core import (
     AlphaOutOfRange,
     CertificateInvalid,
@@ -39,7 +43,7 @@ from riskbound.bounds import (
 )
 from riskbound.losses import DEFAULT_CCR_PARAMS, build_ccr_instance, build_gaussian_linear_instance
 from riskbound.riskmeasures import DiscreteLaw, es_tail_average
-from riskbound.lpsolver import _Transport, solve_lp
+from riskbound.lpsolver import LpModel, _Transport, solve_lp
 
 # the mixed grid of acceptance criterion C2: a u = 0 atom plus two levels
 C2_GRID = SpectralGrid(z0=0.4, levels=np.array([0.3, 0.7]), weights=np.array([0.3, 0.3]))
@@ -259,6 +263,33 @@ class TestColumnGeneration:
         assert sol.value == pytest.approx(whole_lp_value(build_msp_lp(mu, nu, loss, grid)),
                                           abs=1e-9)
 
+    @pytest.mark.parametrize("case", ["mes.lg200x400", "mes.ccr100", "msp.ccr40_k16"])
+    def test_staircase_basis_solves_the_large_instances_at_once(self, case):
+        if case == "mes.lg200x400":
+            sol = solve_mes(*build_gaussian_linear_instance(200, 400, 701), 0.9)
+        elif case == "mes.ccr100":
+            sol = solve_mes(*build_ccr_instance(DEFAULT_CCR_PARAMS, 100, 31), 0.9)
+        else:
+            sol = solve_msp(*build_ccr_instance(DEFAULT_CCR_PARAMS, 40, 31),
+                            discretize_spectrum(SpectralFunction.power_sqrt(), 16))
+        assert (sol.rounds, sol.iterations) == (1, 0)
+
+    def test_clt_replications_need_no_component_shifts(self, monkeypatch):
+        # the staircase basis's potentials cover the whole grid at once
+        calls = []
+        shifts = bounds._component_shifts
+
+        def spy(*args):
+            calls.append(args)
+            return shifts(*args)
+
+        monkeypatch.setattr(bounds, "_component_shifts", spy)
+        exp = CltExperiment(*build_gaussian_linear_instance(200, 400, 701), alpha=0.9,
+                            n_x=200, n_y=400, replications=30, seed=11)
+        for k in range(30):
+            replication_value(exp, k)
+        assert calls == []
+
     @pytest.mark.parametrize("grid", ["dirac", "c2", "power-sqrt-16", "flat"])
     @pytest.mark.parametrize("restricted", [False, True])
     def test_csr_blocks_equal_the_coo_reference(self, grid, restricted):
@@ -314,25 +345,107 @@ class TestColumnGeneration:
     def test_iterations_sum_over_masters_and_reach_the_log(self, caplog, monkeypatch):
         rng = np.random.default_rng(404)
         counted = []
+        seeded = []
         solve = bounds.solve_lp
 
         def spy(lp):
             sol = solve(lp)
             counted.append(sol.iterations)
+            seeded.append(lp.seeded)
             return sol
 
         monkeypatch.setattr(bounds, "solve_lp", spy)
         total = 0
+        firsts = []
         for _ in range(10):
             mu, nu, loss = degenerate_instance(rng)
             counted.clear()
+            seeded.clear()
             with caplog.at_level("INFO", logger="riskbound"):
                 sol = solve_mes(mu, nu, loss, 0.7)
             assert len(counted) == sol.rounds
             assert sol.iterations == sum(counted)
-            assert f"{sol.iterations} simplex iteration(s)" in caplog.records[-1].getMessage()
+            message = caplog.records[-1].getMessage()
+            assert f"{sol.iterations} simplex iteration(s)" in message
+            assert f"first master {'seeded' if seeded[0] else 'cold'}," in message
+            firsts.append(seeded[0])
             total += sol.iterations
         assert total > 0
+        assert any(firsts)
+
+
+def kept(mu, nu, loss):
+    """The instance on the atoms of positive mass, as the column generation
+    solves it."""
+    keep_i, keep_j = (np.flatnonzero(p.weights > 0.0) for p in (mu, nu))
+    return (validate_marginal(mu.weights[keep_i]), validate_marginal(nu.weights[keep_j]),
+            LossMatrix(loss.values[np.ix_(keep_i, keep_j)]))
+
+
+def solve_three_grids(mu, nu, loss, caplog):
+    """MES at 0.7, MSP on C2 and on the flat grid, each checked by
+    verify_duality: their values and their info lines."""
+    values, lines = [], []
+    for solve in (lambda: solve_mes(mu, nu, loss, 0.7), lambda: solve_msp(mu, nu, loss, C2_GRID),
+                  lambda: solve_msp(mu, nu, loss, FLAT_GRID)):
+        with caplog.at_level("INFO", logger="riskbound"):
+            sol = solve()
+        verify_duality(sol, loss, mu, nu)
+        values.append(sol.value)
+        lines.append(caplog.records[-1].getMessage())
+    return values, lines
+
+
+class TestStaircaseBasis:
+    @given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+           alpha=st.sampled_from([0.01, 0.5, 0.99]), grid=st.sampled_from(["mes", "c2", "flat"]))
+    @settings(max_examples=150, deadline=None)
+    def test_seeded_first_master_equals_the_cold_solve(self, seed, alpha, grid):
+        grid = {"mes": SpectralGrid.dirac(alpha), "c2": C2_GRID, "flat": FLAT_GRID}[grid]
+        mu, nu, loss = kept(*degenerate_instance(np.random.default_rng(seed)))
+        ci, cj, mass = bounds._staircase(mu, nu, loss)
+        lp = build_msp_lp(mu, nu, loss, grid, cells=(ci, cj))
+        basis = bounds._staircase_basis(mass, loss.values[ci, cj], grid, *loss.shape)
+        model = LpModel(lp, basis=basis)
+        seeded = solve_lp(model)
+        cold = solve_lp(lp)
+        assert seeded.objective == pytest.approx(cold.objective, rel=1e-12, abs=1e-12)
+        spans = ci.size == mu.size + nu.size - 1
+        assert (basis is not None) == spans == model.seeded
+        if spans:
+            assert seeded.iterations == 0
+            # the basis's plan is the north-west corner's
+            assert np.allclose(seeded.x[:ci.size], mass, rtol=0.0, atol=1e-12)
+
+    def test_short_staircase_solves_cold(self, caplog):
+        # row 1's weight is below the rounding of 0.5 + 1e-17: the staircase
+        # steps from row 0 straight to row 2
+        mu = validate_marginal([0.5, 1e-17, 0.5 - 1e-17])
+        nu = validate_marginal([1 / 3, 1 / 3, 1 / 3])
+        loss = LossMatrix(np.add.outer(np.arange(3.0), np.arange(3.0)))
+        ci, cj, mass = bounds._staircase(mu, nu, loss)
+        assert ci.size == 4
+        assert bounds._staircase_basis(mass, loss.values[ci, cj], C2_GRID, 3, 3) is None
+        values, lines = solve_three_grids(mu, nu, loss, caplog)
+        assert all("first master cold," in line for line in lines)
+        assert values[0] == pytest.approx(whole_lp_value(build_mes_lp(mu, nu, loss, 0.7)),
+                                          abs=1e-9)
+
+    @pytest.mark.parametrize("route", ["refused", "linprog"])
+    def test_fallbacks_solve_cold_to_the_same_values(self, route, caplog, monkeypatch):
+        rng = np.random.default_rng(33)
+        cases = [random_instance(rng, max_side=6), degenerate_instance(rng, max_side=6)]
+        seeded = [solve_three_grids(*case, caplog) for case in cases]
+        assert all("first master seeded," in line for _, lines in seeded for line in lines)
+        if route == "refused":
+            monkeypatch.setattr(lpsolver._highspy._Highs, "setBasis",
+                                lambda highs, basis: lpsolver._highspy.HighsStatus.kError)
+        else:
+            monkeypatch.setattr(lpsolver, "_highspy", None)
+        for case, (values, _) in zip(cases, seeded):
+            cold, lines = solve_three_grids(*case, caplog)
+            assert all("first master cold," in line for line in lines)
+            assert np.allclose(cold, values, rtol=0.0, atol=1e-9)
 
 
 class TestBruteForce:
@@ -694,6 +807,17 @@ class TestSolutionJson:
                 d2["certificate"][field] = [0.0] * length
                 with pytest.raises(DimensionMismatch, match=f"certificate.{field}"):
                     reader(d2)
+
+    @pytest.mark.parametrize("kind, field", [
+        ("mes", "certificate.beta"), ("mes", "value"), ("mes", "gap"), ("mes", "alpha"),
+        ("msp", "certificate.beta0"), ("msp", "value"), ("msp", "gap")])
+    @pytest.mark.parametrize("bad", [None, "0.5", [0.5]], ids=["null", "string", "list"])
+    def test_scalar_field_that_is_no_number_names_the_field(self, kind, field, bad):
+        (_, d, reader), = [case for case in two_by_two_dicts() if case[0] == kind]
+        *parent, key = field.split(".")
+        (d[parent[0]] if parent else d)[key] = bad
+        with pytest.raises(DimensionMismatch, match=re.escape(field)):
+            reader(d)
 
     def test_rho_of_older_files_is_ignored(self):
         mu, nu, loss = two_by_two_sum()
