@@ -25,7 +25,10 @@ whole instance (Schmitzer 2016's shielding uses the same pricing).  The
 first master's optimal basis is known in advance: the north-west-corner plan
 on the staircase, and per level the tail density of its law cut at the VaR
 (Rockafellar-Uryasev).  HiGHS gets that basis with the model and takes no
-simplex iteration on it.
+simplex iteration on it.  Only a degenerate master, whose plan has fewer
+than m + n - 1 positive cells, has its potentials shifted per component of
+the support before pricing; a plan with m + n - 1 positive cells or more is
+taken as spanning, and its shifts as zero.
 
 Every solve returns a dual certificate (phi, psi, beta) and ends in
 ``verify_duality`` on the original instance; ``brute_force_mes`` provides
@@ -37,10 +40,11 @@ minimized exactly: the optimal transport plans give subgradients of the
 convex outer function, which steer a bisection over the loss values and then
 cutting planes between two adjacent ones, down to a certified lower bound.
 The inner transport is additionally verified by exhaustive vertex
-enumeration on tiny instances.  The two routes share the LP engine and no
-LP assembly.  Both keep one HiGHS model per call and edit it between
-solves: column generation appends the new cells to its master, and the
-oracle changes only the cost of its transport model.
+enumeration on tiny instances, over bases found once per shape.  The two
+routes share the LP engine and no LP assembly.  Both keep one HiGHS model
+per call and edit it between solves: column generation appends the new
+cells to its master, and the oracle changes only the cost of its transport
+model.
 """
 
 from __future__ import annotations
@@ -76,7 +80,7 @@ from .lpsolver import (
     solve_lp,
     transport_polytope_vertices,
 )
-from .riskmeasures import DiscreteLaw, law_from_coupling, var
+from .riskmeasures import law_from_coupling, var_levels
 
 MSP_MAX_CELLS_TIMES_LEVELS = 5_000_000
 _FLAT = SpectralGrid(z0=1.0, levels=np.array([]), weights=np.array([]))  # sigma == 1: E_pi[L]
@@ -370,6 +374,15 @@ def _component_shifts(ci: np.ndarray, cj: np.ndarray, support: np.ndarray,
     component's row and column masses agree) and the prices of the cells
     inside it; s_c >= s_d + max price over rows of c and columns of d for
     all c != d is a longest-path problem, solved by Bellman-Ford.
+
+    With one component the shifts are zero, so :func:`_solve_lifted` calls
+    this only when the positive support has fewer than m + n - 1 cells.  A
+    basic transport plan's support is a forest, which with m + n - 1 cells
+    is a spanning tree.  In the lifted program a tail constraint can close a
+    cycle, so a split support of that size is possible in principle; it
+    would cost rounds, not the certificate, as pricing still admits every
+    uncovered cell.  On 300 desk-shaped instances (MES and C2 MSP) every
+    master with m + n - 1 positive cells or more is one component.
     """
     mm, nn = price.shape
     rows, order = ci[support], np.argsort(ci[support], kind="stable")
@@ -407,6 +420,7 @@ class _LiftedSolve:
     active_cells: int
     iterations: int
     seeded: bool                # HiGHS took the staircase basis for the first master
+    shift_rounds: int           # rounds that ran _component_shifts
 
 
 def _solve_lifted(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMatrix,
@@ -414,27 +428,32 @@ def _solve_lifted(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMatrix
     """Column generation on the lifted program of a grid; a grid without
     levels (K = 0) is plain optimal transport, with pi as the only variable.
 
-    Zero-mass atoms are dropped.  The first master, on the staircase, starts
-    from the optimal basis of :func:`_staircase_basis`, or cold when the
-    staircase misses a row or a column or HiGHS refuses the basis.  Each
+    Zero-mass atoms are dropped; when there are none, the masters work on
+    the caller's loss, with no copy.  The first master, on the staircase,
+    starts from the optimal basis of :func:`_staircase_basis`, or cold when
+    the staircase misses a row or a column or HiGHS refuses the basis.  Each
     round solves the restricted master on the active cells, reads phi, psi
     and beta off its row duals and prices every cell at once by
-    C^beta_ij - phi_i - psi_j.  The most-violated
-    inactive cell of each row and of each column joins the active set, as
-    new columns and density rows of the one master model, which the next
-    round re-solves from its last basis.  The loop stops when no cell is
-    violated by more than ``_CERT_FEAS_TOL``, so the master's dual covers
-    the whole kept instance.  Dropped atoms get the
-    smallest potentials that cover their cells.  Potentials are normalized
-    to phi[0] = 0.
+    C^beta_ij - phi_i - psi_j, after :func:`_component_shifts` when the
+    master's plan has fewer than m + n - 1 positive cells and some inactive
+    cell is violated.  The most-violated inactive cell of each row and of
+    each column joins the active set, as new columns and density rows of the
+    one master model, which the next round re-solves from its last basis.
+    The loop stops when no cell is violated by more than ``_CERT_FEAS_TOL``,
+    so the master's dual covers the whole kept instance.  Dropped atoms get
+    the smallest potentials that cover their cells.  Potentials are
+    normalized to phi[0] = 0.
     """
     nx, ny = loss.shape
     K = grid.n_levels
     keep_i = np.nonzero(mu.weights > 0.0)[0]
     keep_j = np.nonzero(nu.weights > 0.0)[0]
+    dropped = keep_i.size < nx or keep_j.size < ny
+    # the masters see the kept weights renormalized, which can move a sum
+    # that is off 1.0 by an ulp even when no atom is dropped
     mu_r = ProbabilityVector(mu.weights[keep_i])
     nu_r = ProbabilityVector(nu.weights[keep_j])
-    loss_r = LossMatrix(loss.values[np.ix_(keep_i, keep_j)])
+    loss_r = LossMatrix(loss.values[np.ix_(keep_i, keep_j)]) if dropped else loss
     mm, nn = loss_r.shape
     # the u = 0 atom is covered exactly by any beta0 below the whole loss range
     beta0 = float(loss.values.min() - 1.0)
@@ -445,7 +464,7 @@ def _solve_lifted(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMatrix
     master = LpModel(build_msp_lp(mu_r, nu_r, loss_r, grid, cells=(ci, cj)),
                      basis=_staircase_basis(mass, loss_r.values[ci, cj], grid, mm, nn))
     col = np.arange(master.n_vars).reshape(K + 1, ci.size)  # master column of pi / Theta^k
-    rounds = iterations = 0
+    rounds = iterations = shift_rounds = 0
     while True:
         rounds += 1
         sol = solve_lp(master)
@@ -459,8 +478,11 @@ def _solve_lifted(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMatrix
         price = _c_beta(loss_r.values, gammas, betas)
         price -= phi_r[:, None]
         price -= psi_r[None, :]
-        if price[~active].max(initial=-np.inf) > _CERT_FEAS_TOL:
-            shift = _component_shifts(ci, cj, sol.x[col[0]] > 0.0, price)
+        support = sol.x[col[0]] > 0.0
+        if (price[~active].max(initial=-np.inf) > _CERT_FEAS_TOL
+                and np.count_nonzero(support) < mm + nn - 1):
+            shift_rounds += 1
+            shift = _component_shifts(ci, cj, support, price)
             if shift is not None:
                 phi_r = phi_r + shift[0]
                 psi_r = psi_r - shift[1]
@@ -481,42 +503,46 @@ def _solve_lifted(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMatrix
         ci = np.concatenate([ci, add_i])
         cj = np.concatenate([cj, add_j])
     n = ci.size
-    keep_rows = keep_i[ci]
-    keep_cols = keep_j[cj]
     x = sol.x[col]
     pi = np.zeros((nx, ny))
-    pi[keep_rows, keep_cols] = x[0]
     thetas = np.zeros((K, nx, ny))
+    if dropped:
+        ci, cj = keep_i[ci], keep_j[cj]
+    pi[ci, cj] = x[0]
     for k in range(K):
-        thetas[k][keep_rows, keep_cols] = x[k + 1]
-    phi = np.zeros(nx)
-    psi = np.zeros(ny)
-    phi[keep_i] = phi_r
-    psi[keep_j] = psi_r
-    drop_i = np.setdiff1d(np.arange(nx), keep_i)
-    drop_j = np.setdiff1d(np.arange(ny), keep_j)
-    if drop_i.size:
-        cover = _c_beta(loss.values[np.ix_(drop_i, keep_j)], gammas, betas)
-        phi[drop_i] = (cover - psi[keep_j][None, :]).max(axis=1)
-    if drop_j.size:
-        cover = _c_beta(loss.values[:, drop_j], gammas, betas)
-        psi[drop_j] = (cover - phi[:, None]).max(axis=0)
+        thetas[k][ci, cj] = x[k + 1]
+    if dropped:
+        phi = np.zeros(nx)
+        psi = np.zeros(ny)
+        phi[keep_i] = phi_r
+        psi[keep_j] = psi_r
+        drop_i = np.setdiff1d(np.arange(nx), keep_i)
+        drop_j = np.setdiff1d(np.arange(ny), keep_j)
+        if drop_i.size:
+            cover = _c_beta(loss.values[np.ix_(drop_i, keep_j)], gammas, betas)
+            phi[drop_i] = (cover - psi[keep_j][None, :]).max(axis=1)
+        if drop_j.size:
+            cover = _c_beta(loss.values[:, drop_j], gammas, betas)
+            psi[drop_j] = (cover - phi[:, None]).max(axis=0)
+    else:
+        phi, psi = phi_r, psi_r
     shift = phi[0]
     return _LiftedSolve(value=float(sol.objective), pi=pi, thetas=thetas,
                         phi=phi - shift, psi=psi + shift, beta=beta, beta0=beta0,
                         rounds=rounds, active_cells=n, iterations=iterations,
-                        seeded=master.seeded)
+                        seeded=master.seeded, shift_rounds=shift_rounds)
 
 
 def _certified(sol, loss: LossMatrix, mu: ProbabilityVector, nu: ProbabilityVector,
-               seeded: bool):
+               res: _LiftedSolve):
     """The exit gate of every solve: ``verify_duality`` on the original
     instance, then one info line on what the solve did."""
     report = verify_duality(sol, loss, mu, nu)
-    log.info("%s: %d round(s), first master %s, %d of %d cells active, "
-             "%d simplex iteration(s), worst cover residual %.3e", type(sol).__name__,
-             sol.rounds, "seeded" if seeded else "cold", sol.active_cells, loss.values.size,
-             sol.iterations, report.dual_residuals["cover"])
+    log.info("%s: %d round(s), first master %s, component shifts in %d round(s), "
+             "%d of %d cells active, %d simplex iteration(s), worst cover residual %.3e",
+             type(sol).__name__, sol.rounds, "seeded" if res.seeded else "cold",
+             res.shift_rounds, sol.active_cells, loss.values.size, sol.iterations,
+             report.dual_residuals["cover"])
     return sol
 
 
@@ -546,7 +572,7 @@ def solve_mes(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMatrix,
     sol = MesSolution(value=res.value, coupling=Coupling(res.pi), theta=res.thetas[0],
                       certificate=cert, gap=gap, alpha=a, rounds=res.rounds,
                       active_cells=res.active_cells, iterations=res.iterations)
-    return _certified(sol, loss, mu, nu, res.seeded)
+    return _certified(sol, loss, mu, nu, res)
 
 
 def brute_force_mes(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMatrix,
@@ -628,16 +654,19 @@ def brute_force_mes(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMatr
     if abs(width) > tol:
         raise NumericalFailure(
             f"MES oracle: value {best!r} and certified lower bound {lower!r} differ")
-    log.info("brute_force_mes: %d transport(s), beta %r, certified bracket width %.3e",
-             len(evals), float(beta_hat), width)
     if loss.values.size <= 16:
         shifted = np.maximum(L - beta_hat, 0.0)
-        enum_value = max(float((shifted * vert).sum())
-                         for vert in transport_polytope_vertices(mu, nu))
+        values = [float((shifted * vert).sum()) for vert in transport_polytope_vertices(mu, nu)]
+        enum_value = max(values)
         if abs(value - enum_value) > 1e-9 * max(1.0, float(np.abs(L).max())):
             raise NumericalFailure(
                 f"transport vertex enumeration disagrees with the LP: "
                 f"{enum_value} vs {value}")
+        checked = f"{len(values)} vertices cross-checked"
+    else:
+        checked = "no vertex enumeration above 16 cells"
+    log.info("brute_force_mes: %d transport(s), beta %r, certified bracket width %.3e, %s",
+             len(evals), float(beta_hat), width, checked)
     return float(best)
 
 
@@ -696,13 +725,13 @@ def solve_msp(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMatrix,
     cert = DualCertificate(phi=res.phi, psi=res.psi, beta=res.beta,
                            beta0=res.beta0 if grid.z0 > 0.0 else None)
     gap = abs(cert.value(mu, nu, grid) - res.value)
-    law = law_from_coupling(loss, Coupling(res.pi))
-    betas = np.array([var(law, float(u)) for u in grid.levels])
-    sol = MspSolution(value=res.value, coupling=Coupling(res.pi), thetas=res.thetas,
+    coupling = Coupling(res.pi)
+    betas = var_levels(law_from_coupling(loss, coupling), grid.levels)
+    sol = MspSolution(value=res.value, coupling=coupling, thetas=res.thetas,
                       betas=betas, certificate=cert, gap=gap, grid=grid,
                       rounds=res.rounds, active_cells=res.active_cells,
                       iterations=res.iterations)
-    return _certified(sol, loss, mu, nu, res.seeded)
+    return _certified(sol, loss, mu, nu, res)
 
 
 def solve_transport(mu: ProbabilityVector, nu: ProbabilityVector, cost: LossMatrix,

@@ -45,6 +45,7 @@ maximization this makes duals of binding <=-rows nonnegative.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import combinations, islice
 from typing import Sequence
 
@@ -532,34 +533,60 @@ class _Transport:
         return sol, plan
 
 
+@cache
+def _spanning_trees(m: int, n: int) -> np.ndarray:
+    """The supports of the bases of the m-by-n transportation polytope, one
+    read-only row of m + n - 1 row-major cell indices each, in
+    ``combinations`` order: the spanning trees of K_{m,n}, m^(n-1) n^(m-1)
+    of them (Klee & Witzgall 1968).  Found once per shape by testing
+    candidate supports in chunks of ``_VERTEX_CHUNK``, never all at once (36
+    cells allow C(36, 11) of them).  The constraint matrix is totally
+    unimodular, so a candidate has determinant 0 or +-1 and the determinant
+    decides its rank exactly."""
+    r = m + n - 1
+    cell_cols = _cell_columns(m, n)
+    found = []
+    combos = combinations(range(m * n), r)
+    while True:
+        chunk = np.array(list(islice(combos, _VERTEX_CHUNK)), dtype=np.int8).reshape(-1, r)
+        if not chunk.size:
+            break
+        found.append(chunk[np.abs(np.linalg.det(cell_cols[chunk].transpose(0, 2, 1))) > 0.5])
+    trees = np.concatenate(found)
+    trees.flags.writeable = False
+    return trees
+
+
+def _cell_columns(m: int, n: int) -> np.ndarray:
+    """Row k: column k of the transport constraint matrix, less the
+    redundant last column sum."""
+    return np.hstack([np.repeat(np.eye(m), n, axis=0), np.tile(np.eye(n), (m, 1))])[:, :-1]
+
+
 def transport_polytope_vertices(mu: ProbabilityVector, nu: ProbabilityVector):
     """Yield every basic feasible plan of the transportation polytope.
 
-    Basic solutions correspond to spanning forests with m+n-1 support cells.
-    Candidate supports are drawn in chunks of ``_VERTEX_CHUNK``, never all at
-    once (36 cells allow C(36, 11) of them), and each chunk is tested and
-    solved as one stacked batch.  The constraint matrix is totally
-    unimodular, so a candidate basis has determinant 0 or +-1 and the
-    determinant decides its rank exactly.  Exponential: intended only for
-    the oracle cross-checks on tiny instances.
+    Basic solutions correspond to spanning trees of K_{m,n} with m+n-1
+    support cells.  The trees of each shape are found once and kept as int8
+    cell indices (:func:`_spanning_trees`): trees x (m+n-1) bytes per shape,
+    about 90 KB over all shapes of at most 16 cells, the ones the oracle
+    enumerates; larger shapes, up to 36 cells, are reached only by direct
+    calls (5x5 holds 3.5 MB).  Each call solves the flows of the cached
+    bases in stacked batches of ``_VERTEX_CHUNK``, keeps the nonnegative
+    ones and yields each plan once.  Exponential: intended only for the
+    oracle cross-checks on tiny instances.
     """
     m, n = mu.size, nu.size
     if m * n > 36:
         raise ProblemTooLarge("vertex enumeration limited to 36 cells")
-    r = m + n - 1
-    # row k: column k of the constraint matrix, less the redundant last column sum
-    cell_cols = np.hstack([np.repeat(np.eye(m), n, axis=0), np.tile(np.eye(n), (m, 1))])[:, :-1]
+    trees = _spanning_trees(m, n)
+    cell_cols = _cell_columns(m, n)
     b = np.concatenate([mu.weights, nu.weights])[:-1]
     seen = set()
-    combos = combinations(range(m * n), r)
-    while True:
-        chunk = np.array(list(islice(combos, _VERTEX_CHUNK)), dtype=int).reshape(-1, r)
-        if not chunk.size:
-            return
-        a = cell_cols[chunk].transpose(0, 2, 1)
-        basic = np.abs(np.linalg.det(a)) > 0.5
-        chunk, a = chunk[basic], a[basic]
-        flows = np.linalg.solve(a, np.broadcast_to(b, chunk.shape)[..., None])[..., 0]
+    for start in range(0, trees.shape[0], _VERTEX_CHUNK):
+        chunk = trees[start:start + _VERTEX_CHUNK]
+        flows = np.linalg.solve(cell_cols[chunk].transpose(0, 2, 1),
+                                np.broadcast_to(b, chunk.shape)[..., None])[..., 0]
         ok = np.all(flows >= -1e-10, axis=1)
         chunk, flows = chunk[ok], flows[ok]
         plans = np.zeros((chunk.shape[0], m * n))

@@ -87,12 +87,21 @@ def _require_alpha(alpha: float, allow_zero: bool = False) -> float:
 
 def var(law: DiscreteLaw, alpha: float) -> float:
     """Left-continuous quantile inf{x : P(L <= x) >= alpha} on the finite support."""
-    _require_alpha(alpha)
+    return float(var_levels(law, [alpha])[0])
+
+
+def var_levels(law: DiscreteLaw, levels) -> np.ndarray:
+    """:func:`var` at each of ``levels``, from one sort of the law and one
+    ``searchsorted`` over all levels; an index past the last atom (rounding
+    of the cumulative sum) is clipped to it."""
+    u = np.asarray(levels, dtype=float)
+    for a in u:
+        _require_alpha(a)
+    if not u.size:
+        return np.empty(0)
     xs, ps = law.sorted()
-    cum = np.cumsum(ps)
-    idx = int(np.searchsorted(cum, alpha - _CUM_SLACK, side="left"))
-    idx = min(idx, xs.size - 1)
-    return float(xs[idx])
+    idx = np.searchsorted(np.cumsum(ps), u - _CUM_SLACK, side="left")
+    return xs[np.minimum(idx, xs.size - 1)]
 
 
 def es_tail_average(law: DiscreteLaw, alpha: float) -> float:
@@ -175,4 +184,5 @@ __all__ = [
     "spectral_risk",
     "uniform_law",
     "var",
+    "var_levels",
 ]

@@ -42,7 +42,7 @@ from riskbound.bounds import (
     verify_duality,
 )
 from riskbound.losses import DEFAULT_CCR_PARAMS, build_ccr_instance, build_gaussian_linear_instance
-from riskbound.riskmeasures import DiscreteLaw, es_tail_average
+from riskbound.riskmeasures import DiscreteLaw, es_tail_average, law_from_coupling, var
 from riskbound.lpsolver import LpModel, _Transport, solve_lp
 
 # the mixed grid of acceptance criterion C2: a u = 0 atom plus two levels
@@ -100,6 +100,14 @@ def degenerate_instance(rng, max_side=8):
             w[int(rng.integers(size))] = 1.0
         marginals.append(validate_marginal(w / w.sum()))
     return marginals[0], marginals[1], LossMatrix(loss)
+
+
+def desk_instance(rng):
+    """A desk-shaped request: 2-8 atoms a side, Dirichlet marginals, normal
+    losses and alpha in (0.1, 0.9)."""
+    m, n = (int(v) for v in rng.integers(2, 9, size=2))
+    return (validate_marginal(rng.dirichlet(np.ones(m))), validate_marginal(rng.dirichlet(np.ones(n))),
+            LossMatrix(rng.normal(size=(m, n))), float(rng.uniform(0.1, 0.9)))
 
 
 def whole_lp_value(lp):
@@ -290,6 +298,54 @@ class TestColumnGeneration:
             replication_value(exp, k)
         assert calls == []
 
+    def test_spanning_supports_skip_the_component_shifts(self, monkeypatch):
+        # a master plan with m + n - 1 positive cells or more is taken as
+        # one component, whose shifts are zero, so they are not computed
+        shifts = bounds._component_shifts
+        calls, masters = [], []
+        solve = bounds.solve_lp
+
+        def spy_shifts(*args):
+            calls.append(args)
+            return shifts(*args)
+
+        def spy_solve(model):
+            sol = solve(model)
+            masters.append((model.program(), sol))
+            return sol
+
+        monkeypatch.setattr(bounds, "_component_shifts", spy_shifts)
+        monkeypatch.setattr(bounds, "solve_lp", spy_solve)
+        rng = np.random.default_rng(1)
+        skipped = 0
+        for _ in range(300):
+            mu, nu, loss, alpha = desk_instance(rng)
+            m, n = loss.shape
+            for grid in (SpectralGrid.dirac(alpha), C2_GRID):
+                masters.clear()
+                if grid.z0 == 0.0:
+                    solve_mes(mu, nu, loss, alpha)
+                else:
+                    solve_msp(mu, nu, loss, grid)
+                for lp, sol in masters:
+                    # pi columns are the ones with a row and a column entry
+                    marginal = lp.a_eq[:m + n].tocsc()
+                    pi_cols = np.flatnonzero(np.diff(marginal.indptr) == 2)
+                    ci, cj = marginal.indices.reshape(-1, 2).T
+                    support = sol.x[pi_cols] > 0.0
+                    if np.count_nonzero(support) < m + n - 1:
+                        continue
+                    beta0 = loss.values.min() - 1.0
+                    beta = sol.duals_eq[m + n:] / grid.weights
+                    phi = sol.duals_eq[:m] - grid.z0 * beta0
+                    price = (c_beta_evaluate(loss, grid, np.concatenate([[beta0], beta])).values
+                             - phi[:, None] - sol.duals_eq[m:m + n][None, :])
+                    s_row, s_col = shifts(ci, cj - m, support, price)
+                    assert not s_row.any() and not s_col.any()
+                    skipped += 1
+        assert calls == []
+        assert skipped >= 600
+
     @pytest.mark.parametrize("grid", ["dirac", "c2", "power-sqrt-16", "flat"])
     @pytest.mark.parametrize("restricted", [False, True])
     def test_csr_blocks_equal_the_coo_reference(self, grid, restricted):
@@ -355,12 +411,27 @@ class TestColumnGeneration:
             return sol
 
         monkeypatch.setattr(bounds, "solve_lp", spy)
+        shifted = []
+        shifts = bounds._component_shifts
+
+        def spy_shifts(*args):
+            shifted.append(1)
+            return shifts(*args)
+
+        monkeypatch.setattr(bounds, "_component_shifts", spy_shifts)
         total = 0
         firsts = []
-        for _ in range(10):
-            mu, nu, loss = degenerate_instance(rng)
+        shift_rounds = []
+        cases = [degenerate_instance(rng) for _ in range(10)]
+        # uniform marginals run out together at every step of the staircase:
+        # zero-mass links split the first master's support
+        x = np.arange(4.0)
+        uniform = validate_marginal(np.full(4, 0.25))
+        cases.append((uniform, uniform, LossMatrix(np.abs(x[:, None] - x[None, :]))))
+        for mu, nu, loss in cases:
             counted.clear()
             seeded.clear()
+            shifted.clear()
             with caplog.at_level("INFO", logger="riskbound"):
                 sol = solve_mes(mu, nu, loss, 0.7)
             assert len(counted) == sol.rounds
@@ -368,10 +439,13 @@ class TestColumnGeneration:
             message = caplog.records[-1].getMessage()
             assert f"{sol.iterations} simplex iteration(s)" in message
             assert f"first master {'seeded' if seeded[0] else 'cold'}," in message
+            assert f"component shifts in {len(shifted)} round(s)," in message
             firsts.append(seeded[0])
+            shift_rounds.append(len(shifted))
             total += sol.iterations
         assert total > 0
         assert any(firsts)
+        assert 0 in shift_rounds and any(shift_rounds)
 
 
 def kept(mu, nu, loss):
@@ -554,6 +628,22 @@ class TestBruteForce:
         assert len(lines) == 1
         assert "transport(s)" in lines[0] and "beta 1.0" in lines[0]
         assert "certified bracket width" in lines[0]
+
+    def test_reports_the_vertices_it_cross_checked(self, caplog):
+        rng = np.random.default_rng(8)
+        small = (validate_marginal(rng.dirichlet(np.ones(4))),
+                 validate_marginal(rng.dirichlet(np.ones(4))), LossMatrix(rng.normal(size=(4, 4))))
+        large = (validate_marginal(rng.dirichlet(np.ones(5))),
+                 validate_marginal(rng.dirichlet(np.ones(4))), LossMatrix(rng.normal(size=(5, 4))))
+        vertices = len(list(bounds.transport_polytope_vertices(*small[:2])))
+        for case, tail in ((small, f", {vertices} vertices cross-checked"),
+                           (large, ", no vertex enumeration above 16 cells")):
+            caplog.clear()
+            with caplog.at_level("INFO", logger="riskbound"):
+                brute_force_mes(*case, 0.8)
+            lines = [r.getMessage() for r in caplog.records
+                     if r.getMessage().startswith("brute_force_mes:")]
+            assert len(lines) == 1 and lines[0].endswith(tail)
 
 
 class TestCBeta:
@@ -886,13 +976,19 @@ class TestSolveMsp:
         assert report.dual_value >= report.primal_value - 1e-9
 
     def test_betas_are_quantiles(self):
-        mu, nu, loss = two_by_two_sum()
-        grid = SpectralGrid(z0=0.0, levels=np.array([0.25, 0.75]), weights=np.array([0.5, 0.5]))
-        sol = solve_msp(mu, nu, loss, grid)
-        from riskbound.riskmeasures import law_from_coupling, var
-        law = law_from_coupling(loss, sol.coupling)
-        for k, u in enumerate(grid.levels):
-            assert sol.betas[k] == var(law, float(u))
+        quartiles = SpectralGrid(z0=0.0, levels=np.array([0.25, 0.75]),
+                                 weights=np.array([0.5, 0.5]))
+        power = discretize_spectrum(SpectralFunction.power_sqrt(), 16)
+        cases = [(*two_by_two_sum(), quartiles),
+                 (*build_ccr_instance(DEFAULT_CCR_PARAMS, 40, 31), power)]
+        rng = np.random.default_rng(35)
+        for _ in range(50):
+            case = degenerate_instance(rng)
+            cases += [(*case, C2_GRID), (*case, power)]
+        for mu, nu, loss, grid in cases:
+            sol = solve_msp(mu, nu, loss, grid)
+            law = law_from_coupling(loss, sol.coupling)
+            assert sol.betas.tolist() == [var(law, float(u)) for u in grid.levels]
 
     def test_dirac_near_one_matches_mes_on_one_atom_instances(self):
         # C^beta is 1e8 times the loss here; the cover check must not hold

@@ -469,6 +469,34 @@ class TestVertexEnumeration:
             assert keys(got) == keys(self.reference_vertices(mu, nu)), (m, n)
             assert len(keys(got)) == len(got), (m, n)
 
+    def test_bases_are_the_spanning_trees_cached_once_per_shape(self, monkeypatch):
+        lpsolver._spanning_trees.cache_clear()
+        rng = np.random.default_rng(73)
+        shapes = [(m, n) for m in range(1, 17) for n in range(1, 17) if m * n <= 16]
+        held = 0
+        for m, n in shapes:
+            mu = validate_marginal(rng.dirichlet(np.ones(m)))
+            nu = validate_marginal(rng.dirichlet(np.ones(n)))
+            list(transport_polytope_vertices(mu, nu))
+            trees = lpsolver._spanning_trees(m, n)
+            # Cayley's formula for K_{m,n}
+            assert trees.shape == (m ** (n - 1) * n ** (m - 1), m + n - 1), (m, n)
+            assert trees.dtype == np.int8 and not trees.flags.writeable
+            assert np.all(np.diff(trees, axis=1) > 0)
+            held += trees.nbytes
+        assert held < 100_000
+        assert lpsolver._spanning_trees.cache_info().misses == len(shapes)
+
+        def no_candidates(*args):
+            raise AssertionError("a cached shape drew candidate supports again")
+
+        monkeypatch.setattr(lpsolver, "combinations", no_candidates)
+        hits = lpsolver._spanning_trees.cache_info().hits
+        mu = validate_marginal(rng.dirichlet(np.ones(4)))
+        nu = validate_marginal(rng.dirichlet(np.ones(4)))
+        assert list(transport_polytope_vertices(mu, nu))
+        assert lpsolver._spanning_trees.cache_info().hits == hits + 1
+
     def test_more_than_36_cells_rejected(self):
         mu = validate_marginal(np.full(6, 1.0 / 6))
         nu = validate_marginal(np.full(7, 1.0 / 7))

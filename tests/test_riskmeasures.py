@@ -10,6 +10,7 @@ from riskbound.riskmeasures import (
     spectral_risk,
     uniform_law,
     var,
+    var_levels,
 )
 
 
@@ -43,6 +44,38 @@ class TestVar:
         law = uniform_law([1.0, 2.0, 2.0, 3.0])
         assert var(law, 0.5) == 2.0
         assert var(law, 0.8) == 3.0
+
+    @staticmethod
+    def scalar_reference(law, alpha):
+        """One sort and one scalar search per level."""
+        order = np.argsort(law.losses, kind="stable")
+        cum = np.cumsum(law.probs.weights[order])
+        idx = min(int(np.searchsorted(cum, alpha - 1e-12, side="left")), law.size - 1)
+        return float(law.losses[order][idx])
+
+    def test_levels_equal_the_scalar_search(self):
+        rng = np.random.default_rng(19)
+        for _ in range(200):
+            law = random_law(rng)
+            if rng.random() < 0.5:      # ties and zero-mass atoms
+                x = np.round(law.losses)
+                w = law.probs.weights * (rng.random(law.size) < 0.7)
+                if w.sum() == 0.0:
+                    w[0] = 1.0
+                law = DiscreteLaw(x, validate_marginal(w / w.sum()))
+            cum = np.cumsum(law.probs.weights[np.argsort(law.losses, kind="stable")])
+            levels = np.sort(np.concatenate([rng.uniform(1e-9, 1.0 - 1e-9, size=8),
+                                             np.clip(cum[:-1], 1e-9, 1.0 - 1e-9)]))
+            got = var_levels(law, levels)
+            assert got.tolist() == [self.scalar_reference(law, float(u)) for u in levels]
+            assert got.tolist() == [var(law, float(u)) for u in levels]
+
+    def test_levels_range_and_empty(self):
+        law = uniform_law([1.0, 2.0])
+        assert var_levels(law, []).shape == (0,)
+        for bad in ([0.5, 0.0], [1.0]):
+            with pytest.raises(AlphaOutOfRange):
+                var_levels(law, bad)
 
 
 class TestEsTailAverage:

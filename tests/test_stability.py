@@ -13,6 +13,7 @@ from riskbound.core import (
     SpectralGrid,
     validate_marginal,
 )
+from riskbound.losses import build_gaussian_linear_instance
 from riskbound.stability import (
     ground_from_labels,
     holder_sensitivity_check,
@@ -96,6 +97,18 @@ class TestWasserstein:
         g = random_ground(np.random.default_rng(2), 3)
         for r in (1.0, 2.0):
             assert math.copysign(1.0, wasserstein_discrete(p, p, g, r)) == 1.0
+
+    def test_equal_laws_keep_their_component_shifts(self, caplog):
+        # between equal laws the staircase is the diagonal, linked by
+        # zero-mass cells: a split support, which the shifts join in one round
+        mu, nu, _ = build_gaussian_linear_instance(30, 60, 5)
+        for p in (mu, nu):
+            with caplog.at_level("INFO", logger="riskbound"):
+                w = wasserstein_discrete(p, p, ground_from_labels(p))
+            line = caplog.records[-1].getMessage()
+            assert w == 0.0
+            assert line.startswith("MspSolution: 1 round(s),")
+            assert "component shifts in 1 round(s)," in line
 
     def test_zero_ground_needs_no_solve(self, monkeypatch):
         def no_solve(*args, **kwargs):
