@@ -22,13 +22,19 @@ active cells, and prices every cell with the restricted dual: a cell left
 out can raise the optimum only if C^beta_ij > phi_i + psi_j.  Violated cells
 join the active set until none is left, so the final dual certifies the
 whole instance (Schmitzer 2016's shielding uses the same pricing).  The
-first master's optimal basis is known in advance: the north-west-corner plan
-on the staircase, and per level the tail density of its law cut at the VaR
+staircase sorts rows and columns by mean loss, except for a transport (no
+levels) between labelled laws on a line ground: there it follows the labels,
+and the north-west-corner rule is optimal for the Monge cost (Hoffman 1963).
+Every master is one model that starts empty on the marginal and Theta-mass
+rows and receives its cells by appends, the staircase first.  The first
+master's optimal basis is known in advance: the north-west-corner plan on
+the staircase, and per level the tail density of its law cut at the VaR
 (Rockafellar-Uryasev).  HiGHS gets that basis with the model and takes no
 simplex iteration on it.  Only a degenerate master, whose plan has fewer
 than m + n - 1 positive cells, has its potentials shifted per component of
 the support before pricing; a plan with m + n - 1 positive cells or more is
-taken as spanning, and its shifts as zero.
+taken as spanning, and its shifts as zero.  ``build_msp_lp`` assembles the
+whole program, or its restriction to given cells, for export and checks.
 
 Every solve returns a dual certificate (phi, psi, beta) and ends in
 ``verify_duality`` on the original instance; ``brute_force_mes`` provides
@@ -68,6 +74,7 @@ from .core import (
     ProbabilityVector,
     ProblemTooLarge,
     SpectralGrid,
+    _label_coordinates,
     check_instance,
 )
 from .lpsolver import (
@@ -89,6 +96,7 @@ _GAP_TOL = 1e-7
 _CERT_FEAS_TOL = 1e-8
 _ORACLE_REL_TOL = 1e-12     # oracle stop: value minus lower bound, per max|L|/(1-alpha)
 _ORACLE_MAX_CUTS = 50
+_MONGE_ULPS = 8             # rounding allowed in the label order's supermodularity check
 
 log = logging.getLogger("riskbound")
 
@@ -225,8 +233,11 @@ def build_msp_lp(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMatrix,
     Variables are pi, then Theta^1 .. Theta^K, each over the same cells;
     rows are the row and column sums of pi, one Theta-mass row per level,
     then one density row Theta^k <= (1-u_k)^{-1} pi per level and cell.
-    ``cells = (I, J)`` restricts the program to those cells, in that order
-    (the column-generation master); the default is every cell, row-major.
+    ``cells = (I, J)`` restricts the program to those cells, in that order;
+    the default is every cell, row-major.  The column generation's first
+    master (:func:`_staircase_master`) holds this program on the staircase
+    cells, assembled by appends instead of these CSR blocks, which stay
+    because they are the faster route to a :class:`LinearProgram`.
     """
     check_instance(mu, nu, loss)
     nx, ny = loss.shape
@@ -292,30 +303,61 @@ def _lifted_columns(ci: np.ndarray, cj: np.ndarray, loss: LossMatrix, grid: Spec
 # ---------------------------------------------------------------------------
 
 
-def _staircase(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMatrix):
-    """Cells of the north-west corner plan after sorting rows and columns by
-    mean loss, row-major, and the plan's mass on each: the comonotone
-    coupling of the two orders.  It is feasible for any marginals, and
-    optimal for supermodular losses (Tchen 1980).  Where a row and a column
-    run out together the staircase still takes a single step, through a
-    cell of zero mass, so it spans every row and column in m + n - 1 cells
-    and the master's potentials are determined.  A weight below the
-    rounding of a cumulative sum can still hide its row or column, and the
-    staircase then has fewer cells."""
-    rows = np.argsort(loss.values @ nu.weights, kind="stable")
-    cols = np.argsort(mu.weights @ loss.values, kind="stable")
+def _staircase(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMatrix,
+               order: tuple | None = None):
+    """Cells of the north-west corner plan after putting rows and columns in
+    ``order``, a pair of permutations, row-major, and the plan's mass on
+    each: the comonotone coupling of the two orders.  The default order
+    sorts rows and columns by mean loss; :func:`_label_order` gives the
+    order of the support coordinates.  The plan is feasible for any
+    marginals, and optimal for losses supermodular in the order (Tchen 1980;
+    for transport, the north-west-corner rule on a Monge cost, Hoffman
+    1963).  Where a row and a column run out together the staircase still
+    takes a single step, through a cell of zero mass, so it spans every row
+    and column in m + n - 1 cells and the master's potentials are
+    determined.  A weight below the rounding of a cumulative sum can still
+    hide its row or column, and the staircase then has fewer cells."""
+    if order is None:
+        order = (np.argsort(loss.values @ nu.weights, kind="stable"),
+                 np.argsort(mu.weights @ loss.values, kind="stable"))
+    rows, cols = order
     a = np.cumsum(mu.weights[rows])
     b = np.cumsum(nu.weights[cols])
     # each breakpoint of either cumulative sum opens the next cell
-    t = np.union1d(0.0, np.union1d(a[:-1], b[:-1]))
+    t = np.unique(np.concatenate([[0.0], a[:-1], b[:-1]]))
     i = np.minimum(np.searchsorted(a, t, side="right"), a.size - 1)
     j = np.minimum(np.searchsorted(b, t, side="right"), b.size - 1)
-    diag = (np.diff(i) > 0) & (np.diff(j) > 0)
-    mass = np.concatenate([np.diff(t, append=1.0), np.zeros(np.count_nonzero(diag))])
+    diag = (i[1:] > i[:-1]) & (j[1:] > j[:-1])
+    mass = np.concatenate([t[1:] - t[:-1], [1.0 - t[-1]], np.zeros(np.count_nonzero(diag))])
     i = np.concatenate([i, i[1:][diag]])
     j = np.concatenate([j, j[:-1][diag]])
     flat, cell = np.unique(rows[i] * b.size + cols[j], return_inverse=True)
     return (*np.divmod(flat, b.size), np.bincount(cell.ravel(), weights=mass, minlength=flat.size))
+
+
+def _label_order(mu: ProbabilityVector, nu: ProbabilityVector, keep_i: np.ndarray,
+                 keep_j: np.ndarray, loss: LossMatrix) -> tuple | None:
+    """The kept rows and columns sorted by their labels' coordinates, as an
+    order for :func:`_staircase`, when that order makes the staircase
+    optimal; None otherwise.
+
+    Both marginals must carry numeric labels on the kept atoms ``keep_i``
+    and ``keep_j``, and the kept ``loss``, sorted so, must be supermodular
+    on every adjacent 2 x 2 (a Monge cost for the max sense, as -|x - y|^r
+    is on the line) up to ``_MONGE_ULPS`` ulps of max|L|, the rounding of
+    such a loss where its mixed differences are 0.  A wrong verdict costs
+    rounds, not the certificate."""
+    x, y = (None if p.labels is None else _label_coordinates([p.labels[k] for k in keep])
+            for p, keep in ((mu, keep_i), (nu, keep_j)))
+    if x is None or y is None:
+        return None
+    rows, cols = np.argsort(x, kind="stable"), np.argsort(y, kind="stable")
+    s = loss.values[rows][:, cols]
+    step = s[1:] - s[:-1]
+    mixed = step[:, 1:] - step[:, :-1]
+    if mixed.min(initial=0.0) < -_MONGE_ULPS * np.finfo(float).eps * np.abs(s).max():
+        return None
+    return rows, cols
 
 
 def _staircase_basis(mass: np.ndarray, lvec: np.ndarray, grid: SpectralGrid, mm: int, nn: int):
@@ -348,6 +390,21 @@ def _staircase_basis(mass: np.ndarray, lvec: np.ndarray, grid: SpectralGrid, mm:
     rows = np.full(mm + nn + K, AT_LOWER)
     rows[0] = BASIC
     return cols, np.concatenate([rows, np.where(rank >= 0, BASIC, AT_UPPER).ravel()])
+
+
+def _staircase_master(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMatrix,
+                      grid: SpectralGrid, ci: np.ndarray, cj: np.ndarray,
+                      mass: np.ndarray) -> LpModel:
+    """The first master: an empty model on the marginal and Theta-mass rows,
+    to which the staircase cells ``(ci, cj)`` are appended as every later
+    round's cells are, with :func:`_staircase_basis` as its starting basis.
+    It holds :func:`build_msp_lp` on those cells, buffer for buffer."""
+    mm, nn = loss.shape
+    master = LpModel.empty("max", np.concatenate([mu.weights, nu.weights,
+                                                  np.ones(grid.n_levels)]),
+                           basis=_staircase_basis(mass, loss.values[ci, cj], grid, mm, nn))
+    master.append(*_lifted_columns(ci, cj, loss, grid, master.n_rows))
+    return master
 
 
 def _segment_max(a: np.ndarray, labels: np.ndarray, n: int) -> np.ndarray:
@@ -421,6 +478,7 @@ class _LiftedSolve:
     iterations: int
     seeded: bool                # HiGHS took the staircase basis for the first master
     shift_rounds: int           # rounds that ran _component_shifts
+    order: str                  # the staircase's order: "label" or "mean-loss"
 
 
 def _solve_lifted(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMatrix,
@@ -429,9 +487,15 @@ def _solve_lifted(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMatrix
     levels (K = 0) is plain optimal transport, with pi as the only variable.
 
     Zero-mass atoms are dropped; when there are none, the masters work on
-    the caller's loss, with no copy.  The first master, on the staircase,
-    starts from the optimal basis of :func:`_staircase_basis`, or cold when
-    the staircase misses a row or a column or HiGHS refuses the basis.  Each
+    the caller's loss, with no copy.  Without levels, the staircase takes
+    :func:`_label_order` when it applies: on a line ground the kept atoms'
+    label order makes it optimal, its zero-mass links join adjacent atoms,
+    and its tree potentials cover every cell, so one round ends the solve
+    and equal laws need no shifts.  Every other staircase, and every grid
+    with levels, sorts by mean loss.  The first master,
+    :func:`_staircase_master`, starts from the optimal basis of
+    :func:`_staircase_basis`, or cold when the staircase misses a row or a
+    column or HiGHS refuses the basis.  Each
     round solves the restricted master on the active cells, reads phi, psi
     and beta off its row duals and prices every cell at once by
     C^beta_ij - phi_i - psi_j, after :func:`_component_shifts` when the
@@ -453,16 +517,17 @@ def _solve_lifted(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMatrix
     # that is off 1.0 by an ulp even when no atom is dropped
     mu_r = ProbabilityVector(mu.weights[keep_i])
     nu_r = ProbabilityVector(nu.weights[keep_j])
-    loss_r = LossMatrix(loss.values[np.ix_(keep_i, keep_j)]) if dropped else loss
+    # a row take, then a column take: C-ordered, as the mean-loss sums need
+    loss_r = LossMatrix(loss.values[keep_i].take(keep_j, axis=1)) if dropped else loss
     mm, nn = loss_r.shape
     # the u = 0 atom is covered exactly by any beta0 below the whole loss range
     beta0 = float(loss.values.min() - 1.0)
     gammas = np.concatenate([[grid.z0], grid.gamma_weights])
-    ci, cj, mass = _staircase(mu_r, nu_r, loss_r)
+    order = _label_order(mu, nu, keep_i, keep_j, loss_r) if K == 0 else None
+    ci, cj, mass = _staircase(mu_r, nu_r, loss_r, order)
     active = np.zeros((mm, nn), dtype=bool)
     active[ci, cj] = True
-    master = LpModel(build_msp_lp(mu_r, nu_r, loss_r, grid, cells=(ci, cj)),
-                     basis=_staircase_basis(mass, loss_r.values[ci, cj], grid, mm, nn))
+    master = _staircase_master(mu_r, nu_r, loss_r, grid, ci, cj, mass)
     col = np.arange(master.n_vars).reshape(K + 1, ci.size)  # master column of pi / Theta^k
     rounds = iterations = shift_rounds = 0
     while True:
@@ -479,8 +544,8 @@ def _solve_lifted(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMatrix
         price -= phi_r[:, None]
         price -= psi_r[None, :]
         support = sol.x[col[0]] > 0.0
-        if (price[~active].max(initial=-np.inf) > _CERT_FEAS_TOL
-                and np.count_nonzero(support) < mm + nn - 1):
+        if (np.count_nonzero(support) < mm + nn - 1
+                and price[~active].max(initial=-np.inf) > _CERT_FEAS_TOL):
             shift_rounds += 1
             shift = _component_shifts(ci, cj, support, price)
             if shift is not None:
@@ -516,10 +581,10 @@ def _solve_lifted(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMatrix
         psi = np.zeros(ny)
         phi[keep_i] = phi_r
         psi[keep_j] = psi_r
-        drop_i = np.setdiff1d(np.arange(nx), keep_i)
-        drop_j = np.setdiff1d(np.arange(ny), keep_j)
+        drop_i = np.flatnonzero(mu.weights == 0.0)
+        drop_j = np.flatnonzero(nu.weights == 0.0)
         if drop_i.size:
-            cover = _c_beta(loss.values[np.ix_(drop_i, keep_j)], gammas, betas)
+            cover = _c_beta(loss.values[drop_i].take(keep_j, axis=1), gammas, betas)
             phi[drop_i] = (cover - psi[keep_j][None, :]).max(axis=1)
         if drop_j.size:
             cover = _c_beta(loss.values[:, drop_j], gammas, betas)
@@ -530,7 +595,8 @@ def _solve_lifted(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMatrix
     return _LiftedSolve(value=float(sol.objective), pi=pi, thetas=thetas,
                         phi=phi - shift, psi=psi + shift, beta=beta, beta0=beta0,
                         rounds=rounds, active_cells=n, iterations=iterations,
-                        seeded=master.seeded, shift_rounds=shift_rounds)
+                        seeded=master.seeded, shift_rounds=shift_rounds,
+                        order="mean-loss" if order is None else "label")
 
 
 def _certified(sol, loss: LossMatrix, mu: ProbabilityVector, nu: ProbabilityVector,
@@ -538,9 +604,10 @@ def _certified(sol, loss: LossMatrix, mu: ProbabilityVector, nu: ProbabilityVect
     """The exit gate of every solve: ``verify_duality`` on the original
     instance, then one info line on what the solve did."""
     report = verify_duality(sol, loss, mu, nu)
-    log.info("%s: %d round(s), first master %s, component shifts in %d round(s), "
-             "%d of %d cells active, %d simplex iteration(s), worst cover residual %.3e",
-             type(sol).__name__, sol.rounds, "seeded" if res.seeded else "cold",
+    log.info("%s: %d round(s), staircase in %s order, first master %s, "
+             "component shifts in %d round(s), %d of %d cells active, "
+             "%d simplex iteration(s), worst cover residual %.3e",
+             type(sol).__name__, sol.rounds, res.order, "seeded" if res.seeded else "cold",
              res.shift_rounds, sol.active_cells, loss.values.size, sol.iterations,
              report.dual_residuals["cover"])
     return sol

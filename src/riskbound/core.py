@@ -172,6 +172,14 @@ def validate_marginal(weights: Sequence[float], labels: Sequence | None = None) 
     return ProbabilityVector(np.asarray(weights, dtype=float), labels=tuple(labels) if labels is not None else None)
 
 
+def _label_coordinates(labels: Sequence | None) -> np.ndarray | None:
+    """The labels as support coordinates on the line when every one is an
+    int or a float; None when there are no labels or one is not a number."""
+    if labels is not None and all(isinstance(v, (int, float)) for v in labels):
+        return np.asarray(labels, dtype=float)
+    return None
+
+
 @dataclass(frozen=True)
 class LossMatrix:
     """Loss values L(x_i, y_j) on the product of two finite supports."""

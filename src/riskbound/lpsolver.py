@@ -18,8 +18,10 @@ between solves: :meth:`LpModel.append` adds columns and ``<=`` rows, and
 the basis it already holds, with the primal simplex and without presolve.
 A model built with a starting basis (``LpModel(lp, basis=...)``) gets it
 right after the model and starts its first solve from it the same way.
-The column generation of :mod:`riskbound.bounds` starts each master from
-the staircase basis and grows it between solves, and its MES oracle
+:meth:`LpModel.empty` starts a model on its equality rows alone, for a
+caller that builds every column by appends.  The column generation of
+:mod:`riskbound.bounds` builds each master that way, from the staircase
+cells and their basis, and grows it between solves; its MES oracle
 changes only the cost of one transport model.
 
 The binding is private scipy API, so its import is guarded: where it is
@@ -247,6 +249,26 @@ class LpModel:
         self._highs = None
         self._basis = basis
         self.seeded = False
+
+    @classmethod
+    def empty(cls, sense: str, b_eq, basis: tuple | None = None) -> "LpModel":
+        """A model of the equality rows ``x = b_eq`` over no columns yet:
+        the columns, and any ``<=`` rows, arrive by :meth:`append`.
+        ``basis`` is as for the constructor, over the columns and rows the
+        model holds at its first solve."""
+        if sense not in ("max", "min"):
+            raise DimensionMismatch(f"sense must be 'max' or 'min', got {sense!r}")
+        model = cls.__new__(cls)
+        model.sense = sense
+        model.c = model.lb = model.ub = model.b_ub = np.zeros(0)
+        model.b_eq = np.asarray(b_eq, dtype=float)
+        model._start = np.zeros(1, dtype=np.int32)
+        model._index = np.zeros(0, dtype=np.int32)
+        model._value = np.zeros(0)
+        model._highs = None
+        model._basis = basis
+        model.seeded = False
+        return model
 
     @property
     def n_vars(self) -> int:

@@ -491,6 +491,44 @@ class TestStaircaseBasis:
             # the basis's plan is the north-west corner's
             assert np.allclose(seeded.x[:ci.size], mass, rtol=0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("case", ["desk", "ccr40_k16", "flat"])
+    def test_first_master_is_the_restricted_program_buffer_for_buffer(self, case):
+        # the appended staircase is build_msp_lp on its cells, so HiGHS sees
+        # the same model
+        rng = np.random.default_rng(17)
+        if case == "desk":
+            cases = []
+            for _ in range(30):
+                mu, nu, loss, alpha = desk_instance(rng)
+                cases += [(mu, nu, loss, SpectralGrid.dirac(alpha)), (mu, nu, loss, C2_GRID)]
+        elif case == "ccr40_k16":
+            grid = discretize_spectrum(SpectralFunction.power_sqrt(), 16)
+            cases = [(*build_ccr_instance(DEFAULT_CCR_PARAMS, 40, 31), grid)]
+        else:
+            cases = [(*kept(*degenerate_instance(rng)), FLAT_GRID) for _ in range(30)]
+        for mu, nu, loss, grid in cases:
+            ci, cj, mass = bounds._staircase(mu, nu, loss)
+            master = bounds._staircase_master(mu, nu, loss, grid, ci, cj, mass)
+            whole = LpModel(build_msp_lp(mu, nu, loss, grid, cells=(ci, cj)))
+            for name in ("c", "lb", "ub", "b_eq", "b_ub", "_start", "_index", "_value"):
+                got, want = getattr(master, name), getattr(whole, name)
+                assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+    def test_info_line_names_the_staircase_order(self, caplog):
+        # x + y on labelled supports is modular: label order on the grid
+        # without levels, mean-loss order on every grid with levels
+        mu, nu, loss = build_gaussian_linear_instance(20, 30, 5)
+        for grid, order in ((FLAT_GRID, "label"), (SpectralGrid.dirac(0.9), "mean-loss"),
+                            (C2_GRID, "mean-loss")):
+            assert bounds._solve_lifted(mu, nu, loss, grid).order == order
+            with caplog.at_level("INFO", logger="riskbound"):
+                if grid.n_levels == 1:
+                    solve_mes(mu, nu, loss, 0.9)
+                else:
+                    solve_msp(mu, nu, loss, grid)
+            assert f", staircase in {order} order, first master seeded," in \
+                caplog.records[-1].getMessage()
+
     def test_short_staircase_solves_cold(self, caplog):
         # row 1's weight is below the rounding of 0.5 + 1e-17: the staircase
         # steps from row 0 straight to row 2

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from riskbound import bounds, lpsolver, stability
+from riskbound.asymptotics import sample_empirical
 from riskbound.core import (
     Coupling,
     DomainError,
@@ -98,17 +99,75 @@ class TestWasserstein:
         for r in (1.0, 2.0):
             assert math.copysign(1.0, wasserstein_discrete(p, p, g, r)) == 1.0
 
-    def test_equal_laws_keep_their_component_shifts(self, caplog):
-        # between equal laws the staircase is the diagonal, linked by
-        # zero-mass cells: a split support, which the shifts join in one round
+    def test_equal_laws_need_no_component_shifts(self, caplog):
+        # between equal laws the label-order staircase is the diagonal, whose
+        # zero-mass links join adjacent atoms: its tree potentials are
+        # Kantorovich potentials, which cover every cell in one round
         mu, nu, _ = build_gaussian_linear_instance(30, 60, 5)
         for p in (mu, nu):
             with caplog.at_level("INFO", logger="riskbound"):
                 w = wasserstein_discrete(p, p, ground_from_labels(p))
             line = caplog.records[-1].getMessage()
             assert w == 0.0
-            assert line.startswith("MspSolution: 1 round(s),")
-            assert "component shifts in 1 round(s)," in line
+            assert line.startswith("MspSolution: 1 round(s), staircase in label order,")
+            assert "component shifts in 0 round(s)," in line
+
+    def test_line_transport_takes_one_round_in_label_order(self, caplog):
+        # two Dirichlet laws on 400 line atoms took 22-29 rounds in mean-loss
+        # order; the north-west corner in label order is optimal at once
+        rng = np.random.default_rng(24)
+        x = rng.normal(size=400)
+        p, q = (validate_marginal(rng.dirichlet(np.ones(400)), labels=x.tolist())
+                for _ in range(2))
+        g = ground_from_labels(p)
+        for r in (1.0, 2.0, 3.0):
+            with caplog.at_level("INFO", logger="riskbound"):
+                w = wasserstein_discrete(p, q, g, r)
+            line = caplog.records[-1].getMessage()
+            assert line.startswith("MspSolution: 1 round(s), staircase in label order,")
+            assert ", 0 simplex iteration(s)," in line
+            exact = quantile_coupling_wr(x, p.weights, q.weights, r)
+            assert w ** r == pytest.approx(exact, rel=1e-12, abs=0.0)
+        # W_1 is the area between the two distribution functions
+        order = np.argsort(x)
+        gaps = np.abs(np.cumsum(p.weights[order]) - np.cumsum(q.weights[order]))[:-1]
+        area = float(np.sum(gaps * np.diff(x[order])))
+        assert wasserstein_discrete(p, q, g) == pytest.approx(area, rel=1e-12, abs=0.0)
+
+    def test_empirical_laws_take_label_order_over_their_kept_atoms(self, caplog):
+        mu, _, _ = build_gaussian_linear_instance(60, 1, 5)
+        x = np.asarray(mu.labels)
+        rng = np.random.default_rng(8)
+        p, q = (sample_empirical(mu, 40, rng) for _ in range(2))
+        assert np.any(p.weights == 0.0) and np.any(q.weights == 0.0)
+        for r in (1.0, 2.0):
+            with caplog.at_level("INFO", logger="riskbound"):
+                w = wasserstein_discrete(p, q, ground_from_labels(mu), r)
+            line = caplog.records[-1].getMessage()
+            assert line.startswith("MspSolution: 1 round(s), staircase in label order,")
+            assert "component shifts in 0 round(s)," in line
+            exact = quantile_coupling_wr(x, p.weights, q.weights, r)
+            assert w ** r == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+    def test_without_a_line_ground_the_staircase_keeps_mean_loss_order(self, caplog):
+        # labels that are not all numbers, or a ground that is not Monge in
+        # label order: the solve is the one without labels, bit for bit
+        rng = np.random.default_rng(12)
+        x = np.sort(rng.normal(size=12))
+        w1, w2 = rng.dirichlet(np.ones(12)), rng.dirichlet(np.ones(12))
+        line_ground = LossMatrix(np.abs(x[:, None] - x[None, :]))
+        bent = LossMatrix(np.abs(np.sin(3 * x)[:, None] - np.sin(3 * x)[None, :]))
+        cases = [([f"a{i}" for i in range(12)], line_ground),
+                 ([*x[:-1].tolist(), "last"], line_ground),
+                 (x.tolist(), bent)]
+        for labels, g in cases:
+            for r in (1.0, 2.0):
+                bare = wasserstein_discrete(validate_marginal(w1), validate_marginal(w2), g, r)
+                with caplog.at_level("INFO", logger="riskbound"):
+                    w = wasserstein_discrete(validate_marginal(w1, labels),
+                                             validate_marginal(w2, labels), g, r)
+                assert "staircase in mean-loss order," in caplog.records[-1].getMessage()
+                assert w == bare
 
     def test_zero_ground_needs_no_solve(self, monkeypatch):
         def no_solve(*args, **kwargs):
