@@ -30,11 +30,12 @@ rows and receives its cells by appends, the staircase first.  The first
 master's optimal basis is known in advance: the north-west-corner plan on
 the staircase, and per level the tail density of its law cut at the VaR
 (Rockafellar-Uryasev).  HiGHS gets that basis with the model and takes no
-simplex iteration on it.  Only a degenerate master, whose plan has fewer
-than m + n - 1 positive cells, has its potentials shifted per component of
-the support before pricing; a plan with m + n - 1 positive cells or more is
-taken as spanning, and its shifts as zero.  ``build_msp_lp`` assembles the
-whole program, or its restriction to given cells, for export and checks.
+simplex iteration on it.  Every master is priced with the duals HiGHS
+returns for it.  A degenerate master (zero-mass cells in its basis) can
+return duals that leave some inactive cell uncovered; pricing admits that
+cell, and a master over every cell has duals that cover them all, so the
+loop still ends in a certificate.  ``build_msp_lp`` assembles the whole
+program, or its restriction to given cells, for export and checks.
 
 Every solve returns a dual certificate (phi, psi, beta) and ends in
 ``verify_duality`` on the original instance; ``brute_force_mes`` provides
@@ -61,7 +62,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from .core import (
     AlphaOutOfRange,
@@ -407,61 +407,6 @@ def _staircase_master(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMa
     return master
 
 
-def _segment_max(a: np.ndarray, labels: np.ndarray, n: int) -> np.ndarray:
-    """Row c: the entrywise maximum of the rows of ``a`` labelled c; -inf if none is."""
-    order = np.argsort(labels, kind="stable")
-    present, first = np.unique(labels[order], return_index=True)
-    out = np.full((n, a.shape[1]), -np.inf)
-    out[present] = np.maximum.reduceat(a[order], first, axis=0)
-    return out
-
-
-def _component_shifts(ci: np.ndarray, cj: np.ndarray, support: np.ndarray,
-                      price: np.ndarray):
-    """Row and column potential shifts that make a master's dual cover every
-    cell, or None when no such shifts exist.
-
-    A cell with positive mass pins phi_i + psi_j, but only inside each
-    connected component of the support graph (rows and columns joined by
-    such cells).  A zero-mass cell of a degenerate basis, such as a
-    staircase link where a row and a column run out together, leaves one
-    free constant per component, and the solver's choice of constants need
-    not cover the cells between components.  Adding s_c to phi and
-    subtracting it from psi on component c keeps the dual value (a
-    component's row and column masses agree) and the prices of the cells
-    inside it; s_c >= s_d + max price over rows of c and columns of d for
-    all c != d is a longest-path problem, solved by Bellman-Ford.
-
-    With one component the shifts are zero, so :func:`_solve_lifted` calls
-    this only when the positive support has fewer than m + n - 1 cells.  A
-    basic transport plan's support is a forest, which with m + n - 1 cells
-    is a spanning tree.  In the lifted program a tail constraint can close a
-    cycle, so a split support of that size is possible in principle; it
-    would cost rounds, not the certificate, as pricing still admits every
-    uncovered cell.  On 300 desk-shaped instances (MES and C2 MSP) every
-    master with m + n - 1 positive cells or more is one component.
-    """
-    mm, nn = price.shape
-    rows, order = ci[support], np.argsort(ci[support], kind="stable")
-    graph = sp.csr_matrix((np.ones(order.size), mm + cj[support][order],  # row node -> column node
-                           np.searchsorted(rows[order], np.arange(mm + nn + 1))),
-                          shape=(mm + nn, mm + nn))
-    nc, label = connected_components(graph, directed=False)
-    row_c, col_c = label[:mm], label[mm:]
-    w = _segment_max(_segment_max(price, row_c, nc).T, col_c, nc).T  # rows of c, columns of d
-    np.fill_diagonal(w, -np.inf)
-    s = np.zeros(nc)
-    changed = np.arange(nc)
-    for _ in range(nc + 1):
-        cand = (w[:, changed] + s[changed][None, :]).max(axis=1)
-        up = cand > s + 0.1 * _CERT_FEAS_TOL
-        if not up.any():
-            return s[row_c], s[col_c]
-        s[up] = cand[up]
-        changed = np.nonzero(up)[0]
-    return None                                 # a positive cycle
-
-
 @dataclass(frozen=True)
 class _LiftedSolve:
     """Full-instance primal and certificate data of one lifted solve."""
@@ -477,7 +422,6 @@ class _LiftedSolve:
     active_cells: int
     iterations: int
     seeded: bool                # HiGHS took the staircase basis for the first master
-    shift_rounds: int           # rounds that ran _component_shifts
     order: str                  # the staircase's order: "label" or "mean-loss"
 
 
@@ -490,23 +434,22 @@ def _solve_lifted(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMatrix
     the caller's loss, with no copy.  Without levels, the staircase takes
     :func:`_label_order` when it applies: on a line ground the kept atoms'
     label order makes it optimal, its zero-mass links join adjacent atoms,
-    and its tree potentials cover every cell, so one round ends the solve
-    and equal laws need no shifts.  Every other staircase, and every grid
-    with levels, sorts by mean loss.  The first master,
+    and its tree potentials cover every cell, so one round ends the solve,
+    between equal laws too.  Every other staircase, and every grid with
+    levels, sorts by mean loss.  The first master,
     :func:`_staircase_master`, starts from the optimal basis of
     :func:`_staircase_basis`, or cold when the staircase misses a row or a
-    column or HiGHS refuses the basis.  Each
-    round solves the restricted master on the active cells, reads phi, psi
-    and beta off its row duals and prices every cell at once by
-    C^beta_ij - phi_i - psi_j, after :func:`_component_shifts` when the
-    master's plan has fewer than m + n - 1 positive cells and some inactive
-    cell is violated.  The most-violated inactive cell of each row and of
-    each column joins the active set, as new columns and density rows of the
-    one master model, which the next round re-solves from its last basis.
-    The loop stops when no cell is violated by more than ``_CERT_FEAS_TOL``,
-    so the master's dual covers the whole kept instance.  Dropped atoms get
-    the smallest potentials that cover their cells.  Potentials are
-    normalized to phi[0] = 0.
+    column or HiGHS refuses the basis.  Each round solves the restricted
+    master on the active cells, reads phi, psi and beta off its row duals
+    and prices every cell at once by C^beta_ij - phi_i - psi_j.  The
+    most-violated inactive cell of each row and of each column joins the
+    active set, as new columns and density rows of the one master model,
+    which the next round re-solves from its last basis.  Every round adds a
+    cell, so the loop ends, at the latest on the whole kept instance; it
+    stops when no cell is violated by more than ``_CERT_FEAS_TOL``, so the
+    master's dual covers the whole kept instance.  Dropped atoms get the
+    smallest potentials that cover their cells.  Potentials are normalized
+    to phi[0] = 0.
     """
     nx, ny = loss.shape
     K = grid.n_levels
@@ -529,7 +472,7 @@ def _solve_lifted(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMatrix
     active[ci, cj] = True
     master = _staircase_master(mu_r, nu_r, loss_r, grid, ci, cj, mass)
     col = np.arange(master.n_vars).reshape(K + 1, ci.size)  # master column of pi / Theta^k
-    rounds = iterations = shift_rounds = 0
+    rounds = iterations = 0
     while True:
         rounds += 1
         sol = solve_lp(master)
@@ -543,15 +486,6 @@ def _solve_lifted(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMatrix
         price = _c_beta(loss_r.values, gammas, betas)
         price -= phi_r[:, None]
         price -= psi_r[None, :]
-        support = sol.x[col[0]] > 0.0
-        if (np.count_nonzero(support) < mm + nn - 1
-                and price[~active].max(initial=-np.inf) > _CERT_FEAS_TOL):
-            shift_rounds += 1
-            shift = _component_shifts(ci, cj, support, price)
-            if shift is not None:
-                phi_r = phi_r + shift[0]
-                psi_r = psi_r - shift[1]
-                price += shift[1][None, :] - shift[0][:, None]
         price[active] = -np.inf
         best_j = price.argmax(axis=1)
         best_i = price.argmax(axis=0)
@@ -595,8 +529,7 @@ def _solve_lifted(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMatrix
     return _LiftedSolve(value=float(sol.objective), pi=pi, thetas=thetas,
                         phi=phi - shift, psi=psi + shift, beta=beta, beta0=beta0,
                         rounds=rounds, active_cells=n, iterations=iterations,
-                        seeded=master.seeded, shift_rounds=shift_rounds,
-                        order="mean-loss" if order is None else "label")
+                        seeded=master.seeded, order="mean-loss" if order is None else "label")
 
 
 def _certified(sol, loss: LossMatrix, mu: ProbabilityVector, nu: ProbabilityVector,
@@ -605,11 +538,9 @@ def _certified(sol, loss: LossMatrix, mu: ProbabilityVector, nu: ProbabilityVect
     instance, then one info line on what the solve did."""
     report = verify_duality(sol, loss, mu, nu)
     log.info("%s: %d round(s), staircase in %s order, first master %s, "
-             "component shifts in %d round(s), %d of %d cells active, "
-             "%d simplex iteration(s), worst cover residual %.3e",
+             "%d of %d cells active, %d simplex iteration(s), worst cover residual %.3e",
              type(sol).__name__, sol.rounds, res.order, "seeded" if res.seeded else "cold",
-             res.shift_rounds, sol.active_cells, loss.values.size, sol.iterations,
-             report.dual_residuals["cover"])
+             sol.active_cells, loss.values.size, sol.iterations, report.dual_residuals["cover"])
     return sol
 
 
@@ -942,6 +873,18 @@ def _decode_scalar(obj, field: str) -> float:
     return float(obj)
 
 
+def _decode_counts(d: dict) -> dict:
+    """The solve record's counters, each a nonnegative integer; a missing one
+    reads as 0, anything else raises ``DimensionMismatch`` naming it."""
+    counts = {}
+    for field in ("rounds", "active_cells", "iterations"):
+        obj = d.get(field, 0)
+        if isinstance(obj, bool) or not isinstance(obj, numbers.Integral) or obj < 0:
+            raise DimensionMismatch(f"{field} must be a nonnegative integer, got {obj!r}")
+        counts[field] = int(obj)
+    return counts
+
+
 def mes_solution_to_dict(sol: MesSolution) -> dict:
     return {
         "kind": "mes",
@@ -975,10 +918,7 @@ def mes_solution_from_dict(d: dict) -> MesSolution:
     return MesSolution(value=_decode_scalar(d["value"], "value"), coupling=coupling,
                        theta=_decode_array(d["theta"], "theta", shape), certificate=cert,
                        gap=_decode_scalar(d["gap"], "gap"),
-                       alpha=_decode_scalar(d["alpha"], "alpha"),
-                       rounds=int(d.get("rounds", 0)),
-                       active_cells=int(d.get("active_cells", 0)),
-                       iterations=int(d.get("iterations", 0)))
+                       alpha=_decode_scalar(d["alpha"], "alpha"), **_decode_counts(d))
 
 
 def msp_solution_to_dict(sol: MspSolution) -> dict:
@@ -1021,11 +961,9 @@ def msp_solution_from_dict(d: dict) -> MspSolution:
                            beta0=beta0)
     thetas = _decode_array(d["theta"], "theta", (grid.n_levels, *coupling.matrix.shape))
     return MspSolution(value=_decode_scalar(d["value"], "value"), coupling=coupling,
-                       thetas=thetas, betas=np.asarray(d["betas"], dtype=float),
+                       thetas=thetas, betas=_decode_array(d["betas"], "betas", (grid.n_levels,)),
                        certificate=cert, gap=_decode_scalar(d["gap"], "gap"), grid=grid,
-                       rounds=int(d.get("rounds", 0)),
-                       active_cells=int(d.get("active_cells", 0)),
-                       iterations=int(d.get("iterations", 0)))
+                       **_decode_counts(d))
 
 
 __all__ = [

@@ -24,11 +24,10 @@ caller that builds every column by appends.  The column generation of
 cells and their basis, and grows it between solves; its MES oracle
 changes only the cost of one transport model.
 
-The binding is private scipy API, so its import is guarded: where it is
-missing, a model solves its mirror through
-``scipy.optimize.linprog(method="highs-ds")``, cold each time, which costs
-more per call but returns the same values.  Both routes report
-``engine="highs"``.
+The binding is private scipy API; ``scipy.optimize._highspy`` ships with
+scipy 1.15 and later, the floor ``pyproject.toml`` sets, and it is the only
+route to the engine.  :meth:`LpModel.program` returns the program a model
+holds, for a cold re-solve or an export.
 
 The MES oracle of :mod:`riskbound.bounds` (``brute_force_mes``) runs on the
 same engine as the lifted programs it checks.  Its independence rests on
@@ -53,12 +52,7 @@ from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import linprog as _scipy_linprog
-
-try:  # private scipy API; without it, solves go through linprog
-    from scipy.optimize._highspy import _core as _highspy
-except ImportError:  # pragma: no cover - scipy builds without the binding
-    _highspy = None
+from scipy.optimize._highspy import _core as _highspy     # private scipy API
 
 from .core import (
     DimensionMismatch,
@@ -200,8 +194,6 @@ _HIGHS_OPTIONS = (("output_flag", False), ("solver", "simplex"),
                   ("dual_feasibility_tolerance", _HIGHS_TOL))
 _DUAL_SIMPLEX, _PRIMAL_SIMPLEX = 1, 4     # HiGHS simplex_strategy values
 AT_LOWER, BASIC, AT_UPPER = 0, 1, 2       # HiGHS HighsBasisStatus codes
-_LINPROG_OPTIONS = {"presolve": True, "primal_feasibility_tolerance": _HIGHS_TOL,
-                    "dual_feasibility_tolerance": _HIGHS_TOL}
 
 
 def _stack(parts, dtype=float) -> np.ndarray:
@@ -228,7 +220,7 @@ class LpModel:
     ``HighsBasisStatus`` code per column and per row, rows in the model's
     order.  It is handed to HiGHS right after the model, and
     :attr:`seeded` records whether HiGHS took it; a refused basis leaves the
-    model to solve cold.  The ``linprog`` route ignores it.
+    model to solve cold.
     """
 
     def __init__(self, lp: LinearProgram, basis: tuple | None = None) -> None:
@@ -288,7 +280,8 @@ class LpModel:
         return np.bincount(self._index, weights=per_entry, minlength=self.n_rows)
 
     def program(self) -> LinearProgram:
-        """The program the model holds, as a :class:`LinearProgram`."""
+        """The program the model holds, as a :class:`LinearProgram`, to be
+        solved cold or exported apart from the model."""
         a = sp.csc_matrix((self._value, self._index, self._start),
                           shape=(self.n_rows, self.n_vars)).tocsr()
         m_eq = self.b_eq.size
@@ -418,30 +411,6 @@ def _solve_highs(model: LpModel) -> LpSolution:
                       iterations=iterations, engine="highs")
 
 
-def _solve_linprog(lp: LinearProgram) -> LpSolution:
-    """The same HiGHS dual simplex through ``scipy.optimize.linprog``, for a
-    scipy without the binding."""
-    sign = 1.0 if lp.sense == "min" else -1.0
-    res = _scipy_linprog(sign * lp.c, A_ub=lp.a_ub, b_ub=lp.b_ub,
-                         A_eq=lp.a_eq, b_eq=lp.b_eq,
-                         bounds=np.column_stack([lp.lb, lp.ub]),
-                         method="highs-ds", options=_LINPROG_OPTIONS)
-    if res.status in (2, 3):
-        return LpSolution(status="infeasible" if res.status == 2 else "unbounded",
-                          objective=np.nan, x=None, duals_ub=None, duals_eq=None,
-                          reduced_costs=None, engine="highs")
-    if res.status != 0:
-        raise NumericalFailure(f"HiGHS terminated abnormally: {res.message}")
-    x = np.asarray(res.x, dtype=float)
-    y_eq = np.asarray(res.eqlin.marginals, dtype=float) if lp.a_eq is not None else np.zeros(0)
-    y_ub = np.asarray(res.ineqlin.marginals, dtype=float) if lp.a_ub is not None else np.zeros(0)
-    rc = np.asarray(res.lower.marginals, dtype=float) + np.asarray(res.upper.marginals, dtype=float)
-    return LpSolution(status="optimal", objective=float(lp.c @ x), x=x,
-                      duals_ub=sign * y_ub, duals_eq=sign * y_eq,
-                      reduced_costs=sign * rc,
-                      iterations=int(getattr(res, "nit", 0)), engine="highs")
-
-
 # ---------------------------------------------------------------------------
 # Certification and the public entry point
 # ---------------------------------------------------------------------------
@@ -493,7 +462,7 @@ def solve_lp(lp: LinearProgram | LpModel) -> LpSolution:
     message).
     """
     model = lp if isinstance(lp, LpModel) else LpModel(lp)
-    sol = _solve_highs(model) if _highspy is not None else _solve_linprog(model.program())
+    sol = _solve_highs(model)
     if sol.status != "optimal":
         return sol
     residuals = _certify(model, sol)

@@ -9,9 +9,8 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.sparse.csgraph import connected_components
 
-from riskbound import bounds, lpsolver
+from riskbound import asymptotics, bounds, lpsolver
 from riskbound.asymptotics import CltExperiment, replication_value
 from riskbound.core import (
     AlphaOutOfRange,
@@ -235,7 +234,7 @@ class TestColumnGeneration:
         assert sol.active_cells == 200 + 400 - 1
         assert sol.value == pytest.approx(closed, abs=1e-6)
 
-    def test_degenerate_instances_match_whole_lp(self):
+    def test_degenerate_instances_match_whole_lp(self, caplog):
         rng = np.random.default_rng(404)
         for _ in range(50):
             mu, nu, loss = degenerate_instance(rng)
@@ -250,6 +249,21 @@ class TestColumnGeneration:
                 assert sol.rounds >= 1
                 assert 1 <= sol.active_cells <= loss.values.size
                 verify_duality(sol, loss, mu, nu)
+        # fully degenerate: equal uniform weights run out together at every
+        # step of the staircase, so each of its links is a zero-mass cell
+        x = np.arange(4.0)
+        cases = [np.abs(x[:, None] - x[None, :])]
+        cases += [rng.normal(size=shape) for shape in ((30, 30), (20, 40))]
+        for values in cases:
+            m, n = values.shape
+            mu, nu = validate_marginal(np.full(m, 1.0 / m)), validate_marginal(np.full(n, 1.0 / n))
+            loss = LossMatrix(values)
+            # MES at 0.7, C2 and the flat grid, each through verify_duality
+            solved, _ = solve_three_grids(mu, nu, loss, caplog)
+            whole = [build_mes_lp(mu, nu, loss, 0.7), build_msp_lp(mu, nu, loss, C2_GRID),
+                     build_msp_lp(mu, nu, loss, FLAT_GRID)]
+            for value, lp in zip(solved, whole):
+                assert value == pytest.approx(whole_lp_value(lp), abs=1e-9)
 
     def test_ccr_mes_matches_whole_lp(self):
         mu, nu, loss = build_ccr_instance(DEFAULT_CCR_PARAMS, 100, 31)
@@ -282,69 +296,22 @@ class TestColumnGeneration:
                             discretize_spectrum(SpectralFunction.power_sqrt(), 16))
         assert (sol.rounds, sol.iterations) == (1, 0)
 
-    def test_clt_replications_need_no_component_shifts(self, monkeypatch):
+    def test_clt_replications_take_one_round(self, monkeypatch):
         # the staircase basis's potentials cover the whole grid at once
-        calls = []
-        shifts = bounds._component_shifts
+        rounds = []
+        solve = asymptotics.solve_mes
 
         def spy(*args):
-            calls.append(args)
-            return shifts(*args)
+            sol = solve(*args)
+            rounds.append(sol.rounds)
+            return sol
 
-        monkeypatch.setattr(bounds, "_component_shifts", spy)
+        monkeypatch.setattr(asymptotics, "solve_mes", spy)
         exp = CltExperiment(*build_gaussian_linear_instance(200, 400, 701), alpha=0.9,
                             n_x=200, n_y=400, replications=30, seed=11)
         for k in range(30):
             replication_value(exp, k)
-        assert calls == []
-
-    def test_spanning_supports_skip_the_component_shifts(self, monkeypatch):
-        # a master plan with m + n - 1 positive cells or more is taken as
-        # one component, whose shifts are zero, so they are not computed
-        shifts = bounds._component_shifts
-        calls, masters = [], []
-        solve = bounds.solve_lp
-
-        def spy_shifts(*args):
-            calls.append(args)
-            return shifts(*args)
-
-        def spy_solve(model):
-            sol = solve(model)
-            masters.append((model.program(), sol))
-            return sol
-
-        monkeypatch.setattr(bounds, "_component_shifts", spy_shifts)
-        monkeypatch.setattr(bounds, "solve_lp", spy_solve)
-        rng = np.random.default_rng(1)
-        skipped = 0
-        for _ in range(300):
-            mu, nu, loss, alpha = desk_instance(rng)
-            m, n = loss.shape
-            for grid in (SpectralGrid.dirac(alpha), C2_GRID):
-                masters.clear()
-                if grid.z0 == 0.0:
-                    solve_mes(mu, nu, loss, alpha)
-                else:
-                    solve_msp(mu, nu, loss, grid)
-                for lp, sol in masters:
-                    # pi columns are the ones with a row and a column entry
-                    marginal = lp.a_eq[:m + n].tocsc()
-                    pi_cols = np.flatnonzero(np.diff(marginal.indptr) == 2)
-                    ci, cj = marginal.indices.reshape(-1, 2).T
-                    support = sol.x[pi_cols] > 0.0
-                    if np.count_nonzero(support) < m + n - 1:
-                        continue
-                    beta0 = loss.values.min() - 1.0
-                    beta = sol.duals_eq[m + n:] / grid.weights
-                    phi = sol.duals_eq[:m] - grid.z0 * beta0
-                    price = (c_beta_evaluate(loss, grid, np.concatenate([[beta0], beta])).values
-                             - phi[:, None] - sol.duals_eq[m:m + n][None, :])
-                    s_row, s_col = shifts(ci, cj - m, support, price)
-                    assert not s_row.any() and not s_col.any()
-                    skipped += 1
-        assert calls == []
-        assert skipped >= 600
+        assert rounds == [1] * 30
 
     @pytest.mark.parametrize("grid", ["dirac", "c2", "power-sqrt-16", "flat"])
     @pytest.mark.parametrize("restricted", [False, True])
@@ -411,27 +378,17 @@ class TestColumnGeneration:
             return sol
 
         monkeypatch.setattr(bounds, "solve_lp", spy)
-        shifted = []
-        shifts = bounds._component_shifts
-
-        def spy_shifts(*args):
-            shifted.append(1)
-            return shifts(*args)
-
-        monkeypatch.setattr(bounds, "_component_shifts", spy_shifts)
         total = 0
         firsts = []
-        shift_rounds = []
         cases = [degenerate_instance(rng) for _ in range(10)]
-        # uniform marginals run out together at every step of the staircase:
-        # zero-mass links split the first master's support
+        # uniform marginals run out together at every step of the staircase,
+        # so every link of it is a zero-mass cell of the first master's basis
         x = np.arange(4.0)
         uniform = validate_marginal(np.full(4, 0.25))
         cases.append((uniform, uniform, LossMatrix(np.abs(x[:, None] - x[None, :]))))
         for mu, nu, loss in cases:
             counted.clear()
             seeded.clear()
-            shifted.clear()
             with caplog.at_level("INFO", logger="riskbound"):
                 sol = solve_mes(mu, nu, loss, 0.7)
             assert len(counted) == sol.rounds
@@ -439,13 +396,10 @@ class TestColumnGeneration:
             message = caplog.records[-1].getMessage()
             assert f"{sol.iterations} simplex iteration(s)" in message
             assert f"first master {'seeded' if seeded[0] else 'cold'}," in message
-            assert f"component shifts in {len(shifted)} round(s)," in message
             firsts.append(seeded[0])
-            shift_rounds.append(len(shifted))
             total += sol.iterations
         assert total > 0
         assert any(firsts)
-        assert 0 in shift_rounds and any(shift_rounds)
 
 
 def kept(mu, nu, loss):
@@ -543,17 +497,15 @@ class TestStaircaseBasis:
         assert values[0] == pytest.approx(whole_lp_value(build_mes_lp(mu, nu, loss, 0.7)),
                                           abs=1e-9)
 
-    @pytest.mark.parametrize("route", ["refused", "linprog"])
+    @pytest.mark.parametrize("route", ["refused"])
     def test_fallbacks_solve_cold_to_the_same_values(self, route, caplog, monkeypatch):
         rng = np.random.default_rng(33)
         cases = [random_instance(rng, max_side=6), degenerate_instance(rng, max_side=6)]
         seeded = [solve_three_grids(*case, caplog) for case in cases]
         assert all("first master seeded," in line for _, lines in seeded for line in lines)
-        if route == "refused":
-            monkeypatch.setattr(lpsolver._highspy._Highs, "setBasis",
-                                lambda highs, basis: lpsolver._highspy.HighsStatus.kError)
-        else:
-            monkeypatch.setattr(lpsolver, "_highspy", None)
+        # HiGHS refuses the staircase basis
+        monkeypatch.setattr(lpsolver._highspy._Highs, "setBasis",
+                            lambda highs, basis: lpsolver._highspy.HighsStatus.kError)
         for case, (values, _) in zip(cases, seeded):
             cold, lines = solve_three_grids(*case, caplog)
             assert all("first master cold," in line for line in lines)
@@ -732,51 +684,6 @@ class TestCBeta:
             assert np.array_equal(c_beta_evaluate(LossMatrix(values), grid, lead).values, ref)
 
 
-def reference_component_shifts(ci, cj, support, price):
-    """_component_shifts as computed through a COO-built graph and two
-    np.maximum.at scatters."""
-    mm, nn = price.shape
-    graph = sp.csr_matrix((np.ones(int(support.sum())), (ci[support], mm + cj[support])),
-                          shape=(mm + nn, mm + nn))
-    nc, label = connected_components(graph, directed=False)
-    row_c, col_c = label[:mm], label[mm:]
-    by_row = np.full((nc, nn), -np.inf)
-    np.maximum.at(by_row, row_c, price)
-    w = np.full((nc, nc), -np.inf)
-    np.maximum.at(w.T, col_c, by_row.T)
-    np.fill_diagonal(w, -np.inf)
-    s = np.zeros(nc)
-    changed = np.arange(nc)
-    for _ in range(nc + 1):
-        cand = (w[:, changed] + s[changed][None, :]).max(axis=1)
-        up = cand > s + 0.1 * bounds._CERT_FEAS_TOL
-        if not up.any():
-            return s[row_c], s[col_c]
-        s[up] = cand[up]
-        changed = np.nonzero(up)[0]
-    return None
-
-
-class TestComponentShifts:
-    def test_equal_to_scatter_reference_on_random_labelings(self):
-        rng = np.random.default_rng(31)
-        outcomes = {"shifted": 0, "cycle": 0}
-        for _ in range(400):
-            mm, nn = (int(v) for v in rng.integers(1, 13, size=2))
-            flat = np.flatnonzero(rng.random(mm * nn) < rng.uniform(0.05, 0.6))
-            ci, cj = np.divmod(rng.permutation(flat), nn)
-            # rows and columns without a positive-mass cell are empty segments
-            support = rng.random(ci.size) < rng.uniform(0.2, 1.0)
-            price = rng.normal(size=(mm, nn)) - rng.uniform(0.0, 3.0)
-            got = bounds._component_shifts(ci, cj, support, price)
-            ref = reference_component_shifts(ci, cj, support, price)
-            assert (got is None) == (ref is None)
-            if got is not None:
-                assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
-            outcomes["cycle" if got is None else "shifted"] += 1
-        assert min(outcomes.values()) > 0
-
-
 def json_round_trip(sol):
     """The dict a solution writes to solution.json, read back through JSON
     text, and the solution rebuilt from it."""
@@ -936,10 +843,18 @@ class TestSolutionJson:
                 with pytest.raises(DimensionMismatch, match=f"certificate.{field}"):
                     reader(d2)
 
-    @pytest.mark.parametrize("kind, field", [
-        ("mes", "certificate.beta"), ("mes", "value"), ("mes", "gap"), ("mes", "alpha"),
-        ("msp", "certificate.beta0"), ("msp", "value"), ("msp", "gap")])
-    @pytest.mark.parametrize("bad", [None, "0.5", [0.5]], ids=["null", "string", "list"])
+    @pytest.mark.parametrize("kind, field, bad", [
+        pytest.param(kind, field, bad, id=f"{name}-{kind}-{field}")
+        for kind, fields in (("mes", ("certificate.beta", "value", "gap", "alpha")),
+                             ("msp", ("certificate.beta0", "value", "gap", "betas")))
+        for field in fields + ("rounds", "active_cells", "iterations")
+        for name, bad in (("null", None), ("string", "0.5"), ("list", [0.5]))
+    ] + [
+        # the solve record's counters are nonnegative integers
+        pytest.param(kind, field, bad, id=f"{name}-{kind}-{field}")
+        for kind in ("mes", "msp") for field in ("rounds", "active_cells", "iterations")
+        for name, bad in (("fraction", 2.7), ("negative", -4), ("bool", True))
+    ] + [pytest.param("msp", "betas", ["high", "low"], id="words-msp-betas")])
     def test_scalar_field_that_is_no_number_names_the_field(self, kind, field, bad):
         (_, d, reader), = [case for case in two_by_two_dicts() if case[0] == kind]
         *parent, key = field.split(".")

@@ -4,6 +4,7 @@ import itertools
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.optimize import linprog
 
 from riskbound import bounds, lpsolver
 from riskbound.bounds import build_mes_lp, build_msp_lp
@@ -37,41 +38,48 @@ def box_lp():
     )
 
 
-ROUTES = ("highs", "linprog")
+ROUTES = ("highs",)          # the HiGHS binding, the one route to the engine
 
 
-def solve_on(route, lp, monkeypatch):
-    """Solve on the HiGHS binding, or on the linprog fallback that runs
-    where scipy lacks the binding."""
-    with monkeypatch.context() as m:
-        if route == "linprog":
-            m.setattr(lpsolver, "_highspy", None)
-        return solve_lp(lp)
+def reference_solve(lp):
+    """The same program through ``scipy.optimize.linprog``'s HiGHS dual
+    simplex, whose assembly and sign mapping are scipy's, not
+    :func:`solve_lp`'s: objective, then row duals and reduced costs in the
+    sign convention of :class:`lpsolver.LpSolution`."""
+    sign = 1.0 if lp.sense == "min" else -1.0
+    res = linprog(sign * lp.c, A_ub=lp.a_ub, b_ub=lp.b_ub, A_eq=lp.a_eq, b_eq=lp.b_eq,
+                  bounds=np.column_stack([lp.lb, lp.ub]), method="highs-ds",
+                  options={"primal_feasibility_tolerance": 1e-9,
+                           "dual_feasibility_tolerance": 1e-9})
+    assert res.status == 0, res.message
+    return {"objective": float(lp.c @ res.x),
+            "duals_eq": sign * res.eqlin.marginals, "duals_ub": sign * res.ineqlin.marginals,
+            "reduced_costs": sign * (res.lower.marginals + res.upper.marginals)}
 
 
 class TestSolveLp:
     @pytest.mark.parametrize("route", ROUTES)
-    def test_textbook_corner(self, route, monkeypatch):
-        sol = solve_on(route, box_lp(), monkeypatch)
+    def test_textbook_corner(self, route):
+        sol = solve_lp(box_lp())
         assert sol.status == "optimal"
         assert sol.objective == pytest.approx(2.0, abs=1e-9)
         assert np.allclose(sol.x, [1.0, 1.0], atol=1e-9)
         assert sol.residuals["gap"] <= 1e-7
 
     @pytest.mark.parametrize("route", ROUTES)
-    def test_infeasible(self, route, monkeypatch):
+    def test_infeasible(self, route):
         lp = LinearProgram.from_rows(
             "max", [1.0],
             rows=[([0], [1.0], ">=", 1.0), ([0], [1.0], "<=", 0.0)],
         )
-        assert solve_on(route, lp, monkeypatch).status == "infeasible"
+        assert solve_lp(lp).status == "infeasible"
 
     @pytest.mark.parametrize("route", ROUTES)
-    def test_unbounded(self, route, monkeypatch):
+    def test_unbounded(self, route):
         lp = LinearProgram(sense="max", c=np.array([1.0]))
-        assert solve_on(route, lp, monkeypatch).status == "unbounded"
+        assert solve_lp(lp).status == "unbounded"
 
-    def test_equality_and_free_variables(self, monkeypatch):
+    def test_equality_and_free_variables(self):
         # min x - 2z  s.t.  x + y = 1,  z - y <= 2,  y >= 0, x free, z free
         lp = LinearProgram.from_rows(
             "min", [1.0, 0.0, -2.0],
@@ -80,37 +88,34 @@ class TestSolveLp:
         )
         # x = 1 - y, obj = 1 - y - 2z, z <= 2 + y  ->  obj >= 1 - y - 4 - 2y,
         # unbounded in y.
-        for route in ROUTES:
-            assert solve_on(route, lp, monkeypatch).status == "unbounded"
+        assert solve_lp(lp).status == "unbounded"
 
-    def test_bounded_variables_and_flips(self, monkeypatch):
+    def test_bounded_variables_and_flips(self):
         # max 3a + b  with a in [0, 2], b in [-1, 1], a + b <= 2
         lp = LinearProgram.from_rows(
             "max", [3.0, 1.0],
             rows=[([0, 1], [1.0, 1.0], "<=", 2.0)],
             lb=[0.0, -1.0], ub=[2.0, 1.0],
         )
-        for route in ROUTES:
-            sol = solve_on(route, lp, monkeypatch)
-            assert sol.objective == pytest.approx(6.0 - 1.0 + 1.0, abs=1e-9)
-            assert np.allclose(sol.x, [2.0, 0.0], atol=1e-9)
+        sol = solve_lp(lp)
+        assert sol.objective == pytest.approx(6.0 - 1.0 + 1.0, abs=1e-9)
+        assert np.allclose(sol.x, [2.0, 0.0], atol=1e-9)
 
-    def test_determinism(self, monkeypatch):
+    def test_determinism(self):
         rng = np.random.default_rng(17)
         c = rng.normal(size=12)
         a = rng.normal(size=(6, 12))
         lp = LinearProgram(sense="max", c=c, a_ub=sp.csr_matrix(a),
                            b_ub=rng.uniform(1.0, 2.0, size=6),
                            lb=np.zeros(12), ub=np.full(12, 2.0))
-        for route in ROUTES:
-            s1 = solve_on(route, lp, monkeypatch)
-            s2 = solve_on(route, lp, monkeypatch)
-            assert s1.objective == s2.objective
-            assert np.array_equal(s1.x, s2.x)
-            assert s1.iterations == s2.iterations
+        s1 = solve_lp(lp)
+        s2 = solve_lp(lp)
+        assert s1.objective == s2.objective
+        assert np.array_equal(s1.x, s2.x)
+        assert s1.iterations == s2.iterations
 
-    def test_cross_engine_agreement(self, monkeypatch):
-        # the linprog fallback is the reference for the binding
+    def test_cross_engine_agreement(self):
+        # scipy's linprog is the reference for the binding
         rng = np.random.default_rng(3)
         for _ in range(40):
             n = int(rng.integers(2, 10))
@@ -120,12 +125,11 @@ class TestSolveLp:
             b = rng.uniform(0.5, 2.0, size=m)
             lp = LinearProgram(sense="max", c=c, a_ub=sp.csr_matrix(a), b_ub=b,
                                lb=np.zeros(n), ub=np.full(n, rng.uniform(1.0, 5.0)))
-            s1 = solve_on("highs", lp, monkeypatch)
-            s2 = solve_on("linprog", lp, monkeypatch)
-            assert s1.status == s2.status == "optimal"
-            assert s1.objective == pytest.approx(s2.objective, abs=1e-7)
+            sol = solve_lp(lp)
+            assert sol.status == "optimal"
+            assert sol.objective == pytest.approx(reference_solve(lp)["objective"], abs=1e-7)
 
-    def test_strong_duality_certified_every_solve(self, monkeypatch):
+    def test_strong_duality_certified_every_solve(self):
         rng = np.random.default_rng(29)
         for _ in range(50):
             n = int(rng.integers(2, 8))
@@ -134,42 +138,27 @@ class TestSolveLp:
                                a_ub=sp.csr_matrix(rng.normal(size=(m, n))),
                                b_ub=rng.uniform(0.5, 2.0, size=m),
                                lb=np.zeros(n), ub=np.full(n, 3.0))
-            for route in ROUTES:
-                sol = solve_on(route, lp, monkeypatch)
-                assert sol.status == "optimal"
-                assert sol.residuals["gap"] <= 1e-7
-                assert sol.residuals["primal"] <= 1e-8
-                assert sol.residuals["dual"] <= 1e-8
+            sol = solve_lp(lp)
+            assert sol.status == "optimal"
+            assert sol.residuals["gap"] <= 1e-7
+            assert sol.residuals["primal"] <= 1e-8
+            assert sol.residuals["dual"] <= 1e-8
 
 
 class TestEngine:
-    def test_binding_bypasses_linprog_and_fallback_uses_it(self, monkeypatch):
-        calls = []
-        linprog = lpsolver._scipy_linprog
-
-        def spy(*args, **kwargs):
-            calls.append(1)
-            return linprog(*args, **kwargs)
-
-        monkeypatch.setattr(lpsolver, "_scipy_linprog", spy)
-        assert solve_on("highs", box_lp(), monkeypatch).engine == "highs"
-        assert calls == []
-        assert solve_on("linprog", box_lp(), monkeypatch).engine == "highs"
-        assert calls == [1]
-
-    def test_mixed_rows_keep_their_duals(self, monkeypatch):
+    def test_mixed_rows_keep_their_duals(self):
         # equality rows come first in the HiGHS model; duals must map back
         lp = LinearProgram.from_rows(
             "max", [1.0, 2.0, 0.5],
             rows=[([0, 1], [1.0, 1.0], "<=", 3.0), ([1, 2], [1.0, 1.0], "=", 2.0),
                   ([0, 2], [1.0, -1.0], ">=", -1.0)],
             lb=[0.0, 0.0, 0.0], ub=[2.0, np.inf, np.inf])
-        ref = solve_on("linprog", lp, monkeypatch)
-        sol = solve_on("highs", lp, monkeypatch)
-        assert sol.objective == pytest.approx(ref.objective, abs=1e-9)
-        assert np.allclose(sol.duals_eq, ref.duals_eq, atol=1e-9)
-        assert np.allclose(sol.duals_ub, ref.duals_ub, atol=1e-9)
-        assert np.allclose(sol.reduced_costs, ref.reduced_costs, atol=1e-9)
+        ref = reference_solve(lp)
+        sol = solve_lp(lp)
+        assert sol.objective == pytest.approx(ref["objective"], abs=1e-9)
+        assert np.allclose(sol.duals_eq, ref["duals_eq"], atol=1e-9)
+        assert np.allclose(sol.duals_ub, ref["duals_ub"], atol=1e-9)
+        assert np.allclose(sol.reduced_costs, ref["reduced_costs"], atol=1e-9)
 
     @pytest.mark.parametrize("kind", ["infeasible", "unbounded"])
     def test_undecided_presolve_is_resolved_without_it(self, kind, monkeypatch):
@@ -296,20 +285,6 @@ class TestLpModel:
         model.set_cost(-model.c)
         with pytest.raises(NumericalFailure, match="certification"):
             solve_lp(model)
-
-    def test_without_the_binding_values_are_the_same(self, monkeypatch):
-        rng = np.random.default_rng(12)
-        cases = [(*degenerate_instance(rng, max_side=6), float(rng.uniform(0.1, 0.9)))
-                 for _ in range(15)]
-
-        def values():
-            return [(bounds.solve_mes(mu, nu, loss, a).value,
-                     bounds.solve_msp(mu, nu, loss, C2_GRID).value,
-                     bounds.brute_force_mes(mu, nu, loss, a)) for mu, nu, loss, a in cases]
-
-        with_binding = values()
-        monkeypatch.setattr(lpsolver, "_highspy", None)
-        assert np.allclose(values(), with_binding, rtol=0.0, atol=1e-9)
 
     def test_append_rejects_rows_outside_the_program(self):
         model = LpModel(box_lp())

@@ -99,7 +99,7 @@ class TestWasserstein:
         for r in (1.0, 2.0):
             assert math.copysign(1.0, wasserstein_discrete(p, p, g, r)) == 1.0
 
-    def test_equal_laws_need_no_component_shifts(self, caplog):
+    def test_equal_laws_take_one_round_in_label_order(self, caplog):
         # between equal laws the label-order staircase is the diagonal, whose
         # zero-mass links join adjacent atoms: its tree potentials are
         # Kantorovich potentials, which cover every cell in one round
@@ -110,7 +110,6 @@ class TestWasserstein:
             line = caplog.records[-1].getMessage()
             assert w == 0.0
             assert line.startswith("MspSolution: 1 round(s), staircase in label order,")
-            assert "component shifts in 0 round(s)," in line
 
     def test_line_transport_takes_one_round_in_label_order(self, caplog):
         # two Dirichlet laws on 400 line atoms took 22-29 rounds in mean-loss
@@ -145,7 +144,6 @@ class TestWasserstein:
                 w = wasserstein_discrete(p, q, ground_from_labels(mu), r)
             line = caplog.records[-1].getMessage()
             assert line.startswith("MspSolution: 1 round(s), staircase in label order,")
-            assert "component shifts in 0 round(s)," in line
             exact = quantile_coupling_wr(x, p.weights, q.weights, r)
             assert w ** r == pytest.approx(exact, rel=1e-12, abs=0.0)
 
