@@ -28,7 +28,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from .core import (
-    AlphaOutOfRange,
     DimensionMismatch,
     DirectionNotTangent,
     LossMatrix,
@@ -36,6 +35,7 @@ from .core import (
     ProbabilityVector,
     SpectralGrid,
     TooFewSamples,
+    _require_alpha,
     check_instance,
 )
 from .bounds import build_msp_lp, solve_mes
@@ -63,8 +63,7 @@ class CltExperiment:
 
     def __post_init__(self) -> None:
         check_instance(self.mu, self.nu, self.loss)
-        if not (0.0 < self.alpha < 1.0):
-            raise AlphaOutOfRange(f"alpha must lie in (0,1), got {self.alpha}")
+        _require_alpha(self.alpha)
         if self.n_x < 1 or self.n_y < 1:
             raise DimensionMismatch("sample sizes must be positive")
         if self.replications < 1:
@@ -129,8 +128,7 @@ class DualFace:
     def __init__(self, mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMatrix,
                  alpha: float, value: float | None = None):
         check_instance(mu, nu, loss)
-        if not (0.0 < alpha < 1.0):
-            raise AlphaOutOfRange(f"alpha must lie in (0,1), got {alpha}")
+        _require_alpha(alpha)
         self.mu = mu
         self.nu = nu
         self.loss = loss

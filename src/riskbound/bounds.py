@@ -34,8 +34,9 @@ simplex iteration on it.  Every master is priced with the duals HiGHS
 returns for it.  A degenerate master (zero-mass cells in its basis) can
 return duals that leave some inactive cell uncovered; pricing admits that
 cell, and a master over every cell has duals that cover them all, so the
-loop still ends in a certificate.  ``build_msp_lp`` assembles the whole
-program, or its restriction to given cells, for export and checks.
+loop still ends in a certificate.  A program restricted to some cells
+exists only as such an appended master; ``build_msp_lp`` assembles the
+whole program, for the MPS export and the dual face of ``asymptotics``.
 
 Every solve returns a dual certificate (phi, psi, beta) and ends in
 ``verify_duality`` on the original instance; ``brute_force_mes`` provides
@@ -64,7 +65,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from .core import (
-    AlphaOutOfRange,
     CertificateInvalid,
     Coupling,
     DimensionMismatch,
@@ -75,6 +75,7 @@ from .core import (
     ProblemTooLarge,
     SpectralGrid,
     _label_coordinates,
+    _require_alpha,
     check_instance,
 )
 from .lpsolver import (
@@ -213,12 +214,6 @@ def _require_engine(engine: str) -> None:
         raise InvalidParams(f"unknown engine {engine!r}; the only engine is 'highs'")
 
 
-def _require_alpha(alpha: float) -> float:
-    if not (0.0 < alpha < 1.0):
-        raise AlphaOutOfRange(f"alpha must lie in (0,1), got {alpha}")
-    return float(alpha)
-
-
 def build_mes_lp(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMatrix,
                  alpha: float) -> LinearProgram:
     """The lifted MES linear program: :func:`build_msp_lp` on the Dirac grid
@@ -227,37 +222,27 @@ def build_mes_lp(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMatrix,
 
 
 def build_msp_lp(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMatrix,
-                 grid: SpectralGrid, cells=None) -> LinearProgram:
-    """Single-pi, per-level-Theta lift of the spectral objective.
+                 grid: SpectralGrid) -> LinearProgram:
+    """Single-pi, per-level-Theta lift of the spectral objective over every
+    cell of the instance: the program the CLI exports as MPS and whose dual
+    :class:`riskbound.asymptotics.DualFace` holds.
 
-    Variables are pi, then Theta^1 .. Theta^K, each over the same cells;
-    rows are the row and column sums of pi, one Theta-mass row per level,
-    then one density row Theta^k <= (1-u_k)^{-1} pi per level and cell.
-    ``cells = (I, J)`` restricts the program to those cells, in that order;
-    the default is every cell, row-major.  The column generation's first
-    master (:func:`_staircase_master`) holds this program on the staircase
-    cells, assembled by appends instead of these CSR blocks, which stay
-    because they are the faster route to a :class:`LinearProgram`.
+    Variables are pi, then Theta^1 .. Theta^K, each over the cells
+    row-major; rows are the row and column sums of pi, one Theta-mass row
+    per level, then one density row Theta^k <= (1-u_k)^{-1} pi per level and
+    cell.  The solves never build this program: each master holds it on its
+    active cells, grown by appends of :func:`_lifted_columns`.
     """
     check_instance(mu, nu, loss)
     nx, ny = loss.shape
-    if cells is None:
-        ci, cj = np.divmod(np.arange(nx * ny), ny)
-    else:
-        ci, cj = (np.asarray(c, dtype=np.int64) for c in cells)
-        if ci.shape != cj.shape or ci.ndim != 1:
-            raise DimensionMismatch("cells must be two index arrays of one length")
-        if ci.size and (ci.min() < 0 or ci.max() >= nx or cj.min() < 0 or cj.max() >= ny):
-            raise DimensionMismatch("cells index outside the loss matrix")
-    n = ci.size
+    n = nx * ny
     K = grid.n_levels
     nvar = (K + 1) * n
-    # CSR straight from (data, indices, indptr): row i lists the cells of row
-    # i in order, row nx + j those of column j, row nx + ny + k Theta^k
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(ci, minlength=nx)),
-                             n + np.cumsum(np.bincount(cj, minlength=ny)),
+    # CSR straight from (data, indices, indptr): row i holds cells i*ny ..
+    # i*ny + ny - 1, row nx + j every ny-th cell from j, row nx + ny + k Theta^k
+    indptr = np.concatenate([ny * np.arange(nx + 1), n + nx * np.arange(1, ny + 1),
                              2 * n + n * np.arange(1, K + 1)])
-    indices = np.concatenate([np.argsort(ci, kind="stable"), np.argsort(cj, kind="stable"),
+    indices = np.concatenate([np.arange(n), np.arange(n).reshape(nx, ny).T.ravel(),
                               n + np.arange(K * n)])
     a_eq = sp.csr_matrix((np.ones((K + 2) * n), indices, indptr), shape=(nx + ny + K, nvar))
     b_eq = np.concatenate([mu.weights, nu.weights, np.ones(K)])
@@ -268,9 +253,8 @@ def build_msp_lp(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMatrix,
     ub_v = np.ones(2 * K * n)
     ub_v[0::2] = -np.repeat(1.0 / (1.0 - grid.levels), n)
     a_ub = sp.csr_matrix((ub_v, ub_c, 2 * np.arange(K * n + 1)), shape=(K * n, nvar))
-    obj = _lifted_cost(loss.values[ci, cj], grid)
-    return LinearProgram(sense="max", c=obj, a_ub=a_ub, b_ub=np.zeros(K * n),
-                         a_eq=a_eq, b_eq=b_eq)
+    return LinearProgram(sense="max", c=_lifted_cost(loss.values.ravel(), grid), a_ub=a_ub,
+                         b_ub=np.zeros(K * n), a_eq=a_eq, b_eq=b_eq)
 
 
 def _lifted_cost(lvec: np.ndarray, grid: SpectralGrid) -> np.ndarray:
@@ -283,8 +267,8 @@ def _lifted_columns(ci: np.ndarray, cj: np.ndarray, loss: LossMatrix, grid: Spec
     """The lifted program's columns over new cells, as :meth:`LpModel.append`
     takes them: pi, then Theta^1 .. Theta^K, each over the cells in order,
     with the cells' density rows numbered level-major from ``first_row``.
-    The layout is :func:`build_msp_lp`'s, so a master grown by appends is
-    that program with its columns and density rows permuted."""
+    The layout is :func:`build_msp_lp`'s, so a master grown by appends over
+    every cell is that program with its columns and density rows permuted."""
     nx, ny = loss.shape
     a = ci.size
     K = grid.n_levels
@@ -361,7 +345,7 @@ def _label_order(mu: ProbabilityVector, nu: ProbabilityVector, keep_i: np.ndarra
 
 
 def _staircase_basis(mass: np.ndarray, lvec: np.ndarray, grid: SpectralGrid, mm: int, nn: int):
-    """The optimal basis of the staircase master, ``build_msp_lp`` on the
+    """The optimal basis of the staircase master, the lifted program on the
     staircase cells of masses ``mass`` and losses ``lvec``, as HiGHS status
     codes per column and per row; None when the staircase misses a row or a
     column (it has fewer than m + n - 1 cells).
@@ -398,7 +382,8 @@ def _staircase_master(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMa
     """The first master: an empty model on the marginal and Theta-mass rows,
     to which the staircase cells ``(ci, cj)`` are appended as every later
     round's cells are, with :func:`_staircase_basis` as its starting basis.
-    It holds :func:`build_msp_lp` on those cells, buffer for buffer."""
+    It holds the lifted program on those cells in :func:`build_msp_lp`'s
+    layout."""
     mm, nn = loss.shape
     master = LpModel.empty("max", np.concatenate([mu.weights, nu.weights,
                                                   np.ones(grid.n_levels)]),
@@ -946,9 +931,12 @@ def msp_solution_to_dict(sol: MspSolution) -> dict:
 
 
 def msp_solution_from_dict(d: dict) -> MspSolution:
-    grid = SpectralGrid(z0=float(d["grid"]["z0"]),
-                        levels=np.asarray(d["grid"]["levels"], dtype=float),
-                        weights=np.asarray(d["grid"]["weights"], dtype=float))
+    levels = _decode_array(d["grid"]["levels"], "grid.levels")
+    if levels.ndim != 1:
+        raise DimensionMismatch(f"grid.levels must be a list, got {d['grid']['levels']!r}")
+    grid = SpectralGrid(z0=_decode_scalar(d["grid"]["z0"], "grid.z0"), levels=levels,
+                        weights=_decode_array(d["grid"]["weights"], "grid.weights",
+                                              levels.shape))
     coupling = Coupling(_decode_array(d["coupling"], "coupling"))
     beta0 = d["certificate"].get("beta0")
     if beta0 is None and grid.z0 > 0.0:

@@ -172,6 +172,16 @@ def validate_marginal(weights: Sequence[float], labels: Sequence | None = None) 
     return ProbabilityVector(np.asarray(weights, dtype=float), labels=tuple(labels) if labels is not None else None)
 
 
+def _require_alpha(alpha: float, allow_zero: bool = False) -> float:
+    """``alpha`` as a float when it lies in (0,1), or in [0,1) with
+    ``allow_zero``; ``AlphaOutOfRange`` otherwise (NaN included)."""
+    lo_ok = alpha >= 0.0 if allow_zero else alpha > 0.0
+    if not (lo_ok and alpha < 1.0):
+        interval = "[0,1)" if allow_zero else "(0,1)"
+        raise AlphaOutOfRange(f"alpha must lie in {interval}, got {alpha}")
+    return float(alpha)
+
+
 def _label_coordinates(labels: Sequence | None) -> np.ndarray | None:
     """The labels as support coordinates on the line when every one is an
     int or a float; None when there are no labels or one is not a number."""
@@ -442,13 +452,13 @@ def _gamma_tilde_quantile(sf: SpectralFunction, mass: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class SpectralGrid:
     """Finite decomposition of Gamma: atom ``z0`` at u = 0 plus weighted
-    levels in (0,1).  ``gamma_weights`` are the matching gamma-masses
-    g_k = w_k / (1 - u_k), so g_k (1 - u_k) = w_k holds by construction."""
+    levels in (0,1).  ``gamma_weights``, derived and never passed, are the
+    matching gamma-masses g_k = w_k / (1 - u_k)."""
 
     z0: float
     levels: np.ndarray
     weights: np.ndarray
-    gamma_weights: np.ndarray = field(default=None)  # type: ignore[assignment]
+    gamma_weights: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         u = np.asarray(self.levels, dtype=float)
@@ -464,19 +474,10 @@ class SpectralGrid:
         total = float(self.z0 + w.sum())
         if abs(total - 1.0) > GRID_MASS_TOL:
             raise InvalidSpectrum(f"grid mass {total} deviates from 1 beyond {GRID_MASS_TOL}")
-        g = self.gamma_weights
-        if g is None:
-            g = w / (1.0 - u)
-        else:
-            g = np.asarray(g, dtype=float)
-            if g.shape != w.shape:
-                raise DimensionMismatch("gamma_weights shape mismatch")
-            if u.size and np.max(np.abs(g * (1.0 - u) - w)) > 0.0:
-                raise InvalidSpectrum("gamma_weights inconsistent with weights/levels")
         object.__setattr__(self, "z0", float(self.z0))
         object.__setattr__(self, "levels", _freeze(u))
         object.__setattr__(self, "weights", _freeze(w))
-        object.__setattr__(self, "gamma_weights", _freeze(g))
+        object.__setattr__(self, "gamma_weights", _freeze(w / (1.0 - u)))
 
     @property
     def n_levels(self) -> int:
@@ -488,9 +489,7 @@ class SpectralGrid:
 
         Every solve builds one, so the fields are set directly: with alpha in
         (0,1) the checks of ``__post_init__`` hold by construction."""
-        if not (0.0 < alpha < 1.0):
-            raise AlphaOutOfRange(f"alpha must lie in (0,1), got {alpha}")
-        u = np.array([float(alpha)])
+        u = np.array([_require_alpha(alpha)])
         w = np.ones(1)
         grid = object.__new__(cls)
         object.__setattr__(grid, "z0", 0.0)
@@ -611,9 +610,9 @@ def instance_to_dict(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMat
     }
     if sigma is not None:
         out["sigma"] = sigma_to_dict(sigma)
-    if mu.labels is not None and all(isinstance(v, (int, float)) for v in mu.labels):
+    if _label_coordinates(mu.labels) is not None:
         out["x_support"] = list(mu.labels)
-    if nu.labels is not None and all(isinstance(v, (int, float)) for v in nu.labels):
+    if _label_coordinates(nu.labels) is not None:
         out["y_support"] = list(nu.labels)
     return out
 

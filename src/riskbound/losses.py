@@ -139,12 +139,7 @@ def build_ccr_instance(params: CcrParams, n: int, seed: int
     y1 = params.mu1 + params.sigma1 * z[:, 0]
     y2 = (params.mu2 + params.sigma2
           * (params.r * z[:, 0] + math.sqrt(1.0 - params.r ** 2) * z[:, 1]))
-    t1 = normal_cdf((normal_inv_cdf(params.pd1) - math.sqrt(params.rho1) * x)
-                    / math.sqrt(1.0 - params.rho1))
-    t2 = normal_cdf((normal_inv_cdf(params.pd2) - math.sqrt(params.rho2) * x)
-                    / math.sqrt(1.0 - params.rho2))
-    loss = LossMatrix(np.maximum(y1, 0.0)[None, :] * t1[:, None]
-                      + np.maximum(y2, 0.0)[None, :] * t2[:, None])
+    loss = LossMatrix(vasicek_ccr_loss(x[:, None], y1[None, :], y2[None, :], params))
     mu = validate_marginal(np.full(n, 1.0 / n), labels=x.tolist())
     nu = validate_marginal(np.full(n, 1.0 / n),
                            labels=[(float(a), float(b)) for a, b in zip(y1, y2)])

@@ -16,13 +16,15 @@ programs differing only slightly keeps one model and edits it in place
 between solves: :meth:`LpModel.append` adds columns and ``<=`` rows, and
 :meth:`LpModel.set_cost` replaces the objective.  HiGHS then re-solves from
 the basis it already holds, with the primal simplex and without presolve.
-A model built with a starting basis (``LpModel(lp, basis=...)``) gets it
-right after the model and starts its first solve from it the same way.
 :meth:`LpModel.empty` starts a model on its equality rows alone, for a
-caller that builds every column by appends.  The column generation of
-:mod:`riskbound.bounds` builds each master that way, from the staircase
-cells and their basis, and grows it between solves; its MES oracle
-changes only the cost of one transport model.
+caller that builds every column by appends, optionally with a starting
+basis that HiGHS gets right after the model and starts its first solve
+from the same way.  The column generation of :mod:`riskbound.bounds`
+starts each master so, from the staircase cells and their basis, and grows
+it between solves; its MES oracle appends every cell of one transport model
+at once and then changes only its cost.  The constructor's conversion of a
+:class:`LinearProgram` serves the whole programs handed to :func:`solve_lp`
+and the dual face of :mod:`riskbound.asymptotics`.
 
 The binding is private scipy API; ``scipy.optimize._highspy`` ships with
 scipy 1.15 and later, the floor ``pyproject.toml`` sets, and it is the only
@@ -215,15 +217,9 @@ class LpModel:
     against exactly that program, and appending columns only concatenates
     buffers.  The HiGHS model itself is passed at the first solve; after it,
     every edit goes to both, and HiGHS re-solves from the basis it holds.
-
-    ``basis``, when given, is a starting basis for the first solve: one
-    ``HighsBasisStatus`` code per column and per row, rows in the model's
-    order.  It is handed to HiGHS right after the model, and
-    :attr:`seeded` records whether HiGHS took it; a refused basis leaves the
-    model to solve cold.
     """
 
-    def __init__(self, lp: LinearProgram, basis: tuple | None = None) -> None:
+    def __init__(self, lp: LinearProgram) -> None:
         self.sense = lp.sense
         self.c, self.lb, self.ub = lp.c, lp.lb, lp.ub
         self.b_eq = lp.b_eq if lp.a_eq is not None else np.zeros(0)
@@ -239,15 +235,19 @@ class LpModel:
         self._index = rows[order]
         self._value = _stack([a.data for a in blocks])[order]
         self._highs = None
-        self._basis = basis
+        self._basis = None
         self.seeded = False
 
     @classmethod
     def empty(cls, sense: str, b_eq, basis: tuple | None = None) -> "LpModel":
         """A model of the equality rows ``x = b_eq`` over no columns yet:
         the columns, and any ``<=`` rows, arrive by :meth:`append`.
-        ``basis`` is as for the constructor, over the columns and rows the
-        model holds at its first solve."""
+
+        ``basis``, when given, is a starting basis for the first solve: one
+        ``HighsBasisStatus`` code per column and per row the model holds by
+        then, rows in the model's order.  It is handed to HiGHS right after
+        the model, and :attr:`seeded` records whether HiGHS took it; a
+        refused basis leaves the model to solve cold."""
         if sense not in ("max", "min"):
             raise DimensionMismatch(f"sense must be 'max' or 'min', got {sense!r}")
         model = cls.__new__(cls)
@@ -486,41 +486,35 @@ class _Transport:
     """Extremal transport over Pi(mu, nu) as one model that only the cost
     changes between solves.
 
-    Zero-mass atoms are dropped before assembly: the program has one
-    variable per cell between kept atoms, row-major, and one equality row
-    per kept row of the plan, then per kept column.  :meth:`solve`
-    re-inserts the dropped atoms as zero rows/columns of the plan.
+    Zero-mass atoms are dropped before assembly: the model starts empty on
+    one equality row per kept row of the plan, then per kept column, and
+    receives in one append a variable per cell between kept atoms,
+    row-major, with its two entries.  :meth:`solve` re-inserts the dropped
+    atoms as zero rows/columns of the plan.
     """
 
     def __init__(self, mu: ProbabilityVector, nu: ProbabilityVector, sense: str) -> None:
-        self.sense = sense
         self.shape = (mu.size, nu.size)
         self.keep_i = np.nonzero(mu.weights > 0.0)[0]
         self.keep_j = np.nonzero(nu.weights > 0.0)[0]
-        self.b_eq = np.concatenate([mu.weights[self.keep_i], nu.weights[self.keep_j]])
-        self.model: LpModel | None = None
+        mm, nn = self.keep_i.size, self.keep_j.size
+        self.model = LpModel.empty(sense, np.concatenate([mu.weights[self.keep_i],
+                                                          nu.weights[self.keep_j]]))
+        # cell (i, j) enters rows i and mm + j
+        ci, cj = np.divmod(np.arange(mm * nn), nn)
+        self.model.append(np.zeros(mm * nn), 2 * np.arange(mm * nn),
+                          np.column_stack([ci, mm + cj]).ravel(), np.ones(2 * mm * nn),
+                          np.zeros(0))
 
     def solve(self, cost: np.ndarray) -> tuple[LpSolution, np.ndarray]:
         """Certified solution and the full plan for the cost matrix ``cost``."""
-        mm, nn = self.keep_i.size, self.keep_j.size
-        c = cost[np.ix_(self.keep_i, self.keep_j)].ravel()
-        if self.model is None:
-            ncell = mm * nn
-            # row i holds cells i*nn .. i*nn + nn - 1; row mm + j every nn-th cell from j
-            a_eq = sp.csr_matrix(
-                (np.ones(2 * ncell),
-                 np.concatenate([np.arange(ncell), np.arange(ncell).reshape(mm, nn).T.ravel()]),
-                 np.concatenate([np.arange(mm) * nn, ncell + np.arange(nn + 1) * mm])),
-                shape=(mm + nn, ncell))
-            self.model = LpModel(LinearProgram(sense=self.sense, c=c, a_eq=a_eq,
-                                               b_eq=self.b_eq))
-        else:
-            self.model.set_cost(c)
+        self.model.set_cost(cost[np.ix_(self.keep_i, self.keep_j)].ravel())
         sol = solve_lp(self.model)
         if sol.status != "optimal":
             raise NumericalFailure(f"transport solve returned {sol.status}")
         plan = np.zeros(self.shape)
-        plan[np.ix_(self.keep_i, self.keep_j)] = sol.x.reshape(mm, nn)
+        plan[np.ix_(self.keep_i, self.keep_j)] = sol.x.reshape(self.keep_i.size,
+                                                               self.keep_j.size)
         return sol, plan
 
 

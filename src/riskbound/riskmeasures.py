@@ -22,12 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    AlphaOutOfRange,
     Coupling,
     DimensionMismatch,
     LossMatrix,
     ProbabilityVector,
     SpectralGrid,
+    _require_alpha,
     validate_marginal,
 )
 
@@ -75,14 +75,6 @@ def law_from_coupling(loss: LossMatrix, pi: Coupling) -> DiscreteLaw:
 def uniform_law(losses) -> DiscreteLaw:
     x = np.asarray(losses, dtype=float)
     return DiscreteLaw(x, validate_marginal(np.full(x.size, 1.0 / x.size)))
-
-
-def _require_alpha(alpha: float, allow_zero: bool = False) -> float:
-    lo_ok = alpha >= 0.0 if allow_zero else alpha > 0.0
-    if not (lo_ok and alpha < 1.0):
-        interval = "[0,1)" if allow_zero else "(0,1)"
-        raise AlphaOutOfRange(f"alpha must lie in {interval}, got {alpha}")
-    return float(alpha)
 
 
 def var(law: DiscreteLaw, alpha: float) -> float:

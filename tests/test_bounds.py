@@ -42,7 +42,7 @@ from riskbound.bounds import (
 )
 from riskbound.losses import DEFAULT_CCR_PARAMS, build_ccr_instance, build_gaussian_linear_instance
 from riskbound.riskmeasures import DiscreteLaw, es_tail_average, law_from_coupling, var
-from riskbound.lpsolver import LpModel, _Transport, solve_lp
+from riskbound.lpsolver import LinearProgram, LpModel, _Transport, solve_lp
 
 # the mixed grid of acceptance criterion C2: a u = 0 atom plus two levels
 C2_GRID = SpectralGrid(z0=0.4, levels=np.array([0.3, 0.7]), weights=np.array([0.3, 0.3]))
@@ -114,7 +114,10 @@ def whole_lp_value(lp):
 
 
 def coo_msp_lp(mu, nu, loss, grid, cells=None):
-    """build_msp_lp's blocks as assembled through COO-to-CSR conversion."""
+    """The lifted program over ``cells = (I, J)`` (every cell, row-major, by
+    default), in build_msp_lp's layout, assembled through COO-to-CSR
+    conversion: the tests' reference for the whole program and for the
+    restricted ones the masters hold."""
     nx, ny = loss.shape
     ci, cj = np.divmod(np.arange(nx * ny), ny) if cells is None else (np.asarray(c) for c in cells)
     n, K = ci.size, grid.n_levels
@@ -130,7 +133,8 @@ def coo_msp_lp(mu, nu, loss, grid, cells=None):
     a_ub = sp.csr_matrix((ub_v, (np.repeat(np.arange(K * n), 2), ub_c)), shape=(K * n, nvar))
     lvec = loss.values[ci, cj]
     c = np.concatenate([grid.z0 * lvec] + [w * lvec for w in grid.weights])
-    return c, a_eq, a_ub
+    return LinearProgram(sense="max", c=c, a_ub=a_ub, b_ub=np.zeros(K * n), a_eq=a_eq,
+                         b_eq=np.concatenate([mu.weights, nu.weights, np.ones(K)]))
 
 
 class TestBuildMesLp:
@@ -314,41 +318,26 @@ class TestColumnGeneration:
         assert rounds == [1] * 30
 
     @pytest.mark.parametrize("grid", ["dirac", "c2", "power-sqrt-16", "flat"])
-    @pytest.mark.parametrize("restricted", [False, True])
-    def test_csr_blocks_equal_the_coo_reference(self, grid, restricted):
+    def test_csr_blocks_equal_the_coo_reference(self, grid):
         rng = np.random.default_rng(9)
         grid = {"dirac": SpectralGrid.dirac(0.8), "c2": C2_GRID, "flat": FLAT_GRID,
                 "power-sqrt-16": discretize_spectrum(SpectralFunction.power_sqrt(), 16)}[grid]
         for _ in range(10):
             mu, nu, loss = degenerate_instance(rng)
-            cells = None
-            if restricted:
-                flat = rng.choice(loss.values.size, size=int(rng.integers(0, loss.values.size + 1)),
-                                  replace=False)
-                cells = np.divmod(flat, loss.shape[1])
-            lp = build_msp_lp(mu, nu, loss, grid, cells=cells)
-            c, a_eq, a_ub = coo_msp_lp(mu, nu, loss, grid, cells)
-            assert np.array_equal(lp.c, c)
-            for got, ref in ((lp.a_eq, a_eq), (lp.a_ub, a_ub)):
-                assert type(got) is sp.csr_matrix and got.shape == ref.shape
+            lp = build_msp_lp(mu, nu, loss, grid)
+            ref = coo_msp_lp(mu, nu, loss, grid)
+            for name in ("c", "b_eq", "b_ub"):
+                assert np.array_equal(getattr(lp, name), getattr(ref, name)), name
+            for got, want in ((lp.a_eq, ref.a_eq), (lp.a_ub, ref.a_ub)):
+                assert type(got) is sp.csr_matrix and got.shape == want.shape
                 for name in ("data", "indices", "indptr"):
-                    assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+                    assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
     def test_linear_program_keeps_the_csr_blocks_it_is_given(self):
         mu, nu, loss = two_by_two_sum()
         lp = build_msp_lp(mu, nu, loss, C2_GRID)
         again = dataclasses.replace(lp)
         assert again.a_eq is lp.a_eq and again.a_ub is lp.a_ub
-
-    def test_restricted_program_keeps_rows_and_orders_cells(self):
-        mu, nu, loss = two_by_two_sum()
-        full = build_msp_lp(mu, nu, loss, C2_GRID)
-        part = build_msp_lp(mu, nu, loss, C2_GRID, cells=([1, 0], [1, 0]))
-        assert part.a_eq.shape == (full.a_eq.shape[0], 3 * 2)
-        assert part.a_ub.shape == (2 * 2, 3 * 2)
-        assert np.array_equal(part.c[:2], 0.4 * np.array([2.0, 0.0]))
-        with pytest.raises(DimensionMismatch):
-            build_msp_lp(mu, nu, loss, C2_GRID, cells=([2], [0]))
 
     def test_solution_dicts_carry_and_default_the_solve_record(self):
         mu, nu, loss = two_by_two_sum()
@@ -432,11 +421,10 @@ class TestStaircaseBasis:
         grid = {"mes": SpectralGrid.dirac(alpha), "c2": C2_GRID, "flat": FLAT_GRID}[grid]
         mu, nu, loss = kept(*degenerate_instance(np.random.default_rng(seed)))
         ci, cj, mass = bounds._staircase(mu, nu, loss)
-        lp = build_msp_lp(mu, nu, loss, grid, cells=(ci, cj))
         basis = bounds._staircase_basis(mass, loss.values[ci, cj], grid, *loss.shape)
-        model = LpModel(lp, basis=basis)
+        model = bounds._staircase_master(mu, nu, loss, grid, ci, cj, mass)
         seeded = solve_lp(model)
-        cold = solve_lp(lp)
+        cold = solve_lp(coo_msp_lp(mu, nu, loss, grid, (ci, cj)))
         assert seeded.objective == pytest.approx(cold.objective, rel=1e-12, abs=1e-12)
         spans = ci.size == mu.size + nu.size - 1
         assert (basis is not None) == spans == model.seeded
@@ -447,8 +435,8 @@ class TestStaircaseBasis:
 
     @pytest.mark.parametrize("case", ["desk", "ccr40_k16", "flat"])
     def test_first_master_is_the_restricted_program_buffer_for_buffer(self, case):
-        # the appended staircase is build_msp_lp on its cells, so HiGHS sees
-        # the same model
+        # the appended staircase is the lifted program on its cells, so HiGHS
+        # sees the same model as from the COO-built program
         rng = np.random.default_rng(17)
         if case == "desk":
             cases = []
@@ -463,7 +451,7 @@ class TestStaircaseBasis:
         for mu, nu, loss, grid in cases:
             ci, cj, mass = bounds._staircase(mu, nu, loss)
             master = bounds._staircase_master(mu, nu, loss, grid, ci, cj, mass)
-            whole = LpModel(build_msp_lp(mu, nu, loss, grid, cells=(ci, cj)))
+            whole = LpModel(coo_msp_lp(mu, nu, loss, grid, (ci, cj)))
             for name in ("c", "lb", "ub", "b_eq", "b_ub", "_start", "_index", "_value"):
                 got, want = getattr(master, name), getattr(whole, name)
                 assert got.dtype == want.dtype and np.array_equal(got, want), name
@@ -497,8 +485,7 @@ class TestStaircaseBasis:
         assert values[0] == pytest.approx(whole_lp_value(build_mes_lp(mu, nu, loss, 0.7)),
                                           abs=1e-9)
 
-    @pytest.mark.parametrize("route", ["refused"])
-    def test_fallbacks_solve_cold_to_the_same_values(self, route, caplog, monkeypatch):
+    def test_refused_basis_solves_cold_to_the_same_values(self, caplog, monkeypatch):
         rng = np.random.default_rng(33)
         cases = [random_instance(rng, max_side=6), degenerate_instance(rng, max_side=6)]
         seeded = [solve_three_grids(*case, caplog) for case in cases]
@@ -846,7 +833,7 @@ class TestSolutionJson:
     @pytest.mark.parametrize("kind, field, bad", [
         pytest.param(kind, field, bad, id=f"{name}-{kind}-{field}")
         for kind, fields in (("mes", ("certificate.beta", "value", "gap", "alpha")),
-                             ("msp", ("certificate.beta0", "value", "gap", "betas")))
+                             ("msp", ("certificate.beta0", "value", "gap", "betas", "grid.z0")))
         for field in fields + ("rounds", "active_cells", "iterations")
         for name, bad in (("null", None), ("string", "0.5"), ("list", [0.5]))
     ] + [
@@ -854,7 +841,15 @@ class TestSolutionJson:
         pytest.param(kind, field, bad, id=f"{name}-{kind}-{field}")
         for kind in ("mes", "msp") for field in ("rounds", "active_cells", "iterations")
         for name, bad in (("fraction", 2.7), ("negative", -4), ("bool", True))
-    ] + [pytest.param("msp", "betas", ["high", "low"], id="words-msp-betas")])
+    ] + [pytest.param("msp", field, ["high", "low"], id=f"words-msp-{field}")
+         for field in ("betas", "grid.levels", "grid.weights")
+    ] + [
+        # grid arrays must be lists, the weights as long as the levels
+        pytest.param("msp", field, bad, id=f"{name}-msp-{field}")
+        for field in ("grid.levels", "grid.weights")
+        for name, bad in (("null", None), ("string", "0.5"))
+    ] + [pytest.param("msp", "grid.weights", [0.5], id="list-msp-grid.weights"),
+         pytest.param("msp", "grid.z0", "x", id="word-msp-grid.z0")])
     def test_scalar_field_that_is_no_number_names_the_field(self, kind, field, bad):
         (_, d, reader), = [case for case in two_by_two_dicts() if case[0] == kind]
         *parent, key = field.split(".")

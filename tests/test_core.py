@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -222,6 +223,30 @@ class TestDiracGrid:
     def test_alpha_out_of_range(self, alpha):
         with pytest.raises(AlphaOutOfRange):
             SpectralGrid.dirac(alpha)
+
+    def test_gamma_weights_are_derived_not_passed(self):
+        with pytest.raises(TypeError):
+            SpectralGrid(0.0, [0.5], [1.0], gamma_weights=np.array([2.0]))
+        assert SpectralGrid(0.0, [0.5], [1.0]).gamma_weights.tolist() == [2.0]
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, float("nan")])
+def test_every_alpha_entry_point_words_the_range_alike(alpha):
+    from riskbound.asymptotics import CltExperiment, DualFace
+    from riskbound.bounds import brute_force_mes, build_mes_lp, solve_mes
+    from riskbound.riskmeasures import uniform_law, var
+
+    mu = validate_marginal([0.5, 0.5])
+    loss = LossMatrix(np.array([[0.0, 1.0], [1.0, 2.0]]))
+    calls = [lambda: SpectralGrid.dirac(alpha), lambda: var(uniform_law([1.0, 2.0]), alpha),
+             lambda: build_mes_lp(mu, mu, loss, alpha), lambda: solve_mes(mu, mu, loss, alpha),
+             lambda: brute_force_mes(mu, mu, loss, alpha),
+             lambda: CltExperiment(mu, mu, loss, alpha, n_x=2, n_y=2, replications=1, seed=0),
+             lambda: DualFace(mu, mu, loss, alpha, value=0.0)]
+    message = re.escape(f"alpha must lie in (0,1), got {alpha}")
+    for call in calls:
+        with pytest.raises(AlphaOutOfRange, match=message):
+            call()
 
 
 class TestGridNorms:

@@ -130,6 +130,20 @@ class TestCcrInstance:
         assert loss.shape == (500, 500)
         assert np.all(loss.values >= 0.0)
 
+    @pytest.mark.parametrize("n", [40, 100])
+    def test_loss_is_the_broadcast_vasicek_formula(self, n):
+        # the lifted-large CCR 40 and CCR 100 instances (C8 solves the
+        # latter): factor terms down the rows, exposures along the columns
+        p = DEFAULT_CCR_PARAMS
+        mu, nu, loss = build_ccr_instance(p, n, 31)
+        x = np.array(mu.labels)
+        y1, y2 = np.array(nu.labels).T
+        t1 = normal_cdf((normal_inv_cdf(p.pd1) - np.sqrt(p.rho1) * x) / np.sqrt(1.0 - p.rho1))
+        t2 = normal_cdf((normal_inv_cdf(p.pd2) - np.sqrt(p.rho2) * x) / np.sqrt(1.0 - p.rho2))
+        want = (np.maximum(y1, 0.0)[None, :] * t1[:, None]
+                + np.maximum(y2, 0.0)[None, :] * t2[:, None])
+        assert np.array_equal(loss.values, want)
+
     def test_degenerate_exposures(self):
         p = CcrParams(pd1=0.02, pd2=0.02, rho1=0.2, rho2=0.2, r=0.0,
                       mu1=100.0, mu2=-100.0, sigma1=1e-12, sigma2=1e-12)

@@ -27,7 +27,7 @@ from riskbound.lpsolver import (
     transport_polytope_vertices,
     write_mps,
 )
-from test_bounds import C2_GRID, degenerate_instance, random_instance
+from test_bounds import C2_GRID, coo_msp_lp, degenerate_instance, random_instance
 
 
 def box_lp():
@@ -36,9 +36,6 @@ def box_lp():
         "max", [1.0, 1.0],
         rows=[([0], [1.0], "<=", 1.0), ([1], [1.0], "<=", 1.0)],
     )
-
-
-ROUTES = ("highs",)          # the HiGHS binding, the one route to the engine
 
 
 def reference_solve(lp):
@@ -58,24 +55,21 @@ def reference_solve(lp):
 
 
 class TestSolveLp:
-    @pytest.mark.parametrize("route", ROUTES)
-    def test_textbook_corner(self, route):
+    def test_textbook_corner(self):
         sol = solve_lp(box_lp())
         assert sol.status == "optimal"
         assert sol.objective == pytest.approx(2.0, abs=1e-9)
         assert np.allclose(sol.x, [1.0, 1.0], atol=1e-9)
         assert sol.residuals["gap"] <= 1e-7
 
-    @pytest.mark.parametrize("route", ROUTES)
-    def test_infeasible(self, route):
+    def test_infeasible(self):
         lp = LinearProgram.from_rows(
             "max", [1.0],
             rows=[([0], [1.0], ">=", 1.0), ([0], [1.0], "<=", 0.0)],
         )
         assert solve_lp(lp).status == "infeasible"
 
-    @pytest.mark.parametrize("route", ROUTES)
-    def test_unbounded(self, route):
+    def test_unbounded(self):
         lp = LinearProgram(sense="max", c=np.array([1.0]))
         assert solve_lp(lp).status == "unbounded"
 
@@ -205,7 +199,7 @@ def random_weights(rng, size):
 
 
 def lifted_permutation(sizes, K):
-    """Model column of each :func:`build_msp_lp` column, and model density
+    """Model column of each column of the lifted program, and model density
     row of each of its density rows, for a master built from the first of
     cell batches of the given sizes and grown by appending the others."""
     n = sum(sizes)
@@ -257,14 +251,14 @@ class TestLpModel:
             batches = [first] + [b for b in np.split(rest, cuts)[:2] if b.size]
             for grid in (SpectralGrid.dirac(a), C2_GRID):
                 ci, cj = np.divmod(batches[0], loss.shape[1])
-                model = LpModel(build_msp_lp(mu, nu, loss, grid, cells=(ci, cj)))
+                model = LpModel(coo_msp_lp(mu, nu, loss, grid, (ci, cj)))
                 assert solve_lp(model).status == "optimal"
                 for batch in batches[1:]:
                     bi, bj = np.divmod(batch, loss.shape[1])
                     model.append(*bounds._lifted_columns(bi, bj, loss, grid, model.n_rows))
                     assert solve_lp(model).status == "optimal"
                 cells = np.divmod(np.concatenate(batches), loss.shape[1])
-                whole = build_msp_lp(mu, nu, loss, grid, cells=cells)
+                whole = coo_msp_lp(mu, nu, loss, grid, cells)
                 sol = solve_lp(model)
                 assert sol.iterations == 0      # solved already: the basis is kept
                 assert sol.objective == pytest.approx(solve_lp(whole).objective, abs=1e-9)
@@ -275,6 +269,27 @@ class TestLpModel:
                 assert np.array_equal(held.a_eq.toarray()[:, col], whole.a_eq.toarray())
                 assert np.array_equal(held.a_ub.toarray()[row][:, col], whole.a_ub.toarray())
                 assert np.array_equal(held.b_eq, whole.b_eq)
+
+    @pytest.mark.parametrize("sense", ["max", "min"])
+    def test_transport_model_is_the_coo_built_transport(self, sense):
+        # the zero-mass row 1 and column 0 drop out: 3 x 2 kept cells
+        mu = validate_marginal([0.2, 0.0, 0.5, 0.3])
+        nu = validate_marginal([0.0, 0.6, 0.4])
+        keep_i, keep_j = np.array([0, 2, 3]), np.array([1, 2])
+        cost = np.random.default_rng(5).normal(size=(4, 3))
+        transport = lpsolver._Transport(mu, nu, sense)
+        sol, plan = transport.solve(cost)
+        ci, cj = np.divmod(np.arange(6), 2)
+        a_eq = sp.csr_matrix((np.ones(12), (np.concatenate([ci, 3 + cj]),
+                                            np.tile(np.arange(6), 2))), shape=(5, 6))
+        ref = LpModel(LinearProgram(
+            sense=sense, c=cost[np.ix_(keep_i, keep_j)].ravel(), a_eq=a_eq,
+            b_eq=np.concatenate([mu.weights[keep_i], nu.weights[keep_j]])))
+        for name in ("c", "lb", "ub", "b_eq", "b_ub", "_start", "_index", "_value"):
+            got, want = getattr(transport.model, name), getattr(ref, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+        assert sol.objective == solve_lp(ref).objective
+        assert not plan[1].any() and not plan[:, 0].any()
 
     def test_failed_certification_raises_on_a_live_model(self, monkeypatch):
         rng = np.random.default_rng(8)
