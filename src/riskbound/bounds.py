@@ -25,18 +25,24 @@ whole instance (Schmitzer 2016's shielding uses the same pricing).  The
 staircase sorts rows and columns by mean loss, except for a transport (no
 levels) between labelled laws on a line ground: there it follows the labels,
 and the north-west-corner rule is optimal for the Monge cost (Hoffman 1963).
-Every master is one model that starts empty on the marginal and Theta-mass
-rows and receives its cells by appends, the staircase first.  The first
-master's optimal basis is known in advance: the north-west-corner plan on
-the staircase, and per level the tail density of its law cut at the VaR
-(Rockafellar-Uryasev).  HiGHS gets that basis with the model and takes no
-simplex iteration on it.  Every master is priced with the duals HiGHS
-returns for it.  A degenerate master (zero-mass cells in its basis) can
-return duals that leave some inactive cell uncovered; pricing admits that
-cell, and a master over every cell has duals that cover them all, so the
-loop still ends in a certificate.  A program restricted to some cells
-exists only as such an appended master; ``build_msp_lp`` assembles the
-whole program, for the MPS export and the dual face of ``asymptotics``.
+On a transport, round 1 needs no LP: the north-west-corner plan is a basis
+whose cells form a tree, and its duals follow from one cumulative sum along
+the staircase path (the u-v step of the transportation simplex).  When they
+price no cell as violated, the solve ends with no model at all, as every
+Wasserstein distance between labelled laws on the line does.  Otherwise,
+and on every grid with levels, the masters run.  Every master is one model
+that starts empty on the marginal and Theta-mass rows and receives its cells
+by appends, the staircase first.  The first master's optimal basis is known
+in advance: the north-west-corner plan on the staircase, and per level the
+tail density of its law cut at the VaR (Rockafellar-Uryasev).  HiGHS gets
+that basis with the model and takes no simplex iteration on it.  Every
+master is priced with the duals HiGHS returns for it.  A degenerate master
+(zero-mass cells in its basis) can return duals that leave some inactive
+cell uncovered; pricing admits that cell, and a master over every cell has
+duals that cover them all, so the loop still ends in a certificate.  A
+program restricted to some cells exists only as such an appended master;
+``build_msp_lp`` assembles the whole program, for the MPS export and the
+dual face of ``asymptotics``.
 
 Every solve returns a dual certificate (phi, psi, beta) and ends in
 ``verify_duality`` on the original instance; ``brute_force_mes`` provides
@@ -49,10 +55,10 @@ convex outer function, which steer a bisection over the loss values and then
 cutting planes between two adjacent ones, down to a certified lower bound.
 The inner transport is additionally verified by exhaustive vertex
 enumeration on tiny instances, over bases found once per shape.  The two
-routes share the LP engine and no LP assembly.  Both keep one HiGHS model
-per call and edit it between solves: column generation appends the new
-cells to its master, and the oracle changes only the cost of its transport
-model.
+routes share the LP engine and no LP assembly.  Both keep at most one
+HiGHS model per call and edit it between solves: column generation appends
+the new cells to its master, and the oracle changes only the cost of its
+transport model.
 """
 
 from __future__ import annotations
@@ -287,13 +293,12 @@ def _lifted_columns(ci: np.ndarray, cj: np.ndarray, loss: LossMatrix, grid: Spec
 # ---------------------------------------------------------------------------
 
 
-def _staircase(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMatrix,
-               order: tuple | None = None):
+def _staircase(mu: ProbabilityVector, nu: ProbabilityVector, order: tuple):
     """Cells of the north-west corner plan after putting rows and columns in
     ``order``, a pair of permutations, row-major, and the plan's mass on
-    each: the comonotone coupling of the two orders.  The default order
-    sorts rows and columns by mean loss; :func:`_label_order` gives the
-    order of the support coordinates.  The plan is feasible for any
+    each: the comonotone coupling of the two orders.
+    :func:`_mean_loss_order` sorts rows and columns by mean loss, and
+    :func:`_label_order` by support coordinate.  The plan is feasible for any
     marginals, and optimal for losses supermodular in the order (Tchen 1980;
     for transport, the north-west-corner rule on a Monge cost, Hoffman
     1963).  Where a row and a column run out together the staircase still
@@ -301,9 +306,6 @@ def _staircase(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMatrix,
     and column in m + n - 1 cells and the master's potentials are
     determined.  A weight below the rounding of a cumulative sum can still
     hide its row or column, and the staircase then has fewer cells."""
-    if order is None:
-        order = (np.argsort(loss.values @ nu.weights, kind="stable"),
-                 np.argsort(mu.weights @ loss.values, kind="stable"))
     rows, cols = order
     a = np.cumsum(mu.weights[rows])
     b = np.cumsum(nu.weights[cols])
@@ -317,6 +319,48 @@ def _staircase(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMatrix,
     j = np.concatenate([j, j[:-1][diag]])
     flat, cell = np.unique(rows[i] * b.size + cols[j], return_inverse=True)
     return (*np.divmod(flat, b.size), np.bincount(cell.ravel(), weights=mass, minlength=flat.size))
+
+
+def _mean_loss_order(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMatrix) -> tuple:
+    """Rows and columns sorted by mean loss, as an order for :func:`_staircase`."""
+    return (np.argsort(loss.values @ nu.weights, kind="stable"),
+            np.argsort(mu.weights @ loss.values, kind="stable"))
+
+
+def _tree_potentials(ci: np.ndarray, cj: np.ndarray, order: tuple, cost: np.ndarray):
+    """Potentials with phi_i + psi_j = ``cost`` on every staircase cell
+    ``(ci, cj)`` of :func:`_staircase` in ``order``, and phi = 0 on the
+    first row of the order; None when the staircase has fewer than m + n - 1
+    cells.
+
+    The cells of a spanning staircase form a lattice path through the
+    ordered grid whose every step goes one row down or one column right, so
+    each cell's rank sum is its place on the path.  Along it phi changes
+    only on down-steps and psi only on right-steps, each time by the cost
+    difference of the step: phi is one cumulative sum, and psi the cost
+    minus it.  These are the duals of the staircase master's optimal basis
+    up to a constant: the u-v step of the transportation simplex."""
+    rows, cols = order
+    m, n = rows.size, cols.size
+    if ci.size != m + n - 1:
+        return None
+    rank_i = np.empty(m, dtype=np.int64)
+    rank_i[rows] = np.arange(m)
+    rank_j = np.empty(n, dtype=np.int64)
+    rank_j[cols] = np.arange(n)
+    path = np.argsort(rank_i[ci] + rank_j[cj])
+    pi, pj, c = ci[path], cj[path], cost[path]
+    down = np.diff(rank_i[pi]) == 1
+    step = np.diff(c)
+    step[~down] = 0.0
+    on_row = np.concatenate([[0.0], np.cumsum(step)])   # phi of each path cell's row
+    phi = np.empty(m)
+    psi = np.empty(n)
+    first = np.concatenate([[True], down])      # the path cells that enter a new row
+    phi[pi[first]] = on_row[first]
+    first[1:] = ~down                           # ... and a new column
+    psi[pj[first]] = (c - on_row)[first]
+    return phi, psi
 
 
 def _label_order(mu: ProbabilityVector, nu: ProbabilityVector, keep_i: np.ndarray,
@@ -406,7 +450,7 @@ class _LiftedSolve:
     rounds: int
     active_cells: int
     iterations: int
-    seeded: bool                # HiGHS took the staircase basis for the first master
+    first_round: str            # "tree": certified with no master; else "seeded" or "cold"
     order: str                  # the staircase's order: "label" or "mean-loss"
 
 
@@ -418,23 +462,27 @@ def _solve_lifted(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMatrix
     Zero-mass atoms are dropped; when there are none, the masters work on
     the caller's loss, with no copy.  Without levels, the staircase takes
     :func:`_label_order` when it applies: on a line ground the kept atoms'
-    label order makes it optimal, its zero-mass links join adjacent atoms,
-    and its tree potentials cover every cell, so one round ends the solve,
-    between equal laws too.  Every other staircase, and every grid with
-    levels, sorts by mean loss.  The first master,
-    :func:`_staircase_master`, starts from the optimal basis of
-    :func:`_staircase_basis`, or cold when the staircase misses a row or a
-    column or HiGHS refuses the basis.  Each round solves the restricted
-    master on the active cells, reads phi, psi and beta off its row duals
-    and prices every cell at once by C^beta_ij - phi_i - psi_j.  The
-    most-violated inactive cell of each row and of each column joins the
-    active set, as new columns and density rows of the one master model,
-    which the next round re-solves from its last basis.  Every round adds a
-    cell, so the loop ends, at the latest on the whole kept instance; it
-    stops when no cell is violated by more than ``_CERT_FEAS_TOL``, so the
-    master's dual covers the whole kept instance.  Dropped atoms get the
-    smallest potentials that cover their cells.  Potentials are normalized
-    to phi[0] = 0.
+    label order makes it optimal, and its zero-mass links join adjacent
+    atoms.  Every other staircase, and every grid with levels, sorts by
+    mean loss.
+
+    Without levels, round 1 needs no master: its plan is the staircase's
+    north-west-corner masses, and :func:`_tree_potentials` gives the duals
+    of that basis.  When they price no cell as violated, the staircase is
+    optimal and the solve ends there, with no LP model, as it does on every
+    line-ground transport, between equal laws too.  Otherwise, and on every
+    grid with levels, the first master, :func:`_staircase_master`, starts
+    from the optimal basis of :func:`_staircase_basis`, or cold when the
+    staircase misses a row or a column or HiGHS refuses the basis.  Each
+    round solves the restricted master on the active cells, reads phi, psi
+    and beta off its row duals and prices every cell with
+    :func:`_entering_cells`.  Those cells join the active set, as new
+    columns and density rows of the one master model, which the next round
+    re-solves from its last basis.  Every round adds a cell, so the loop
+    ends, at the latest on the whole kept instance; it stops when no cell is
+    violated by more than ``_CERT_FEAS_TOL``, so the master's dual covers
+    the whole kept instance.  Both exits spread the result to the whole
+    instance by :func:`_whole_instance`.
     """
     nx, ny = loss.shape
     K = grid.n_levels
@@ -451,10 +499,21 @@ def _solve_lifted(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMatrix
     # the u = 0 atom is covered exactly by any beta0 below the whole loss range
     beta0 = float(loss.values.min() - 1.0)
     gammas = np.concatenate([[grid.z0], grid.gamma_weights])
-    order = _label_order(mu, nu, keep_i, keep_j, loss_r) if K == 0 else None
-    ci, cj, mass = _staircase(mu_r, nu_r, loss_r, order)
+    label = _label_order(mu, nu, keep_i, keep_j, loss_r) if K == 0 else None
+    order = _mean_loss_order(mu_r, nu_r, loss_r) if label is None else label
+    ci, cj, mass = _staircase(mu_r, nu_r, order)
     active = np.zeros((mm, nn), dtype=bool)
     active[ci, cj] = True
+    whole = {"mu": mu, "nu": nu, "loss": loss, "keep_i": keep_i, "keep_j": keep_j,
+             "gammas": gammas, "order": "mean-loss" if label is None else "label"}
+    if K == 0:
+        betas = np.array([beta0])
+        lvec = loss_r.values[ci, cj]
+        tree = _tree_potentials(ci, cj, order, _c_beta(lvec, gammas, betas))
+        if tree is not None and not _entering_cells(loss_r, gammas, betas, *tree, active)[0].size:
+            return _whole_instance(ci, cj, mass[None], *tree, betas, rounds=1, iterations=0,
+                                   value=float(_lifted_cost(lvec, grid) @ mass),
+                                   first_round="tree", **whole)
     master = _staircase_master(mu_r, nu_r, loss_r, grid, ci, cj, mass)
     col = np.arange(master.n_vars).reshape(K + 1, ci.size)  # master column of pi / Theta^k
     rounds = iterations = 0
@@ -466,30 +525,55 @@ def _solve_lifted(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMatrix
         iterations += sol.iterations
         phi_r = sol.duals_eq[:mm] - grid.z0 * beta0
         psi_r = sol.duals_eq[mm:mm + nn]
-        beta = sol.duals_eq[mm + nn:] / grid.weights
-        betas = np.concatenate([[beta0], beta])
-        price = _c_beta(loss_r.values, gammas, betas)
-        price -= phi_r[:, None]
-        price -= psi_r[None, :]
-        price[active] = -np.inf
-        best_j = price.argmax(axis=1)
-        best_i = price.argmax(axis=0)
-        new_i = np.concatenate([np.arange(mm), best_i])
-        new_j = np.concatenate([best_j, np.arange(nn)])
-        hit = price[new_i, new_j] > _CERT_FEAS_TOL
-        if not hit.any():
+        betas = np.concatenate([[beta0], sol.duals_eq[mm + nn:] / grid.weights])
+        add_i, add_j = _entering_cells(loss_r, gammas, betas, phi_r, psi_r, active)
+        if not add_i.size:
             break
-        flat = np.unique(new_i[hit] * nn + new_j[hit])
-        add_i, add_j = np.divmod(flat, nn)
         active[add_i, add_j] = True
         col = np.hstack([col, master.n_vars + np.arange((K + 1) * add_i.size).reshape(K + 1, -1)])
         master.append(*_lifted_columns(add_i, add_j, loss_r, grid, master.n_rows))
         ci = np.concatenate([ci, add_i])
         cj = np.concatenate([cj, add_j])
-    n = ci.size
-    x = sol.x[col]
+    return _whole_instance(ci, cj, sol.x[col], phi_r, psi_r, betas, rounds=rounds,
+                           iterations=iterations, value=float(sol.objective),
+                           first_round="seeded" if master.seeded else "cold", **whole)
+
+
+def _entering_cells(loss_r: LossMatrix, gammas: np.ndarray, betas: np.ndarray,
+                    phi_r: np.ndarray, psi_r: np.ndarray, active: np.ndarray):
+    """Price every cell of the kept instance at once by
+    C^beta_ij - phi_i - psi_j, and return the most-violated inactive cell of
+    each row and of each column, where it is violated by more than
+    ``_CERT_FEAS_TOL``, as sorted row and column indices without repeats:
+    none when the potentials cover the whole kept instance."""
+    nn = loss_r.shape[1]
+    price = _c_beta(loss_r.values, gammas, betas)
+    price -= phi_r[:, None]
+    price -= psi_r[None, :]
+    price[active] = -np.inf
+    new_i = np.concatenate([np.arange(price.shape[0]), price.argmax(axis=0)])
+    new_j = np.concatenate([price.argmax(axis=1), np.arange(nn)])
+    hit = price[new_i, new_j] > _CERT_FEAS_TOL
+    return np.divmod(np.unique(new_i[hit] * nn + new_j[hit]), nn)
+
+
+def _whole_instance(ci: np.ndarray, cj: np.ndarray, x: np.ndarray, phi_r: np.ndarray,
+                    psi_r: np.ndarray, betas: np.ndarray, *, mu: ProbabilityVector,
+                    nu: ProbabilityVector, loss: LossMatrix, keep_i: np.ndarray,
+                    keep_j: np.ndarray, gammas: np.ndarray, **record) -> _LiftedSolve:
+    """A solve of the kept instance, spread to the whole one.
+
+    ``x`` holds pi, then Theta^1 .. Theta^K, over the kept cells
+    ``(ci, cj)``; every other cell is 0.  Dropped atoms get the smallest
+    potentials that cover their cells against ``betas`` (beta0, then one per
+    level), and the potentials are normalized to phi[0] = 0: one
+    certificate form for every exit of :func:`_solve_lifted`."""
+    nx, ny = loss.shape
+    K = x.shape[0] - 1
+    dropped = keep_i.size < nx or keep_j.size < ny
     pi = np.zeros((nx, ny))
     thetas = np.zeros((K, nx, ny))
+    n = ci.size
     if dropped:
         ci, cj = keep_i[ci], keep_j[cj]
     pi[ci, cj] = x[0]
@@ -511,10 +595,8 @@ def _solve_lifted(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMatrix
     else:
         phi, psi = phi_r, psi_r
     shift = phi[0]
-    return _LiftedSolve(value=float(sol.objective), pi=pi, thetas=thetas,
-                        phi=phi - shift, psi=psi + shift, beta=beta, beta0=beta0,
-                        rounds=rounds, active_cells=n, iterations=iterations,
-                        seeded=master.seeded, order="mean-loss" if order is None else "label")
+    return _LiftedSolve(pi=pi, thetas=thetas, phi=phi - shift, psi=psi + shift,
+                        beta=betas[1:], beta0=float(betas[0]), active_cells=n, **record)
 
 
 def _certified(sol, loss: LossMatrix, mu: ProbabilityVector, nu: ProbabilityVector,
@@ -522,9 +604,11 @@ def _certified(sol, loss: LossMatrix, mu: ProbabilityVector, nu: ProbabilityVect
     """The exit gate of every solve: ``verify_duality`` on the original
     instance, then one info line on what the solve did."""
     report = verify_duality(sol, loss, mu, nu)
-    log.info("%s: %d round(s), staircase in %s order, first master %s, "
+    log.info("%s: %d round(s), staircase in %s order, %s, "
              "%d of %d cells active, %d simplex iteration(s), worst cover residual %.3e",
-             type(sol).__name__, sol.rounds, res.order, "seeded" if res.seeded else "cold",
+             type(sol).__name__, sol.rounds, res.order,
+             "tree certificate, no master" if res.first_round == "tree"
+             else f"first master {res.first_round}",
              sol.active_cells, loss.values.size, sol.iterations, report.dual_residuals["cover"])
     return sol
 
@@ -725,7 +809,9 @@ def solve_transport(mu: ProbabilityVector, nu: ProbabilityVector, cost: LossMatr
 
     :func:`solve_msp` on the grid without levels, whose lifted program is
     plain optimal transport, on ``-cost`` when ``sense`` is "min"; so the
-    value has passed :func:`verify_duality`.  That certificate covers
+    value has passed :func:`verify_duality`.  When the staircase's tree
+    potentials cover every cell, as for |x - y|^r between labelled laws on
+    the line, that is the whole solve: no LP model is built.  That certificate covers
     cost - beta0, and beta0 is moved into psi: phi_i + psi_j >= cost_ij for
     "max" (<= for "min") on every cell, zero-mass atoms included,
     phi . mu + psi . nu is the value, and phi[0] = 0.

@@ -10,7 +10,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riskbound import asymptotics, bounds, lpsolver
+from riskbound import asymptotics, bounds, lpsolver, stability
 from riskbound.asymptotics import CltExperiment, replication_value
 from riskbound.core import (
     AlphaOutOfRange,
@@ -19,6 +19,7 @@ from riskbound.core import (
     InvalidParams,
     LossMatrix,
     NumericalFailure,
+    ProbabilityVector,
     ProblemTooLarge,
     SpectralFunction,
     SpectralGrid,
@@ -420,7 +421,7 @@ class TestStaircaseBasis:
     def test_seeded_first_master_equals_the_cold_solve(self, seed, alpha, grid):
         grid = {"mes": SpectralGrid.dirac(alpha), "c2": C2_GRID, "flat": FLAT_GRID}[grid]
         mu, nu, loss = kept(*degenerate_instance(np.random.default_rng(seed)))
-        ci, cj, mass = bounds._staircase(mu, nu, loss)
+        ci, cj, mass = bounds._staircase(mu, nu, bounds._mean_loss_order(mu, nu, loss))
         basis = bounds._staircase_basis(mass, loss.values[ci, cj], grid, *loss.shape)
         model = bounds._staircase_master(mu, nu, loss, grid, ci, cj, mass)
         seeded = solve_lp(model)
@@ -449,7 +450,7 @@ class TestStaircaseBasis:
         else:
             cases = [(*kept(*degenerate_instance(rng)), FLAT_GRID) for _ in range(30)]
         for mu, nu, loss, grid in cases:
-            ci, cj, mass = bounds._staircase(mu, nu, loss)
+            ci, cj, mass = bounds._staircase(mu, nu, bounds._mean_loss_order(mu, nu, loss))
             master = bounds._staircase_master(mu, nu, loss, grid, ci, cj, mass)
             whole = LpModel(coo_msp_lp(mu, nu, loss, grid, (ci, cj)))
             for name in ("c", "lb", "ub", "b_eq", "b_ub", "_start", "_index", "_value"):
@@ -458,18 +459,20 @@ class TestStaircaseBasis:
 
     def test_info_line_names_the_staircase_order(self, caplog):
         # x + y on labelled supports is modular: label order on the grid
-        # without levels, mean-loss order on every grid with levels
+        # without levels, whose staircase tree certifies it with no master,
+        # and mean-loss order on every grid with levels
         mu, nu, loss = build_gaussian_linear_instance(20, 30, 5)
-        for grid, order in ((FLAT_GRID, "label"), (SpectralGrid.dirac(0.9), "mean-loss"),
-                            (C2_GRID, "mean-loss")):
+        for grid, order, first in (
+                (FLAT_GRID, "label", "tree certificate, no master"),
+                (SpectralGrid.dirac(0.9), "mean-loss", "first master seeded"),
+                (C2_GRID, "mean-loss", "first master seeded")):
             assert bounds._solve_lifted(mu, nu, loss, grid).order == order
             with caplog.at_level("INFO", logger="riskbound"):
                 if grid.n_levels == 1:
                     solve_mes(mu, nu, loss, 0.9)
                 else:
                     solve_msp(mu, nu, loss, grid)
-            assert f", staircase in {order} order, first master seeded," in \
-                caplog.records[-1].getMessage()
+            assert f", staircase in {order} order, {first}," in caplog.records[-1].getMessage()
 
     def test_short_staircase_solves_cold(self, caplog):
         # row 1's weight is below the rounding of 0.5 + 1e-17: the staircase
@@ -477,7 +480,7 @@ class TestStaircaseBasis:
         mu = validate_marginal([0.5, 1e-17, 0.5 - 1e-17])
         nu = validate_marginal([1 / 3, 1 / 3, 1 / 3])
         loss = LossMatrix(np.add.outer(np.arange(3.0), np.arange(3.0)))
-        ci, cj, mass = bounds._staircase(mu, nu, loss)
+        ci, cj, mass = bounds._staircase(mu, nu, bounds._mean_loss_order(mu, nu, loss))
         assert ci.size == 4
         assert bounds._staircase_basis(mass, loss.values[ci, cj], C2_GRID, 3, 3) is None
         values, lines = solve_three_grids(mu, nu, loss, caplog)
@@ -489,13 +492,20 @@ class TestStaircaseBasis:
         rng = np.random.default_rng(33)
         cases = [random_instance(rng, max_side=6), degenerate_instance(rng, max_side=6)]
         seeded = [solve_three_grids(*case, caplog) for case in cases]
-        assert all("first master seeded," in line for _, lines in seeded for line in lines)
+        # on the flat grid the staircase tree certifies the second transport
+        # with no master, whose basis can then not be refused; the first
+        # needs masters
+        tree = ", tree certificate, no master,"
+        assert [tree in lines[2] for _, lines in seeded] == [False, True]
+        assert all("first master seeded," in line
+                   for _, lines in seeded for line in lines if tree not in line)
         # HiGHS refuses the staircase basis
         monkeypatch.setattr(lpsolver._highspy._Highs, "setBasis",
                             lambda highs, basis: lpsolver._highspy.HighsStatus.kError)
-        for case, (values, _) in zip(cases, seeded):
+        for case, (values, before) in zip(cases, seeded):
             cold, lines = solve_three_grids(*case, caplog)
-            assert all("first master cold," in line for line in lines)
+            assert [tree in line for line in lines] == [tree in line for line in before]
+            assert all("first master cold," in line for line in lines if tree not in line)
             assert np.allclose(cold, values, rtol=0.0, atol=1e-9)
 
 
@@ -1009,6 +1019,156 @@ class TestSolveTransport:
     def test_unknown_sense_rejected(self):
         with pytest.raises(InvalidParams, match="'sup'"):
             bounds.solve_transport(*two_by_two_sum(), "sup")
+
+
+def tree_round_instance(rng):
+    """A transport on the grid without levels, at a loss scale in
+    1e-6..1e8: -|x - y|^r (r = 1, 2, 3) between labelled laws on the line,
+    labels tied or not, or an unlabelled normal loss; zero-mass atoms on
+    either side, or the short staircase of a weight below rounding."""
+    m, n = (int(v) for v in rng.integers(1, 13, size=2))
+    kind = ("line", "tied", "normal", "short")[int(rng.integers(4))]
+    weights = [rng.dirichlet(np.ones(k)) for k in (m, n)]
+    if kind == "short":
+        m = 3
+        weights[0] = np.array([0.5, 1e-17, 0.5 - 1e-17])
+    for w in weights:
+        if w.size > 1 and rng.random() < 0.4:
+            w[rng.random(w.size) < 0.3] = 0.0
+            w[int(rng.integers(w.size))] += 1e-3
+            w /= w.sum()
+    x, y = rng.normal(size=m), rng.normal(size=n)
+    if kind == "tied":
+        x, y = np.round(x * 2.0) / 2.0, np.round(y * 2.0) / 2.0
+    scale = 10.0 ** int(rng.integers(-6, 9))
+    if kind == "normal":
+        mu, nu = (validate_marginal(w) for w in weights)
+        loss = rng.normal(size=(m, n))
+    else:
+        mu, nu = (validate_marginal(w, labels=z.tolist()) for w, z in zip(weights, (x, y)))
+        loss = -np.abs(x[:, None] - y[None, :]) ** int(rng.integers(1, 4))
+    return mu, nu, LossMatrix(loss * scale)
+
+
+class TestTreeRound:
+    """Round 1 of a transport certified by the staircase tree's potentials,
+    with no LP model."""
+
+    def test_tree_returns_are_verified_and_equal_the_staircase_master(self, monkeypatch):
+        firsts = []
+        lifted = bounds._solve_lifted
+
+        def spy(*args):
+            res = lifted(*args)
+            firsts.append(res.first_round)
+            return res
+
+        monkeypatch.setattr(bounds, "_solve_lifted", spy)
+        stream = [tree_round_instance(np.random.default_rng([29, k])) for k in range(240)]
+        failures = 0
+        for mu, nu, loss in stream:
+            try:
+                sol = solve_msp(mu, nu, loss, FLAT_GRID)
+            except (CertificateInvalid, NumericalFailure):
+                failures += 1
+                continue
+            verify_duality(sol, loss, mu, nu)
+            if firsts[-1] != "tree":
+                continue
+            # the kept instance as the solve builds it, and its seeded master
+            keep_i, keep_j = (np.flatnonzero(p.weights > 0.0) for p in (mu, nu))
+            mu_k = ProbabilityVector(mu.weights[keep_i])
+            nu_k = ProbabilityVector(nu.weights[keep_j])
+            loss_k = LossMatrix(loss.values[np.ix_(keep_i, keep_j)])
+            order = bounds._label_order(mu, nu, keep_i, keep_j, loss_k)
+            if order is None:
+                order = bounds._mean_loss_order(mu_k, nu_k, loss_k)
+            ci, cj, mass = bounds._staircase(mu_k, nu_k, order)
+            ref = solve_lp(bounds._staircase_master(mu_k, nu_k, loss_k, FLAT_GRID, ci, cj, mass))
+            assert ref.iterations == 0
+            assert abs(sol.value - ref.objective) <= 1e-12 * np.abs(loss.values).max()
+        assert {"tree", "seeded", "cold"} <= set(firsts)
+        # the same stream through the masters alone, as before the tree round
+        monkeypatch.setattr(bounds, "_tree_potentials", lambda *args: None)
+        master_failures = 0
+        for mu, nu, loss in stream:
+            try:
+                solve_msp(mu, nu, loss, FLAT_GRID)
+            except (CertificateInvalid, NumericalFailure):
+                master_failures += 1
+        assert failures <= master_failures
+
+    def test_short_staircase_has_no_tree(self):
+        mu = validate_marginal([0.5, 1e-17, 0.5 - 1e-17])
+        nu = validate_marginal([1 / 3, 1 / 3, 1 / 3])
+        loss = LossMatrix(np.add.outer(np.arange(3.0), np.arange(3.0)))
+        order = bounds._mean_loss_order(mu, nu, loss)
+        ci, cj, mass = bounds._staircase(mu, nu, order)
+        assert bounds._tree_potentials(ci, cj, order, loss.values[ci, cj]) is None
+        assert bounds._solve_lifted(mu, nu, loss, FLAT_GRID).first_round == "cold"
+
+    def test_potentials_solve_the_tree_cells(self):
+        rng = np.random.default_rng(71)
+        for _ in range(50):
+            mu, nu, loss = kept(*degenerate_instance(rng))
+            order = bounds._mean_loss_order(mu, nu, loss)
+            ci, cj, mass = bounds._staircase(mu, nu, order)
+            tree = bounds._tree_potentials(ci, cj, order, loss.values[ci, cj])
+            if ci.size != mu.size + nu.size - 1:
+                assert tree is None
+                continue
+            phi, psi = tree
+            assert phi[order[0][0]] == 0.0
+            assert np.allclose(phi[ci] + psi[cj], loss.values[ci, cj], rtol=0.0, atol=1e-12)
+
+    def test_master_routes_and_lp_calls(self, caplog, monkeypatch):
+        calls = []
+        solve = bounds.solve_lp
+
+        def spy_solve(lp):
+            sol = solve(lp)
+            calls.append(lp.seeded)
+            return sol
+
+        made = []
+        init, empty = LpModel.__init__, LpModel.empty.__func__
+
+        def spy_init(self, lp):
+            made.append("init")
+            init(self, lp)
+
+        def spy_empty(cls, *args, **kwargs):
+            made.append("empty")
+            return empty(cls, *args, **kwargs)
+
+        monkeypatch.setattr(bounds, "solve_lp", spy_solve)
+        monkeypatch.setattr(LpModel, "__init__", spy_init)
+        monkeypatch.setattr(LpModel, "empty", classmethod(spy_empty))
+        # a label-order Wasserstein distance: no HiGHS model at all
+        rng = np.random.default_rng(24)
+        x = rng.normal(size=60)
+        p, q = (validate_marginal(rng.dirichlet(np.ones(60)), labels=x.tolist())
+                for _ in range(2))
+        ground = stability.ground_from_labels(p)
+        for r in (1.0, 2.0):
+            with caplog.at_level("INFO", logger="riskbound"):
+                assert stability.wasserstein_discrete(p, q, ground, r) > 0.0
+            assert ", staircase in label order, tree certificate, no master," in \
+                caplog.records[-1].getMessage()
+        assert calls == [] and made == []
+        # a mean-loss transport whose tree does not certify it: the seeded
+        # master and its loop, as on every grid with levels
+        mu, nu, loss = random_instance(np.random.default_rng(33), max_side=6)
+        for solve_one in (lambda: solve_msp(mu, nu, loss, FLAT_GRID),
+                          lambda: solve_mes(mu, nu, loss, 0.7),
+                          lambda: solve_msp(mu, nu, loss, C2_GRID)):
+            calls.clear()
+            made.clear()
+            with caplog.at_level("INFO", logger="riskbound"):
+                sol = solve_one()
+            assert ", first master seeded," in caplog.records[-1].getMessage()
+            assert sol.rounds > 1 and len(calls) == sol.rounds
+            assert calls[0] and made == ["empty"]
 
 
 class TestEngineArgument:

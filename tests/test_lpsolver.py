@@ -244,7 +244,7 @@ class TestLpModel:
         for _ in range(50):
             mu, nu, loss = degenerate_instance(rng)
             a = float(rng.uniform(0.05, 0.95))
-            si, sj, _ = bounds._staircase(mu, nu, loss)
+            si, sj, _ = bounds._staircase(mu, nu, bounds._mean_loss_order(mu, nu, loss))
             first = si * loss.shape[1] + sj
             rest = rng.permutation(np.setdiff1d(np.arange(loss.values.size), first))
             cuts = np.sort(rng.integers(0, rest.size + 1, size=2))
