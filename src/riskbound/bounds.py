@@ -132,12 +132,10 @@ class DualCertificate:
     rho: np.ndarray | None = None
     beta0: float | None = None
 
-    def value(self, mu: ProbabilityVector, nu: ProbabilityVector,
-              grid: SpectralGrid | None = None) -> float:
-        """Dual objective: an upper bound on the primal value (weak duality)."""
+    def value(self, mu: ProbabilityVector, nu: ProbabilityVector, grid: SpectralGrid) -> float:
+        """Dual objective on ``grid``, an upper bound on the primal value; on
+        MES's Dirac grid it is phi . mu + psi . nu + 1.0 * beta, bit for bit."""
         base = float(self.phi @ mu.weights + self.psi @ nu.weights)
-        if grid is None:
-            return base + float(self.beta)
         extra = float(np.dot(grid.weights, np.atleast_1d(self.beta))) if grid.n_levels else 0.0
         if grid.z0 > 0.0:
             extra += grid.z0 * float(self.beta0)
@@ -185,6 +183,11 @@ class MesSolution:
         th.flags.writeable = False
         object.__setattr__(self, "theta", th)
 
+    @property
+    def thetas(self) -> np.ndarray:
+        """The tail measure as the one level of the Dirac grid, (1, N_X, N_Y)."""
+        return self.theta[None]
+
 
 @dataclass(frozen=True)
 class MspSolution:
@@ -213,11 +216,6 @@ class MspSolution:
 # ---------------------------------------------------------------------------
 # LP assembly
 # ---------------------------------------------------------------------------
-
-
-def _require_engine(engine: str) -> None:
-    if engine != "highs":
-        raise InvalidParams(f"unknown engine {engine!r}; the only engine is 'highs'")
 
 
 def build_mes_lp(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMatrix,
@@ -631,11 +629,13 @@ def solve_mes(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMatrix,
     that callers which name it (the benchmark warm-up does) keep working.
     """
     check_instance(mu, nu, loss)
-    _require_engine(engine)
+    if engine != "highs":
+        raise InvalidParams(f"unknown engine {engine!r}; the only engine is 'highs'")
     a = _require_alpha(alpha)
-    res = _solve_lifted(mu, nu, loss, SpectralGrid.dirac(a))
+    grid = SpectralGrid.dirac(a)
+    res = _solve_lifted(mu, nu, loss, grid)
     cert = DualCertificate(phi=res.phi, psi=res.psi, beta=float(res.beta[0]))
-    gap = abs(cert.value(mu, nu) - res.value)
+    gap = abs(cert.value(mu, nu, grid) - res.value)
     sol = MesSolution(value=res.value, coupling=Coupling(res.pi), theta=res.thetas[0],
                       certificate=cert, gap=gap, alpha=a, rounds=res.rounds,
                       active_cells=res.active_cells, iterations=res.iterations)
@@ -759,21 +759,8 @@ def _c_beta(values: np.ndarray, gammas, betas) -> np.ndarray:
     return out
 
 
-def c_beta_evaluate(loss: LossMatrix, grid: SpectralGrid, beta) -> LossMatrix:
-    """Entrywise  sum_k g_k max(L - beta_k, 0)  against the grid's
-    gamma-masses.  ``beta`` has one entry per level, optionally preceded by
-    beta0 for the u = 0 atom (required when z0 > 0)."""
-    b = np.atleast_1d(np.asarray(beta, dtype=float))
-    if b.size == grid.n_levels and grid.z0 == 0.0:
-        b = np.concatenate([[0.0], b])          # the u = 0 term, skipped as z0 = 0
-    if b.size != grid.n_levels + 1:
-        raise DimensionMismatch(f"beta has {b.size} entries for {grid.n_levels} levels"
-                                + (" and a u=0 atom: include beta0 first" if grid.z0 > 0.0 else ""))
-    return LossMatrix(_c_beta(loss.values, np.concatenate([[grid.z0], grid.gamma_weights]), b))
-
-
 def solve_msp(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMatrix,
-              grid: SpectralGrid, engine: str = "highs") -> MspSolution:
+              grid: SpectralGrid) -> MspSolution:
     """Maximum spectral measure against a grid, with an LP-certified dual.
 
     Solved by the column generation of :func:`_solve_lifted`.  The
@@ -782,10 +769,9 @@ def solve_msp(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMatrix,
     beta0 = min L - 1, which is exact on a finite support.  A grid without
     levels (sigma == 1) is plain optimal transport and takes the same path.
     The solution has passed :func:`verify_duality` on the original
-    instance.  ``engine`` accepts only ``"highs"``, as in :func:`solve_mes`.
+    instance.
     """
     check_instance(mu, nu, loss)
-    _require_engine(engine)
     if loss.values.size * max(grid.n_levels, 1) > MSP_MAX_CELLS_TIMES_LEVELS:
         raise ProblemTooLarge("cells x levels exceeds the desk-scale envelope")
     res = _solve_lifted(mu, nu, loss, grid)
@@ -838,16 +824,15 @@ def verify_duality(sol: MesSolution | MspSolution, loss: LossMatrix,
     tolerance; raise ``CertificateInvalid`` with the violated constraints
     otherwise.
 
-    An MES solution is checked as MSP on the Dirac grid at alpha, with its
-    tail measure as the only level.  The cover residual is reported in loss
+    Through its ``grid`` and ``thetas``, an MES solution is checked as MSP
+    on the Dirac grid at alpha.  The cover residual is reported in loss
     units: max(C^beta - phi - psi) divided by the largest of 1, z0 and the
     grid's gamma weights, the most by which C^beta scales a loss.  For MES
     (gamma weight 1/(1-alpha)) this is (1-alpha) max(C^beta - phi - psi),
     which is max((L - beta)+ - (1-alpha)(phi + psi)) up to rounding.
     """
     check_instance(mu, nu, loss)
-    grid = sol.grid
-    thetas = sol.theta[None] if isinstance(sol, MesSolution) else sol.thetas
+    grid, thetas = sol.grid, sol.thetas
     unit = 1.0 / max(1.0, grid.z0, float(np.max(grid.gamma_weights, initial=0.0)))
     cert = sol.certificate
     pi = sol.coupling.matrix
@@ -1048,7 +1033,6 @@ __all__ = [
     "brute_force_mes",
     "build_mes_lp",
     "build_msp_lp",
-    "c_beta_evaluate",
     "mes_solution_from_dict",
     "mes_solution_to_dict",
     "msp_solution_from_dict",

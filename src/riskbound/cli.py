@@ -60,6 +60,7 @@ log = logging.getLogger("riskbound")
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_INFEASIBLE = 2
+_CLT_CHUNK = 8   # replications per task handed to a clt worker process
 
 
 def _setup_logging() -> None:
@@ -96,24 +97,28 @@ class RunConfig:
 
 def parse_sigma_spec(spec: str, levels: int) -> tuple[SpectralFunction, SpectralGrid]:
     """Inline spectrum grammar: ``es:0.9`` | ``flat`` | ``power-sqrt`` |
-    ``pc:b1,..,bm:l0,..,lm`` | ``table:u0,..,uk:s0,..,sk``."""
+    ``pc:b1,..,bm:l0,..,lm`` | ``table:u0,..,uk:s0,..,sk``.  A malformed
+    spec raises ``InvalidSpectrum`` naming it."""
     spec = spec.strip()
-    if spec.startswith("es:"):
-        sf = SpectralFunction.expected_shortfall(float(spec[3:]))
-    elif spec == "flat":
-        sf = SpectralFunction.flat()
-    elif spec == "power-sqrt":
-        sf = SpectralFunction.power_sqrt()
-    elif spec.startswith("pc:"):
-        _, bp, lv = spec.split(":")
-        sf = SpectralFunction.piecewise_constant(
-            [float(v) for v in bp.split(",") if v], [float(v) for v in lv.split(",")])
-    elif spec.startswith("table:"):
-        _, us, ss = spec.split(":")
-        sf = SpectralFunction.table([float(v) for v in us.split(",")],
-                                    [float(v) for v in ss.split(",")])
-    else:
-        raise InvalidSpectrum(f"unknown sigma spec {spec!r}")
+    try:
+        if spec.startswith("es:"):
+            sf = SpectralFunction.expected_shortfall(float(spec[3:]))
+        elif spec == "flat":
+            sf = SpectralFunction.flat()
+        elif spec == "power-sqrt":
+            sf = SpectralFunction.power_sqrt()
+        elif spec.startswith("pc:"):
+            _, bp, lv = spec.split(":")
+            sf = SpectralFunction.piecewise_constant(
+                [float(v) for v in bp.split(",") if v], [float(v) for v in lv.split(",")])
+        elif spec.startswith("table:"):
+            _, us, ss = spec.split(":")
+            sf = SpectralFunction.table([float(v) for v in us.split(",")],
+                                        [float(v) for v in ss.split(",")])
+        else:
+            raise InvalidSpectrum(f"unknown sigma spec {spec!r}")
+    except ValueError:
+        raise InvalidSpectrum(f"malformed sigma spec {spec!r}") from None
     return sf, discretize_spectrum(sf, levels)
 
 
@@ -208,12 +213,16 @@ def cmd_oracle(args) -> int:
 
 
 def _clt_deviations(exp: asym.CltExperiment, true_value: float, threads: int) -> np.ndarray:
+    """Scaled deviations on at most ``threads`` worker processes, capped by the
+    CPUs and the chunks (the pool forks them all at once); one runs in process."""
     scale = math.sqrt(exp.n_x)
-    if threads <= 1:
+    workers = min(threads, os.cpu_count() or 1, math.ceil(exp.replications / _CLT_CHUNK))
+    log.info("running %d replications on %d worker(s)", exp.replications, max(workers, 1))
+    if workers <= 1:
         return asym.simulate_error_distribution(exp, true_value=true_value)
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         values = list(pool.map(partial(asym.replication_value, exp),
-                               range(exp.replications), chunksize=8))
+                               range(exp.replications), chunksize=_CLT_CHUNK))
     return scale * (np.asarray(values) - true_value)
 
 
@@ -229,12 +238,10 @@ def cmd_clt(args) -> int:
         mu=mu, nu=nu, loss=loss, alpha=alpha,
         n_x=int(cfg.get("sample_n_x", mu.size)),
         n_y=int(cfg.get("sample_n_y", nu.size)),
-        replications=int(cfg["replications"]), seed=seed,
-        out_dir=str(run.out_dir))
+        replications=int(cfg["replications"]), seed=seed)
     out = run.out_dir
     true_value = bounds.solve_mes(mu, nu, loss, alpha).value
-    log.info("true value %s; running %d replications on %d thread(s)",
-             true_value, exp.replications, threads)
+    log.info("true value %s", true_value)
     deviations = np.sort(_clt_deviations(exp, true_value, threads))
     with open(out / "deviations.csv", "w", encoding="utf-8") as fh:
         fh.write("deviation\n")

@@ -195,8 +195,6 @@ class LossMatrix:
     """Loss values L(x_i, y_j) on the product of two finite supports."""
 
     values: np.ndarray
-    row_labels: tuple | None = None
-    col_labels: tuple | None = None
 
     def __post_init__(self) -> None:
         v = np.asarray(self.values, dtype=float)
@@ -204,15 +202,7 @@ class LossMatrix:
             raise DimensionMismatch("loss matrix must be a nonempty 2-D array")
         if not np.all(np.isfinite(v)):
             raise NumericalFailure("loss matrix contains non-finite entries")
-        if self.row_labels is not None and len(self.row_labels) != v.shape[0]:
-            raise DimensionMismatch("row labels do not match loss shape")
-        if self.col_labels is not None and len(self.col_labels) != v.shape[1]:
-            raise DimensionMismatch("column labels do not match loss shape")
         object.__setattr__(self, "values", _freeze(v))
-        if self.row_labels is not None:
-            object.__setattr__(self, "row_labels", tuple(self.row_labels))
-        if self.col_labels is not None:
-            object.__setattr__(self, "col_labels", tuple(self.col_labels))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -249,14 +239,13 @@ class Coupling:
         c = float(np.abs(self.matrix.sum(axis=0) - nu.weights).max())
         return r, c
 
-    def require_marginals(self, mu: ProbabilityVector, nu: ProbabilityVector,
-                          tol: float = COUPLING_TOL) -> None:
+    def require_marginals(self, mu: ProbabilityVector, nu: ProbabilityVector) -> None:
         if self.matrix.shape != (mu.size, nu.size):
             raise DimensionMismatch("coupling shape does not match marginals")
         r, c = self.marginal_residuals(mu, nu)
-        if r > tol or c > tol:
+        if r > COUPLING_TOL or c > COUPLING_TOL:
             raise NumericalFailure(
-                f"coupling marginal residuals ({r:.3e}, {c:.3e}) exceed {tol}"
+                f"coupling marginal residuals ({r:.3e}, {c:.3e}) exceed {COUPLING_TOL}"
             )
 
 
@@ -582,16 +571,38 @@ def sigma_to_dict(sf: SpectralFunction) -> dict[str, Any]:
     return {"kind": sf.kind, "u": sf.table_u.tolist(), "sigma": sf.table_sigma.tolist()}
 
 
+def _numbers(d: dict, name: str, error: type[RiskBoundError], prefix: str = "") -> np.ndarray:
+    """Field ``name`` of a decoded JSON object as a float array; ``error``
+    naming the field when it is missing or not a (rectangular list of) number(s)."""
+    try:
+        return np.asarray(d[name], dtype=float)
+    except KeyError:
+        raise error(f"missing field '{prefix}{name}'") from None
+    except (TypeError, ValueError):
+        raise error(f"field '{prefix}{name}' must be a number or a rectangular list of "
+                    "numbers") from None
+
+
 def sigma_from_dict(d: dict[str, Any]) -> SpectralFunction:
+    """Decode a spectrum; malformed input raises ``InvalidSpectrum`` naming
+    the field."""
+    if not isinstance(d, dict):
+        raise InvalidSpectrum("field 'sigma' must be an object with a 'kind'")
     kind = d.get("kind")
     if kind == "expected-shortfall":
-        return SpectralFunction.expected_shortfall(float(d["alpha"]))
+        alpha = _numbers(d, "alpha", InvalidSpectrum, "sigma.")
+        if alpha.ndim:
+            raise InvalidSpectrum("field 'sigma.alpha' must be a number")
+        return SpectralFunction.expected_shortfall(float(alpha))
     if kind == "piecewise-constant":
-        return SpectralFunction.piecewise_constant(d.get("breakpoints", []), d["levels"])
+        return SpectralFunction.piecewise_constant(
+            _numbers({"breakpoints": [], **d}, "breakpoints", InvalidSpectrum, "sigma."),
+            _numbers(d, "levels", InvalidSpectrum, "sigma."))
     if kind == "power-sqrt":
         return SpectralFunction.power_sqrt()
     if kind == "table":
-        return SpectralFunction.table(d["u"], d["sigma"])
+        return SpectralFunction.table(_numbers(d, "u", InvalidSpectrum, "sigma."),
+                                      _numbers(d, "sigma", InvalidSpectrum, "sigma."))
     raise InvalidSpectrum(f"unknown spectral kind {kind!r}")
 
 
@@ -619,13 +630,16 @@ def instance_to_dict(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMat
 
 def instance_from_dict(d: dict[str, Any]) -> tuple[ProbabilityVector, ProbabilityVector,
                                                     LossMatrix, SpectralFunction | None]:
-    try:
-        mu_raw, nu_raw, loss_raw = d["mu"], d["nu"], d["loss"]
-    except KeyError as e:
-        raise DimensionMismatch(f"instance missing required field {e.args[0]!r}") from None
-    mu = validate_marginal(mu_raw, labels=d.get("x_support"))
-    nu = validate_marginal(nu_raw, labels=d.get("y_support"))
-    loss = LossMatrix(np.asarray(loss_raw, dtype=float))
+    """Decode an instance; malformed input raises ``DimensionMismatch`` or
+    ``InvalidSpectrum`` naming the field."""
+    if not isinstance(d, dict):
+        raise DimensionMismatch("instance must be an object with fields 'mu', 'nu' and 'loss'")
+    for name in ("x_support", "y_support"):
+        if not isinstance(d.get(name, []), list):
+            raise DimensionMismatch(f"field {name!r} must be a list of labels")
+    mu = validate_marginal(_numbers(d, "mu", DimensionMismatch), labels=d.get("x_support"))
+    nu = validate_marginal(_numbers(d, "nu", DimensionMismatch), labels=d.get("y_support"))
+    loss = LossMatrix(_numbers(d, "loss", DimensionMismatch))
     check_instance(mu, nu, loss)
     sigma = sigma_from_dict(d["sigma"]) if "sigma" in d else None
     return mu, nu, loss, sigma

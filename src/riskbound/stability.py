@@ -48,6 +48,7 @@ from .rng import substream
 
 _BOUND_SLACK = 1e-7
 _QUOTIENT_ENTRIES = 1 << 20     # differences held at once by _difference_quotient
+_RESAMPLE_BASE = 32            # resampling draws per 1/eps^2 in perturbation_sweep
 
 
 def wasserstein_discrete(p: ProbabilityVector, q: ProbabilityVector,
@@ -169,16 +170,14 @@ def _trend_slope(eps: np.ndarray, dv: np.ndarray) -> float:
 
 def perturbation_sweep(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMatrix,
                        alpha_or_grid, scheme: str = "mixing", steps: int = 8,
-                       seed: int = 0, r: float = 1.0,
-                       resample_base: int = 32,
-                       include_zero: bool = True) -> PerturbationReport:
+                       seed: int = 0, r: float = 1.0) -> PerturbationReport:
     """Dyadic perturbation schedule eps = 1, 1/2, ..., 2^{-(steps-1)},
-    closed by an exact eps = 0 row when ``include_zero`` is set.
+    always closed by an exact eps = 0 row.
 
     ``mixing`` blends each marginal with the uniform law at weight eps;
-    ``resampling`` replaces it by an empirical law of ceil(1/eps^2) *
-    resample_base draws, with resample_base >= 1 (so the expected W_1 error
-    scales like eps).  The recorded bound uses the finite-difference
+    ``resampling`` replaces it by an empirical law of
+    ceil(_RESAMPLE_BASE / eps^2) draws, _RESAMPLE_BASE = 32 (so the expected
+    W_1 error scales like eps).  The recorded bound uses the finite-difference
     Lipschitz constant and the sup-norm of the grid spectrum; the trend
     statistic is the least-squares slope of log |delta V| against log eps
     (positive = vanishing error).
@@ -187,8 +186,6 @@ def perturbation_sweep(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossM
         raise DomainError(f"unknown perturbation scheme {scheme!r}")
     if steps < 1:
         raise DomainError("steps must be positive")
-    if resample_base < 1:
-        raise DomainError(f"resample_base must be at least 1, got {resample_base}")
     gx = ground_from_labels(mu)
     gy = ground_from_labels(nu)
     c_lip = lipschitz_estimate(loss, gx, gy)
@@ -204,7 +201,7 @@ def perturbation_sweep(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossM
             mu_e = _mix_with_uniform(mu, eps)
             nu_e = _mix_with_uniform(nu, eps)
         else:
-            n = int(math.ceil(resample_base / eps ** 2))
+            n = int(math.ceil(_RESAMPLE_BASE / eps ** 2))
             mu_e = sample_empirical(mu, n, substream(seed, 2 * s))
             nu_e = sample_empirical(nu, n, substream(seed, 2 * s + 1))
         w_mu = wasserstein_discrete(mu, mu_e, gx, r)
@@ -216,9 +213,8 @@ def perturbation_sweep(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossM
             bound=float(c_lip * (w_mu + w_nu) * norm)))
     slope = _trend_slope(np.array([r_.epsilon for r_ in rows]),
                          np.array([r_.delta_value for r_ in rows]))
-    if include_zero:
-        rows.append(PerturbationRow(epsilon=0.0, w_r_mu=0.0, w_r_nu=0.0,
-                                    value=base, delta_value=0.0, bound=0.0))
+    rows.append(PerturbationRow(epsilon=0.0, w_r_mu=0.0, w_r_nu=0.0,
+                                value=base, delta_value=0.0, bound=0.0))
     return PerturbationReport(rows=tuple(rows), base_value=base, lipschitz=c_lip,
                               sigma_norm=norm, scheme=scheme, loglog_slope=slope)
 

@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+from riskbound import cli
+from riskbound.asymptotics import CltExperiment, simulate_error_distribution
 from riskbound.cli import main
 from riskbound.bounds import (
     mes_solution_from_dict,
@@ -10,6 +12,7 @@ from riskbound.bounds import (
     verify_duality,
 )
 from riskbound.core import LossMatrix, instance_to_dict, validate_marginal
+from riskbound.losses import build_gaussian_linear_instance
 
 
 def write_instance(path, mu, nu, loss, **extra):
@@ -197,3 +200,77 @@ class TestStabilityCommand:
 
     def test_missing_config_exits_one(self):
         assert main(["stability", "/nonexistent/cfg.json"]) == 1
+
+
+class TestMalformedInput:
+    """Input the CLI cannot parse exits 2, and stderr names what is wrong."""
+
+    @pytest.mark.parametrize("spec", ["pc:0.5", "es:abc", "table:0,1", "pc:0.5:1,x"])
+    def test_sigma_spec(self, comonotone_instance, tmp_path, capsys, spec):
+        assert main(["msp", str(comonotone_instance), "--sigma-spec", spec,
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "InvalidSpectrum" in err and repr(spec) in err
+
+    @pytest.mark.parametrize("payload, named", [
+        ({"mu": [0.5, 0.5], "nu": [0.5, 0.5], "loss": [[0.0, 1.0], [1.0]]}, "'loss'"),
+        ({"mu": ["a", 0.5], "nu": [0.5, 0.5], "loss": [[0.0, 1.0], [1.0, 2.0]]}, "'mu'"),
+        ({"mu": [0.5, 0.5], "nu": [0.5, 0.5], "loss": [[0.0, 1.0], [1.0, 2.0]],
+          "sigma": {"kind": "table", "u": [0, 1]}}, "'sigma.sigma'"),
+        ([0.5, 0.5], "instance"),
+        ({"mu": [0.5, 0.5], "nu": [0.5, 0.5], "loss": [[0.0, 1.0], [1.0, 2.0]],
+          "x_support": 5}, "'x_support'"),
+    ], ids=["ragged-loss", "string-weight", "table-without-sigma", "top-level-list",
+            "scalar-support"])
+    def test_instance(self, tmp_path, capsys, payload, named):
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps(payload))
+        assert main(["mes", str(inst), "--alpha", "0.5", "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid input") and named in err
+
+
+class TestCltWorkers:
+    """The worker pool is capped by the CPUs and by the chunks of
+    replications; a fake pool records the cap and maps in process, so these
+    tests start no process."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        made = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                made.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+        return made
+
+    @staticmethod
+    def experiment(replications):
+        mu, nu, loss = build_gaussian_linear_instance(6, 8, 5)
+        return CltExperiment(mu=mu, nu=nu, loss=loss, alpha=0.8, n_x=6, n_y=8,
+                             replications=replications, seed=9)
+
+    @pytest.mark.parametrize("threads, cpus, replications, workers", [
+        (1000, 64, 16, 2),      # two chunks of eight replications
+        (3, 2, 40, 2),          # the CPUs
+        (4, 64, 40, 4),         # the requested count
+        (1000, 64, 8, None),    # one chunk: in process, no pool
+        (1, 64, 40, None),
+    ])
+    def test_cap(self, pools, monkeypatch, threads, cpus, replications, workers):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        exp = self.experiment(replications)
+        got = cli._clt_deviations(exp, 1.5, threads)
+        assert pools == ([] if workers is None else [workers])
+        assert np.array_equal(got, simulate_error_distribution(exp, true_value=1.5))

@@ -284,7 +284,7 @@ class TestPerturbationSweep:
         from riskbound.core import ProbabilityVector
         rng = np.random.default_rng(7)
         mu, nu, loss = self.make_instance(rng, n=2)
-        rep = perturbation_sweep(mu, nu, loss, 0.6, steps=1, include_zero=False)
+        rep = perturbation_sweep(mu, nu, loss, 0.6, steps=1)
         uni_mu = ProbabilityVector(np.full(2, 0.5), labels=mu.labels)
         uni_nu = ProbabilityVector(np.full(2, 0.5), labels=nu.labels)
         direct = abs(solve_mes(uni_mu, uni_nu, loss, 0.6).value
@@ -324,12 +324,6 @@ class TestPerturbationSweep:
                                  steps=4, seed=42)
         assert rep.scheme == "resampling"
         assert len(rep.rows) == 5
-
-    def test_resample_base_below_one_rejected(self):
-        rng = np.random.default_rng(29)
-        mu, nu, loss = self.make_instance(rng, n=3)
-        with pytest.raises(DomainError, match="resample_base"):
-            perturbation_sweep(mu, nu, loss, 0.5, scheme="resampling", resample_base=0)
 
     def test_grid_argument(self):
         rng = np.random.default_rng(31)
