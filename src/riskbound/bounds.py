@@ -44,6 +44,16 @@ program restricted to some cells exists only as such an appended master;
 ``build_msp_lp`` assembles the whole program, for the MPS export and the
 dual face of ``asymptotics``.
 
+The primal stays on its support from the master to the caller.  The
+master's optimal couplings are basic solutions, on a few of the N_X N_Y
+cells; ``_whole_instance`` maps the master's cells to the whole instance
+and sorts them once, and the solution objects, ``verify_duality`` and the
+``solution.json`` writers and readers hold and check pi and Theta on those
+cells (sparse multiscale transport, Schmitzer 2016, works the same way).
+Only the cover check, which is the certificate, visits every cell.  The
+dense ``coupling.matrix``, ``theta`` and ``thetas`` are views built on
+first read.
+
 Every solve returns a dual certificate (phi, psi, beta) and ends in
 ``verify_duality`` on the original instance; ``brute_force_mes`` provides
 the independent oracle
@@ -64,6 +74,7 @@ transport model.
 from __future__ import annotations
 
 import logging
+import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -76,12 +87,17 @@ from .core import (
     DimensionMismatch,
     InvalidParams,
     LossMatrix,
+    NegativeWeight,
     NumericalFailure,
     ProbabilityVector,
     ProblemTooLarge,
     SpectralGrid,
+    _DenseView,
+    _freeze,
     _label_coordinates,
     _require_alpha,
+    _spread,
+    _support,
     check_instance,
 )
 from .lpsolver import (
@@ -99,6 +115,7 @@ from .riskmeasures import law_from_coupling, var_levels
 MSP_MAX_CELLS_TIMES_LEVELS = 5_000_000
 _FLAT = SpectralGrid(z0=1.0, levels=np.array([]), weights=np.array([]))  # sigma == 1: E_pi[L]
 _WEAK_DUALITY_TOL = 1e-9
+_PRIMAL_TOL = 1e-9          # marginals, and the tail measures' sign, density box and mass
 _GAP_TOL = 1e-7
 _CERT_FEAS_TOL = 1e-8
 _ORACLE_REL_TOL = 1e-12     # oracle stop: value minus lower bound, per max|L|/(1-alpha)
@@ -151,37 +168,80 @@ class GapReport:
     dual_residuals: dict
 
 
+def _place_tails(coupling: Coupling, levels: int, flat: np.ndarray, values: np.ndarray):
+    """Tail values given at the strictly increasing row-major ``flat``
+    indices of a (``levels``, N_X, N_Y) array, as (coupling, (levels, s)
+    values on its cells).  Where a tail measure has mass off the coupling's
+    cells, the coupling gains those cells with zero mass."""
+    level, cell = np.divmod(flat, math.prod(coupling.shape))
+    cells = np.union1d(coupling.index, cell)
+    if cells.size > coupling.index.size:
+        pi = np.zeros(cells.size)
+        pi[np.searchsorted(cells, coupling.index)] = coupling.values
+        coupling = Coupling.from_support(coupling.shape, cells, pi)
+    tail = np.zeros((levels, cells.size))
+    tail[level, np.searchsorted(cells, cell)] = values
+    return coupling, tail
+
+
+def _tail_on_cells(coupling: Coupling, theta, lead: tuple, name: str):
+    """A solution's tail measures ``theta`` as (coupling, (K, s) values on
+    its cells).  ``theta`` is dense, ``lead + coupling.shape``, or by its
+    values on the coupling's cells, ``lead + (s,)``; ``lead`` is (K,) for
+    MSP and () for MES's one level."""
+    t = np.asarray(theta, dtype=float)
+    levels = math.prod(lead)
+    if t.shape == lead + coupling.index.shape:
+        tail = t.reshape(levels, coupling.index.size).copy()
+    elif t.shape == lead + coupling.shape:
+        flat = np.flatnonzero(t)
+        coupling, tail = _place_tails(coupling, levels, flat, t.ravel()[flat])
+    else:
+        raise DimensionMismatch(f"{name} has shape {t.shape}, expected {lead + coupling.shape}, "
+                                f"or {lead + coupling.index.shape} on the coupling's cells")
+    if not np.all(np.isfinite(tail)):
+        raise NumericalFailure(f"{name} contains non-finite entries")
+    return coupling, _freeze(tail)
+
+
 @dataclass(frozen=True)
 class MesSolution:
     """Optimal value with primal pair (pi*, Theta*) and a dual certificate;
-    ``grid`` is the Dirac grid at alpha, on which it is an MSP solution."""
+    ``grid`` is the Dirac grid at alpha, on which it is an MSP solution.
+
+    Theta* <= (1-alpha)^{-1} pi* pins the tail measure to the coupling's
+    cells: ``tail`` holds its values there, (1, s) in the order of
+    ``coupling.index``.  ``theta`` may be given that way, as (s,), or dense
+    (N_X, N_Y); a dense theta with mass off the coupling's cells adds them
+    to the coupling with zero mass.  Reading ``theta`` or ``thetas`` gives
+    the dense view, read-only, built on first read."""
 
     value: float
     coupling: Coupling
-    theta: np.ndarray
+    theta: np.ndarray = _DenseView(
+        lambda s: _spread(s.coupling.shape, s.coupling.index, s.tail[0]))
     certificate: DualCertificate
     gap: float
     alpha: float
     rounds: int = 0             # column-generation rounds (0: not recorded)
     active_cells: int = 0       # cells in the last restricted master
     iterations: int = 0         # HiGHS simplex iterations over all masters
+    tail: np.ndarray = field(init=False, repr=False, compare=False)
     grid: SpectralGrid = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "grid", SpectralGrid.dirac(self.alpha))
+        coupling, tail = _tail_on_cells(self.coupling, self._dense.pop("theta"), (), "theta")
         inv = 1.0 / (1.0 - self.alpha)
-        th = np.asarray(self.theta, dtype=float)
-        if th.shape != self.coupling.matrix.shape:
-            raise DimensionMismatch("theta must be coupling-shaped")
-        if np.any(th < -1e-9) or np.any(th > inv * self.coupling.matrix + 1e-9):
+        th = tail[0]
+        if np.any(th < -_PRIMAL_TOL) or np.any(th > inv * coupling.values + _PRIMAL_TOL):
             raise NumericalFailure("theta violates the density bound (1-alpha)^{-1} pi")
-        if abs(th.sum() - 1.0) > 1e-9:
+        if abs(th.sum() - 1.0) > _PRIMAL_TOL:
             raise NumericalFailure(f"theta mass {th.sum()} != 1")
         if self.gap > _GAP_TOL:
             raise NumericalFailure(f"duality gap {self.gap} exceeds {_GAP_TOL}")
-        th = th.copy()
-        th.flags.writeable = False
-        object.__setattr__(self, "theta", th)
+        object.__setattr__(self, "coupling", coupling)
+        object.__setattr__(self, "tail", tail)
 
     @property
     def thetas(self) -> np.ndarray:
@@ -191,9 +251,18 @@ class MesSolution:
 
 @dataclass(frozen=True)
 class MspSolution:
+    """Optimal value with one coupling pi*, one tail measure Theta^k per
+    level of ``grid``, the VaRs ``betas`` of L under pi*, and a dual
+    certificate.
+
+    As for :class:`MesSolution`, ``tail`` holds the tail measures on the
+    coupling's cells, (K, s); ``thetas`` may be given so or dense
+    (K, N_X, N_Y), and reads as the dense view, built on first read."""
+
     value: float
     coupling: Coupling
-    thetas: np.ndarray          # (K, N_X, N_Y); one tail measure per level
+    thetas: np.ndarray = _DenseView(
+        lambda s: _spread(s.coupling.shape, s.coupling.index, s.tail))
     betas: np.ndarray           # VaR_{u_k, pi*}(L) per level
     certificate: DualCertificate
     gap: float
@@ -201,16 +270,18 @@ class MspSolution:
     rounds: int = 0             # column-generation rounds (0: not recorded)
     active_cells: int = 0       # cells in the last restricted master
     iterations: int = 0         # HiGHS simplex iterations over all masters
+    tail: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        shape = (self.grid.n_levels, *self.coupling.matrix.shape)
-        if np.shape(self.thetas) != shape:
-            raise DimensionMismatch(f"thetas has shape {np.shape(self.thetas)}, expected {shape}")
+        coupling, tail = _tail_on_cells(self.coupling, self._dense.pop("thetas"),
+                                        (self.grid.n_levels,), "thetas")
         if np.shape(self.betas) != (self.grid.n_levels,):
             raise DimensionMismatch(
                 f"betas has shape {np.shape(self.betas)} for {self.grid.n_levels} levels")
         if self.gap > _GAP_TOL:
             raise NumericalFailure(f"duality gap {self.gap} exceeds {_GAP_TOL}")
+        object.__setattr__(self, "coupling", coupling)
+        object.__setattr__(self, "tail", tail)
 
 
 # ---------------------------------------------------------------------------
@@ -436,11 +507,13 @@ def _staircase_master(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMa
 
 @dataclass(frozen=True)
 class _LiftedSolve:
-    """Full-instance primal and certificate data of one lifted solve."""
+    """Full-instance primal and certificate data of one lifted solve; the
+    primal is held on the master's cells."""
 
     value: float
-    pi: np.ndarray
-    thetas: np.ndarray          # (K, N_X, N_Y)
+    index: np.ndarray           # the master's cells, sorted row-major flat indices (s,)
+    pi: np.ndarray              # (s,)
+    tail: np.ndarray            # (K, s)
     phi: np.ndarray
     psi: np.ndarray
     beta: np.ndarray            # per level, beta(u_k)
@@ -479,7 +552,7 @@ def _solve_lifted(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMatrix
     re-solves from its last basis.  Every round adds a cell, so the loop
     ends, at the latest on the whole kept instance; it stops when no cell is
     violated by more than ``_CERT_FEAS_TOL``, so the master's dual covers
-    the whole kept instance.  Both exits spread the result to the whole
+    the whole kept instance.  Both exits map the result to the whole
     instance by :func:`_whole_instance`.
     """
     nx, ny = loss.shape
@@ -559,24 +632,24 @@ def _whole_instance(ci: np.ndarray, cj: np.ndarray, x: np.ndarray, phi_r: np.nda
                     psi_r: np.ndarray, betas: np.ndarray, *, mu: ProbabilityVector,
                     nu: ProbabilityVector, loss: LossMatrix, keep_i: np.ndarray,
                     keep_j: np.ndarray, gammas: np.ndarray, **record) -> _LiftedSolve:
-    """A solve of the kept instance, spread to the whole one.
+    """A solve of the kept instance, mapped to the whole one.
 
     ``x`` holds pi, then Theta^1 .. Theta^K, over the kept cells
-    ``(ci, cj)``; every other cell is 0.  Dropped atoms get the smallest
-    potentials that cover their cells against ``betas`` (beta0, then one per
-    level), and the potentials are normalized to phi[0] = 0: one
-    certificate form for every exit of :func:`_solve_lifted`."""
+    ``(ci, cj)``; every other cell is 0.  The cells are mapped back through
+    ``keep_i`` and ``keep_j`` and sorted once, into the support form that
+    the solution objects hold: no dense primal array is made.  Dropped atoms
+    get the smallest potentials that cover their cells against ``betas``
+    (beta0, then one per level), and the potentials are normalized to
+    phi[0] = 0: one certificate form for every exit of
+    :func:`_solve_lifted`."""
     nx, ny = loss.shape
-    K = x.shape[0] - 1
     dropped = keep_i.size < nx or keep_j.size < ny
-    pi = np.zeros((nx, ny))
-    thetas = np.zeros((K, nx, ny))
     n = ci.size
     if dropped:
         ci, cj = keep_i[ci], keep_j[cj]
-    pi[ci, cj] = x[0]
-    for k in range(K):
-        thetas[k][ci, cj] = x[k + 1]
+    flat = ci * ny + cj
+    order = np.argsort(flat)
+    x = x[:, order]
     if dropped:
         phi = np.zeros(nx)
         psi = np.zeros(ny)
@@ -593,8 +666,9 @@ def _whole_instance(ci: np.ndarray, cj: np.ndarray, x: np.ndarray, phi_r: np.nda
     else:
         phi, psi = phi_r, psi_r
     shift = phi[0]
-    return _LiftedSolve(pi=pi, thetas=thetas, phi=phi - shift, psi=psi + shift,
-                        beta=betas[1:], beta0=float(betas[0]), active_cells=n, **record)
+    return _LiftedSolve(index=flat[order], pi=x[0], tail=x[1:], phi=phi - shift,
+                        psi=psi + shift, beta=betas[1:], beta0=float(betas[0]), active_cells=n,
+                        **record)
 
 
 def _certified(sol, loss: LossMatrix, mu: ProbabilityVector, nu: ProbabilityVector,
@@ -636,8 +710,9 @@ def solve_mes(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMatrix,
     res = _solve_lifted(mu, nu, loss, grid)
     cert = DualCertificate(phi=res.phi, psi=res.psi, beta=float(res.beta[0]))
     gap = abs(cert.value(mu, nu, grid) - res.value)
-    sol = MesSolution(value=res.value, coupling=Coupling(res.pi), theta=res.thetas[0],
-                      certificate=cert, gap=gap, alpha=a, rounds=res.rounds,
+    sol = MesSolution(value=res.value,
+                      coupling=Coupling.from_support(loss.shape, res.index, res.pi),
+                      theta=res.tail[0], certificate=cert, gap=gap, alpha=a, rounds=res.rounds,
                       active_cells=res.active_cells, iterations=res.iterations)
     return _certified(sol, loss, mu, nu, res)
 
@@ -778,9 +853,9 @@ def solve_msp(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMatrix,
     cert = DualCertificate(phi=res.phi, psi=res.psi, beta=res.beta,
                            beta0=res.beta0 if grid.z0 > 0.0 else None)
     gap = abs(cert.value(mu, nu, grid) - res.value)
-    coupling = Coupling(res.pi)
+    coupling = Coupling.from_support(loss.shape, res.index, res.pi)
     betas = var_levels(law_from_coupling(loss, coupling), grid.levels)
-    sol = MspSolution(value=res.value, coupling=coupling, thetas=res.thetas,
+    sol = MspSolution(value=res.value, coupling=coupling, thetas=res.tail,
                       betas=betas, certificate=cert, gap=gap, grid=grid,
                       rounds=res.rounds, active_cells=res.active_cells,
                       iterations=res.iterations)
@@ -819,34 +894,49 @@ def solve_transport(mu: ProbabilityVector, nu: ProbabilityVector, cost: LossMatr
 def verify_duality(sol: MesSolution | MspSolution, loss: LossMatrix,
                    mu: ProbabilityVector, nu: ProbabilityVector) -> GapReport:
     """Recompute primal and dual values from raw solution data and check
-    the coupling's marginals, the tail measures, the cover condition
-    phi_i + psi_j >= C^beta_ij on every cell, weak duality and the gap
-    tolerance; raise ``CertificateInvalid`` with the violated constraints
-    otherwise.
+    the coupling's marginals, the tail measures (sign, density box and
+    mass), the cover condition phi_i + psi_j >= C^beta_ij on every cell,
+    weak duality and the gap tolerance; raise ``CertificateInvalid`` with
+    the violated constraints otherwise.
 
-    Through its ``grid`` and ``thetas``, an MES solution is checked as MSP
-    on the Dirac grid at alpha.  The cover residual is reported in loss
-    units: max(C^beta - phi - psi) divided by the largest of 1, z0 and the
-    grid's gamma weights, the most by which C^beta scales a loss.  For MES
-    (gamma weight 1/(1-alpha)) this is (1-alpha) max(C^beta - phi - psi),
-    which is max((L - beta)+ - (1-alpha)(phi + psi)) up to rounding.
+    First the coupling, phi, psi and beta (and beta0 when z0 > 0) must fit
+    the instance and the grid, or ``DimensionMismatch`` names the field; the
+    tail measures live on the coupling's cells, so the coupling's check
+    covers them.  Every primal check runs on the support that the solution
+    holds, in O(cells of the coupling); only the cover check, the
+    certificate itself, runs over every cell.  Through its ``grid`` and
+    ``tail``, an MES solution is checked as MSP on the Dirac grid at alpha.
+    The cover residual is reported in loss units: max(C^beta - phi - psi)
+    divided by the largest of 1, z0 and the grid's gamma weights, the most
+    by which C^beta scales a loss.  For MES (gamma weight 1/(1-alpha)) this
+    is (1-alpha) max(C^beta - phi - psi), which is
+    max((L - beta)+ - (1-alpha)(phi + psi)) up to rounding.
     """
     check_instance(mu, nu, loss)
-    grid, thetas = sol.grid, sol.thetas
+    grid, cert, pi, tail = sol.grid, sol.certificate, sol.coupling, sol.tail
+    nx, ny = loss.shape
+    for name, got, want in (("coupling", pi.shape, loss.shape),
+                            ("certificate.phi", np.shape(cert.phi), (nx,)),
+                            ("certificate.psi", np.shape(cert.psi), (ny,)),
+                            ("certificate.beta", np.shape(np.atleast_1d(cert.beta)),
+                             (grid.n_levels,))):
+        if got != want:
+            raise DimensionMismatch(f"{name} has shape {got}, but the instance and grid "
+                                    f"need {want}")
+    if grid.z0 > 0.0 and cert.beta0 is None:
+        raise DimensionMismatch("certificate.beta0 is required when the grid has z0 > 0")
     unit = 1.0 / max(1.0, grid.z0, float(np.max(grid.gamma_weights, initial=0.0)))
-    cert = sol.certificate
-    pi = sol.coupling.matrix
-    row_res, col_res = sol.coupling.marginal_residuals(mu, nu)
-    # einsum, not BLAS: in some processes every threaded BLAS dot or gemv
-    # over the full grid takes about 8 ms.  One buffer for the box.
-    lvec = loss.values.ravel()
-    primal = grid.z0 * float(np.einsum("c,c->", lvec, pi.ravel()))
-    primal += float(grid.weights @ np.einsum("kc,c->k", thetas.reshape(grid.n_levels, lvec.size),
-                                             lvec))
-    box = np.multiply(pi, (-1.0 / (1.0 - grid.levels))[:, None, None])
-    box += thetas
+    row_res, col_res = pi.marginal_residuals(mu, nu)
+    # einsum, not BLAS: in some processes a threaded BLAS call costs
+    # milliseconds.  One buffer for the box.
+    lvec = loss.values.ravel()[pi.index]
+    primal = grid.z0 * float(np.einsum("c,c->", lvec, pi.values))
+    primal += float(grid.weights @ np.einsum("kc,c->k", tail, lvec))
+    box = np.multiply(pi.values, (-1.0 / (1.0 - grid.levels))[:, None])
+    box += tail
     theta_box = float(box.max(initial=0.0))
-    mass_res = float(np.abs(thetas.sum(axis=(1, 2)) - 1.0).max(initial=0.0))
+    theta_sign = max(0.0, -float(tail.min(initial=0.0)))
+    mass_res = float(np.abs(tail.sum(axis=1) - 1.0).max(initial=0.0))
     dual = cert.value(mu, nu, grid)
     cover = _c_beta(loss.values, np.concatenate([[grid.z0], grid.gamma_weights]),
                     np.concatenate([[cert.beta0 if grid.z0 > 0.0 else 0.0],
@@ -857,11 +947,13 @@ def verify_duality(sol: MesSolution | MspSolution, loss: LossMatrix,
     violations: list[str] = []
     if cover_res > _CERT_FEAS_TOL:
         violations.append(f"phi + psi >= C^beta violated by {cover_res:.3e}")
-    if row_res > 1e-9 or col_res > 1e-9:
+    if row_res > _PRIMAL_TOL or col_res > _PRIMAL_TOL:
         violations.append(f"coupling marginals off by ({row_res:.3e}, {col_res:.3e})")
-    if theta_box > 1e-9:
+    if theta_sign > _PRIMAL_TOL:
+        violations.append(f"theta negative by {theta_sign:.3e}")
+    if theta_box > _PRIMAL_TOL:
         violations.append(f"theta density bound violated by {theta_box:.3e}")
-    if mass_res > 1e-9:
+    if mass_res > _PRIMAL_TOL:
         violations.append(f"theta mass off by {mass_res:.3e}")
     gap = abs(dual - primal)
     if dual < primal - _WEAK_DUALITY_TOL:
@@ -871,7 +963,7 @@ def verify_duality(sol: MesSolution | MspSolution, loss: LossMatrix,
     if violations:
         raise CertificateInvalid("; ".join(violations))
     return GapReport(primal_value=primal, dual_value=dual, gap=gap,
-                     primal_residuals={"row": row_res, "col": col_res,
+                     primal_residuals={"row": row_res, "col": col_res, "theta_sign": theta_sign,
                                        "theta_box": theta_box, "theta_mass": mass_res},
                      dual_residuals={"cover": cover_res})
 
@@ -879,46 +971,76 @@ def verify_duality(sol: MesSolution | MspSolution, loss: LossMatrix,
 # ---------------------------------------------------------------------------
 # Solution (de)serialization: {value, gap, coupling, theta, certificate}.
 # Coupling-sized arrays are stored by their support as {shape, index, values}:
-# row-major flat indices of the nonzeros and their exact values.  Readers
-# also take the dense nested lists of older files, and ignore the MES
-# certificate's rho that older files carry.
+# row-major flat indices of the nonzeros, increasing, and their exact values.
+# Writers and readers go straight between that and the support form of the
+# solution objects.  Readers also take the dense nested lists of older
+# files, and ignore the MES certificate's rho that older files carry.
 # ---------------------------------------------------------------------------
 
 
-def _encode_array(a: np.ndarray) -> dict:
-    flat = a.ravel()
-    index = np.flatnonzero(flat)
-    return {"shape": list(a.shape), "index": index.tolist(), "values": flat[index].tolist()}
+def _encode_support(coupling: Coupling, values: np.ndarray, lead: tuple = ()) -> dict:
+    """The field of shape ``lead + coupling.shape`` that holds ``values``,
+    ``lead + (s,)``, on the coupling's cells and 0 elsewhere, by its
+    nonzeros in increasing row-major flat index."""
+    rows = values.reshape(math.prod(lead), coupling.index.size)
+    k, c = np.nonzero(rows)
+    index = k * math.prod(coupling.shape) + coupling.index[c]
+    return {"shape": [*lead, *coupling.shape], "index": index.tolist(),
+            "values": rows[k, c].tolist()}
+
+
+def _decode_support(obj, field: str, shape: tuple | None = None):
+    """(shape, index, values) of a solution field, written by
+    :func:`_encode_support` or, in older files, as a dense nested list
+    (whose support is its nonzeros); ``shape``, when given, is the one it
+    must have.  Malformed input raises ``DimensionMismatch`` naming the
+    field."""
+    if not isinstance(obj, dict):
+        dense = _decode_array(obj, field, shape)
+        index = np.flatnonzero(dense)
+        return dense.shape, index, dense.ravel()[index]
+    try:
+        got = tuple(int(s) for s in obj["shape"])
+        index = np.asarray(obj["index"], dtype=np.int64)
+        values = np.asarray(obj["values"], dtype=float)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DimensionMismatch(f"{field}: {type(exc).__name__}: {exc}") from exc
+    if (list(got) != list(obj["shape"]) or min(got, default=0) < 0
+            or not np.array_equal(index, obj["index"])):
+        raise DimensionMismatch(f"{field}: shape and index must hold nonnegative integers")
+    if shape is not None and got != tuple(shape):
+        raise DimensionMismatch(f"{field} has shape {got}, expected {tuple(shape)}")
+    return (got, *_support(got, index, values, field))
 
 
 def _decode_array(obj, field: str, shape: tuple | None = None) -> np.ndarray:
-    """The dense array of a solution field, written by :func:`_encode_array`
-    or as a nested list; ``shape``, when given, is the one it must have.
-    Malformed input raises ``DimensionMismatch`` naming the field."""
+    """The dense array of a solution field, as a nested list or by its
+    support; ``shape``, when given, is the one it must have.  Malformed
+    input raises ``DimensionMismatch`` naming the field."""
+    if isinstance(obj, dict):
+        return _spread(*_decode_support(obj, field, shape))
     try:
-        if isinstance(obj, dict):
-            out = np.zeros(tuple(int(s) for s in obj["shape"]))
-            index = np.asarray(obj["index"], dtype=np.int64)
-            values = np.asarray(obj["values"], dtype=float)
-            if list(out.shape) != list(obj["shape"]) or not np.array_equal(index, obj["index"]):
-                raise DimensionMismatch(f"{field}: shape and index must hold integers")
-            if index.ndim != 1 or index.shape != values.shape:
-                raise DimensionMismatch(
-                    f"{field}: {index.size} indices for {values.size} values")
-            if index.size and (index[0] < 0 or index[-1] >= out.size
-                               or np.any(np.diff(index) <= 0)):
-                raise DimensionMismatch(
-                    f"{field}: indices must increase strictly within [0, {out.size})")
-            out.flat[index] = values
-        else:
-            out = np.asarray(obj, dtype=float)
-            if out.size == 0 and shape is not None and 0 in shape:
-                out = out.reshape(shape)        # K = 0 tail measures were written as []
-    except (KeyError, TypeError, ValueError) as exc:
+        out = np.asarray(obj, dtype=float)
+    except (TypeError, ValueError) as exc:
         raise DimensionMismatch(f"{field}: {type(exc).__name__}: {exc}") from exc
+    if out.size == 0 and shape is not None and 0 in shape:
+        out = out.reshape(shape)        # K = 0 tail measures were written as []
     if shape is not None and out.shape != tuple(shape):
         raise DimensionMismatch(f"{field} has shape {out.shape}, expected {tuple(shape)}")
     return out
+
+
+def _decode_primal(d: dict, lead: tuple):
+    """A solution dict's coupling, and its tail measures as values on the
+    coupling's cells, ``lead + (s,)``; the coupling gains zero-mass cells
+    where a tail measure has mass off it.  A tail entry below -1e-9 raises
+    ``NegativeWeight``."""
+    coupling = Coupling.from_support(*_decode_support(d["coupling"], "coupling"))
+    _, index, values = _decode_support(d["theta"], "theta", lead + coupling.shape)
+    if values.size and values.min() < -_PRIMAL_TOL:
+        raise NegativeWeight(f"theta entry {values.min()} below -{_PRIMAL_TOL}")
+    coupling, tail = _place_tails(coupling, math.prod(lead), index, values)
+    return coupling, tail.reshape(lead + tail.shape[1:])
 
 
 def _decode_scalar(obj, field: str) -> float:
@@ -947,8 +1069,8 @@ def mes_solution_to_dict(sol: MesSolution) -> dict:
         "alpha": sol.alpha,
         "value": sol.value,
         "gap": sol.gap,
-        "coupling": _encode_array(sol.coupling.matrix),
-        "theta": _encode_array(sol.theta),
+        "coupling": _encode_support(sol.coupling, sol.coupling.values),
+        "theta": _encode_support(sol.coupling, sol.tail[0]),
         "certificate": {
             "phi": sol.certificate.phi.tolist(),
             "psi": sol.certificate.psi.tolist(),
@@ -967,12 +1089,11 @@ def _decode_potentials(cert: dict, shape: tuple) -> dict:
 
 
 def mes_solution_from_dict(d: dict) -> MesSolution:
-    coupling = Coupling(_decode_array(d["coupling"], "coupling"))
-    shape = coupling.matrix.shape
-    cert = DualCertificate(**_decode_potentials(d["certificate"], shape),
+    coupling, theta = _decode_primal(d, ())
+    cert = DualCertificate(**_decode_potentials(d["certificate"], coupling.shape),
                            beta=_decode_scalar(d["certificate"]["beta"], "certificate.beta"))
     return MesSolution(value=_decode_scalar(d["value"], "value"), coupling=coupling,
-                       theta=_decode_array(d["theta"], "theta", shape), certificate=cert,
+                       theta=theta, certificate=cert,
                        gap=_decode_scalar(d["gap"], "gap"),
                        alpha=_decode_scalar(d["alpha"], "alpha"), **_decode_counts(d))
 
@@ -991,8 +1112,8 @@ def msp_solution_to_dict(sol: MspSolution) -> dict:
                  "weights": sol.grid.weights.tolist()},
         "value": sol.value,
         "gap": sol.gap,
-        "coupling": _encode_array(sol.coupling.matrix),
-        "theta": _encode_array(sol.thetas),
+        "coupling": _encode_support(sol.coupling, sol.coupling.values),
+        "theta": _encode_support(sol.coupling, sol.tail, (sol.grid.n_levels,)),
         "betas": sol.betas.tolist(),
         "certificate": cert,
         "rounds": sol.rounds,
@@ -1008,17 +1129,16 @@ def msp_solution_from_dict(d: dict) -> MspSolution:
     grid = SpectralGrid(z0=_decode_scalar(d["grid"]["z0"], "grid.z0"), levels=levels,
                         weights=_decode_array(d["grid"]["weights"], "grid.weights",
                                               levels.shape))
-    coupling = Coupling(_decode_array(d["coupling"], "coupling"))
+    coupling, thetas = _decode_primal(d, (grid.n_levels,))
     beta0 = d["certificate"].get("beta0")
     if beta0 is None and grid.z0 > 0.0:
         raise DimensionMismatch("certificate.beta0 is required when the grid has z0 > 0")
     if beta0 is not None:
         beta0 = _decode_scalar(beta0, "certificate.beta0")
-    cert = DualCertificate(**_decode_potentials(d["certificate"], coupling.matrix.shape),
+    cert = DualCertificate(**_decode_potentials(d["certificate"], coupling.shape),
                            beta=_decode_array(d["certificate"]["beta"], "certificate.beta",
                                               (grid.n_levels,)),
                            beta0=beta0)
-    thetas = _decode_array(d["theta"], "theta", (grid.n_levels, *coupling.matrix.shape))
     return MspSolution(value=_decode_scalar(d["value"], "value"), coupling=coupling,
                        thetas=thetas, betas=_decode_array(d["betas"], "betas", (grid.n_levels,)),
                        certificate=cert, gap=_decode_scalar(d["gap"], "gap"), grid=grid,

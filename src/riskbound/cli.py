@@ -87,12 +87,43 @@ class RunConfig:
              ) -> "RunConfig":
         with open(config_path, "r", encoding="utf-8") as fh:
             params = json.load(fh)
-        ref = params.get("instance", {}).get("file")
+        if not isinstance(params, dict):
+            raise InvalidParams(f"config must be a JSON object, got {type(params).__name__}")
+        ref = _instance_file(params)
         if ref is not None and not Path(ref).exists():
             raise FileNotFoundError(f"instance file not found: {ref}")
-        seed = int(seed_flag if seed_flag is not None else params.get("seed", 0))
-        out_dir = _out_dir(out_flag or params.get("out_dir"))
+        seed = seed_flag if seed_flag is not None else _field(params, "seed", int, 0)
+        out_dir = _out_dir(out_flag or _field(params, "out_dir", os.fspath, None))
         return cls(params=params, seed=seed, out_dir=out_dir)
+
+
+_REQUIRED = object()
+
+
+def _object(value) -> dict:
+    if not isinstance(value, dict):
+        raise TypeError(f"expected an object, got {type(value).__name__}")
+    return value
+
+
+def _field(obj: dict, name: str, convert, default=_REQUIRED, where: str = ""):
+    """Config field ``name`` of ``obj`` through ``convert`` (``int``,
+    ``float``, ``_object``, ...), or ``default`` when it is missing; a
+    required field that is missing, or one that ``convert`` refuses, raises
+    ``InvalidParams`` naming the field, prefixed by ``where``."""
+    if name not in obj:
+        if default is _REQUIRED:
+            raise InvalidParams(f"config field '{where}{name}' is missing")
+        return default
+    try:
+        return convert(obj[name])
+    except (TypeError, ValueError) as exc:
+        raise InvalidParams(f"config field '{where}{name}': {exc}") from None
+
+
+def _instance_file(cfg: dict):
+    """The config's ``instance.file``, or None when it names none."""
+    return _field(_field(cfg, "instance", _object, {}), "file", os.fspath, None, "instance.")
 
 
 def parse_sigma_spec(spec: str, levels: int) -> tuple[SpectralFunction, SpectralGrid]:
@@ -136,22 +167,24 @@ def _out_dir(value: str | None) -> Path:
 
 def _build_from_generator(gen: dict):
     kind = gen.get("kind")
+    field = partial(_field, gen, where="generator.")
     if kind == "gaussian-linear":
         return losses.build_gaussian_linear_instance(
-            int(gen["n_x"]), int(gen["n_y"]), int(gen.get("seed", 0)))
+            field("n_x", int), field("n_y", int), field("seed", int, 0))
     if kind == "ccr":
-        p = gen.get("params")
-        params = losses.CcrParams(**p) if p else losses.DEFAULT_CCR_PARAMS
-        return losses.build_ccr_instance(params, int(gen["n"]), int(gen.get("seed", 0)))
+        params = field("params", lambda p: losses.CcrParams(**p) if p else None, None)
+        return losses.build_ccr_instance(params or losses.DEFAULT_CCR_PARAMS, field("n", int),
+                                         field("seed", int, 0))
     raise InvalidParams(f"unknown generator kind {kind!r}")
 
 
 def _instance_from_config(cfg: dict):
-    if "file" in cfg.get("instance", {}):
-        mu, nu, loss, _ = load_instance(cfg["instance"]["file"])
+    ref = _instance_file(cfg)
+    if ref is not None:
+        mu, nu, loss, _ = load_instance(ref)
         return mu, nu, loss
     if "generator" in cfg:
-        return _build_from_generator(cfg["generator"])
+        return _build_from_generator(_field(cfg, "generator", _object))
     raise DomainError("config needs either instance.file or generator")
 
 
@@ -168,10 +201,10 @@ def cmd_mes(args) -> int:
     sol = bounds.solve_mes(mu, nu, loss, args.alpha)
     out = _out_dir(args.out)
     _json_dump(out / "solution.json", bounds.mes_solution_to_dict(sol))
-    nz = int((sol.coupling.matrix > 1e-10).sum())
+    nz = int((sol.coupling.values > 1e-10).sum())
     print(f"value = {sol.value!r}")
     print(f"gap = {sol.gap:.3e}")
-    print(f"nonzero coupling cells: {nz} of {sol.coupling.matrix.size}")
+    print(f"nonzero coupling cells: {nz} of {math.prod(sol.coupling.shape)}")
     return EXIT_OK
 
 
@@ -230,15 +263,16 @@ def cmd_clt(args) -> int:
     run = RunConfig.load(args.config, args.seed, args.out)
     cfg = run.params
     mu, nu, loss = _instance_from_config(cfg)
-    alpha = float(cfg["alpha"])
+    alpha = _field(cfg, "alpha", float)
     seed = run.seed
-    threads = int(args.threads if args.threads is not None
-                  else cfg.get("threads", os.cpu_count() or 1))
+    threads = (args.threads if args.threads is not None
+               else _field(cfg, "threads", int, os.cpu_count() or 1))
+    limit_draws = _field(cfg, "limit_draws", int, 0)
     exp = asym.CltExperiment(
         mu=mu, nu=nu, loss=loss, alpha=alpha,
-        n_x=int(cfg.get("sample_n_x", mu.size)),
-        n_y=int(cfg.get("sample_n_y", nu.size)),
-        replications=int(cfg["replications"]), seed=seed)
+        n_x=_field(cfg, "sample_n_x", int, mu.size),
+        n_y=_field(cfg, "sample_n_y", int, nu.size),
+        replications=_field(cfg, "replications", int), seed=seed)
     out = run.out_dir
     true_value = bounds.solve_mes(mu, nu, loss, alpha).value
     log.info("true value %s", true_value)
@@ -279,10 +313,9 @@ def cmd_clt(args) -> int:
         diag = asym.DualFace(mu, nu, loss, alpha, value=true_value).linearity_diagnostic(
             seed=seed)
         summary["dual_face"] = diag
-    if int(cfg.get("limit_draws", 0)) > 0:
+    if limit_draws > 0:
         y_scale = math.sqrt(exp.n_x / exp.n_y)
-        ls = asym.simulate_limit_distribution(mu, nu, loss, alpha,
-                                              int(cfg["limit_draws"]), seed,
+        ls = asym.simulate_limit_distribution(mu, nu, loss, alpha, limit_draws, seed,
                                               y_scale=y_scale)
         l_stat, l_p, l_rej = asym.anderson_darling_normal(ls.draws)
         summary["limit"] = {"mean": float(ls.draws.mean()),
@@ -309,13 +342,14 @@ def cmd_stability(args) -> int:
     cfg = run.params
     mu, nu, loss = _instance_from_config(cfg)
     if "sigma_spec" in cfg:
-        _, target = parse_sigma_spec(cfg["sigma_spec"], int(cfg.get("levels", 8)))
+        _, target = parse_sigma_spec(_field(cfg, "sigma_spec", str), _field(cfg, "levels", int, 8))
     else:
-        target = float(cfg["alpha"])
+        target = _field(cfg, "alpha", float)
     seed = run.seed
+    min_slope = _field(cfg, "min_slope", float, 0.0)
     report = stability.perturbation_sweep(
         mu, nu, loss, target, scheme=cfg.get("scheme", "mixing"),
-        steps=int(cfg.get("steps", 8)), seed=seed, r=float(cfg.get("r", 1.0)))
+        steps=_field(cfg, "steps", int, 8), seed=seed, r=_field(cfg, "r", float, 1.0))
     out = run.out_dir
     with open(out / "report.csv", "w", encoding="utf-8") as fh:
         fh.write("epsilon,w_r_mu,w_r_nu,value,delta_value,bound\n")
@@ -335,7 +369,6 @@ def cmd_stability(args) -> int:
     _json_dump(out / "summary.json", summary)
     print(f"base value = {report.base_value!r}")
     print(f"log-log slope = {report.loglog_slope!r}")
-    min_slope = float(cfg.get("min_slope", 0.0))
     if report.loglog_slope < min_slope:
         print(f"trend check failed: slope {report.loglog_slope!r} < {min_slope!r}",
               file=sys.stderr)

@@ -217,30 +217,118 @@ def check_instance(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMatri
         )
 
 
+class _DenseView:
+    """A dataclass field that the constructor takes, and the object holds by
+    its support: reading it gives a read-only dense array.
+
+    The generated ``__init__`` parks its argument in the object's ``_dense``
+    dict, where ``__post_init__`` takes it to build the support form.  The
+    dict is then the cache of the dense view, built by ``build(obj)`` on
+    first read.  Reading the field on the class raises ``AttributeError``,
+    so the field has no default."""
+
+    def __init__(self, build):
+        self.build = build
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            raise AttributeError(self.name)
+        views = obj.__dict__["_dense"]
+        if self.name not in views:
+            views[self.name] = _freeze(self.build(obj))
+        return views[self.name]
+
+    def __set__(self, obj, value) -> None:
+        obj.__dict__.setdefault("_dense", {})[self.name] = value
+
+
+def _spread(shape: tuple, index: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The dense array of ``values``, (..., s), on the row-major flat
+    ``index`` of ``shape``, with zeros elsewhere: (..., *shape)."""
+    lead = values.shape[:-1]
+    out = np.zeros(lead + (math.prod(shape),))
+    out[..., index] = values
+    return out.reshape(lead + tuple(shape))
+
+
+def _support(shape: tuple, index, values, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """``index`` and ``values`` of an array of ``shape`` held by its support,
+    checked: one finite value per index, and integer indices that increase
+    strictly within the array.  ``DimensionMismatch``, or
+    ``NumericalFailure`` for a value that is not finite, naming ``name``."""
+    index = np.asarray(index)
+    values = np.asarray(values, dtype=float)
+    if index.ndim != 1 or index.shape != values.shape:
+        raise DimensionMismatch(f"{name}: {index.size} indices for {values.size} values")
+    if index.size and index.dtype.kind not in "iu":
+        raise DimensionMismatch(f"{name}: indices must be integers")
+    size = math.prod(shape)
+    if index.size and (index[0] < 0 or index[-1] >= size or np.any(np.diff(index) <= 0)):
+        raise DimensionMismatch(f"{name}: indices must increase strictly within [0, {size})")
+    if not np.all(np.isfinite(values)):
+        raise NumericalFailure(f"{name} contains non-finite entries")
+    return index.astype(np.int64, copy=False), values
+
+
 @dataclass(frozen=True)
 class Coupling:
-    """A joint probability matrix; marginal agreement is checked on request."""
+    """A joint probability matrix held by its support; marginal agreement is
+    checked on request.
 
-    matrix: np.ndarray
+    ``index`` holds the row-major flat indices of the cells, strictly
+    increasing, and ``values`` the mass on each; every other cell is 0.
+    Cells of zero mass may be listed.  ``matrix`` is the dense
+    ``shape``-sized view, read-only, built on first read.  ``Coupling(matrix)``
+    takes a dense array, whose support is its nonzero cells;
+    :meth:`from_support` takes the support form.  Either way entries must
+    be finite and no lower than -1e-9, and those below 0 are set to 0."""
+
+    matrix: np.ndarray = _DenseView(lambda c: _spread(c.shape, c.index, c.values))
+    shape: tuple[int, int] = field(init=False)
+    index: np.ndarray = field(init=False, repr=False)
+    values: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=float)
+        m = np.asarray(self._dense.pop("matrix"), dtype=float)
         if m.ndim != 2 or m.size == 0:
             raise DimensionMismatch("coupling must be a nonempty 2-D array")
-        if not np.all(np.isfinite(m)):
-            raise NumericalFailure("coupling contains non-finite entries")
-        if m.min() < -COUPLING_TOL:
-            raise NegativeWeight(f"coupling entry {m.min()} below -{COUPLING_TOL}")
-        m = np.where(m < 0.0, 0.0, m)
-        object.__setattr__(self, "matrix", _freeze(m))
+        index = np.flatnonzero(m)
+        self._hold(m.shape, index, m.ravel()[index])
 
-    def marginal_residuals(self, mu: ProbabilityVector, nu: ProbabilityVector) -> tuple[float, float]:
-        r = float(np.abs(self.matrix.sum(axis=1) - mu.weights).max())
-        c = float(np.abs(self.matrix.sum(axis=0) - nu.weights).max())
-        return r, c
+    @classmethod
+    def from_support(cls, shape: tuple[int, int], index, values) -> "Coupling":
+        """The coupling of ``shape`` with mass ``values`` on the row-major
+        flat ``index``, which must increase strictly within the shape."""
+        shape = tuple(shape)
+        if len(shape) != 2 or min(shape) < 1:
+            raise DimensionMismatch(f"coupling shape {shape} is not a nonempty 2-D shape")
+        pi = object.__new__(cls)
+        object.__setattr__(pi, "_dense", {})
+        pi._hold(shape, index, values)
+        return pi
+
+    def _hold(self, shape: tuple, index, values) -> None:
+        index, values = _support(shape, index, values, "coupling")
+        if values.size and values.min() < -COUPLING_TOL:
+            raise NegativeWeight(f"coupling entry {values.min()} below -{COUPLING_TOL}")
+        index = np.array(index, dtype=np.int64)
+        index.flags.writeable = False
+        object.__setattr__(self, "shape", (int(shape[0]), int(shape[1])))
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "values", _freeze(np.where(values < 0.0, 0.0, values)))
+
+    def marginal_residuals(self, mu: ProbabilityVector, nu: ProbabilityVector
+                           ) -> tuple[float, float]:
+        i, j = np.divmod(self.index, self.shape[1])
+        rows = np.bincount(i, weights=self.values, minlength=self.shape[0])
+        cols = np.bincount(j, weights=self.values, minlength=self.shape[1])
+        return float(np.abs(rows - mu.weights).max()), float(np.abs(cols - nu.weights).max())
 
     def require_marginals(self, mu: ProbabilityVector, nu: ProbabilityVector) -> None:
-        if self.matrix.shape != (mu.size, nu.size):
+        if self.shape != (mu.size, nu.size):
             raise DimensionMismatch("coupling shape does not match marginals")
         r, c = self.marginal_residuals(mu, nu)
         if r > COUPLING_TOL or c > COUPLING_TOL:

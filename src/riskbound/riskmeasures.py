@@ -66,10 +66,11 @@ class DiscreteLaw:
 
 
 def law_from_coupling(loss: LossMatrix, pi: Coupling) -> DiscreteLaw:
-    """Push a coupling through the loss: the law of L(X,Y) on the line."""
-    if loss.shape != pi.matrix.shape:
+    """Push a coupling through the loss: the law of L(X,Y) on the line, with
+    one atom per cell of the coupling's support, in its order."""
+    if loss.shape != pi.shape:
         raise DimensionMismatch("loss and coupling shapes differ")
-    return DiscreteLaw(loss.values.ravel(), validate_marginal(pi.matrix.ravel()))
+    return DiscreteLaw(loss.values.ravel()[pi.index], validate_marginal(pi.values))
 
 
 def uniform_law(losses) -> DiscreteLaw:

@@ -15,9 +15,11 @@ from riskbound.asymptotics import CltExperiment, replication_value
 from riskbound.core import (
     AlphaOutOfRange,
     CertificateInvalid,
+    Coupling,
     DimensionMismatch,
     InvalidParams,
     LossMatrix,
+    NegativeWeight,
     NumericalFailure,
     ProbabilityVector,
     ProblemTooLarge,
@@ -790,6 +792,62 @@ class TestSolutionJson:
             with pytest.raises(DimensionMismatch, match=field):
                 reader(d)
 
+    @pytest.mark.parametrize("field, value, error, words", [
+        ("coupling", -1e-6, NegativeWeight, "coupling entry"),
+        ("coupling", float("nan"), NumericalFailure, "coupling contains non-finite"),
+        ("theta", -1e-6, NegativeWeight, "theta entry"),
+        ("theta", float("nan"), NumericalFailure, "theta contains non-finite"),
+    ])
+    def test_bad_values_name_the_field(self, field, value, error, words):
+        for kind, d, reader in two_by_two_dicts():
+            d = copy.deepcopy(d)
+            d[field]["values"][0] = value
+            with pytest.raises(error, match=words):
+                reader(d)
+
+    def test_dense_and_sparse_files_load_equal_and_encode_the_same(self):
+        rng = np.random.default_rng(405)
+        for _ in range(10):
+            mu, nu, loss = degenerate_instance(rng)
+            for sol in (solve_mes(mu, nu, loss, 0.7), solve_msp(mu, nu, loss, C2_GRID)):
+                d, sparse = json_round_trip(sol)
+                reader = (mes_solution_from_dict if isinstance(sol, MesSolution)
+                          else msp_solution_from_dict)
+                nested = dict(d, coupling=sol.coupling.matrix.tolist(),
+                              theta=solution_arrays(sol)["theta"].tolist())
+                dense = reader(nested)
+                assert np.array_equal(dense.coupling.index, sparse.coupling.index)
+                assert np.array_equal(dense.coupling.values, sparse.coupling.values)
+                assert np.array_equal(dense.tail, sparse.tail)
+                for back in (sparse, dense):
+                    for name, arr in solution_arrays(back).items():
+                        assert np.array_equal(arr, solution_arrays(sol)[name]), name
+                    assert json.dumps(json_round_trip(back)[0]) == json.dumps(d)
+
+    @pytest.mark.parametrize("kind", ["mes", "msp"])
+    def test_tail_mass_where_pi_is_zero_round_trips(self, kind):
+        """A dense tail measure with mass on a cell outside the coupling's
+        support keeps it: the cell joins the coupling with zero mass."""
+        mu, nu, loss = two_by_two_sum()
+        if kind == "mes":
+            sol = solve_mes(mu, nu, loss, 0.5)
+            theta = sol.theta.copy()
+            theta[0, 1] = 1e-10
+            sol = dataclasses.replace(sol, theta=theta)
+            got = lambda s: s.theta
+        else:
+            sol = solve_msp(mu, nu, loss, C2_GRID)
+            theta = sol.thetas.copy()
+            theta[1, 0, 1] = 1e-10
+            sol = dataclasses.replace(sol, thetas=theta)
+            got = lambda s: s.thetas
+        assert sol.coupling.matrix[0, 1] == 0.0 and 1 in sol.coupling.index
+        d, back = json_round_trip(sol)
+        assert 1e-10 in d["theta"]["values"]
+        assert np.array_equal(got(back), theta)
+        assert np.array_equal(back.coupling.matrix, sol.coupling.matrix)
+        assert json.dumps(json_round_trip(back)[0]) == json.dumps(d)
+
     @pytest.mark.parametrize("field", ["theta"])
     def test_shape_off_the_coupling_names_the_field(self, field):
         for kind, d, reader in two_by_two_dicts():
@@ -873,6 +931,51 @@ class TestSolutionJson:
         d["certificate"]["beta"] = [0.0] * length
         with pytest.raises(DimensionMismatch, match="certificate.beta has shape"):
             msp_solution_from_dict(d)
+
+
+class TestSupportForm:
+    """Solutions hold pi and Theta on the coupling's cells; the dense
+    ``matrix``, ``theta`` and ``thetas`` are views built on first read."""
+
+    def test_dense_views_equal_the_arrays_built_densely(self):
+        rng = np.random.default_rng(406)
+        for _ in range(10):
+            mu, nu, loss = degenerate_instance(rng)
+            for sol in (solve_mes(mu, nu, loss, 0.7), solve_msp(mu, nu, loss, C2_GRID)):
+                pi = sol.coupling
+                matrix = np.zeros(loss.values.size)
+                thetas = np.zeros((sol.grid.n_levels, loss.values.size))
+                for s, c in enumerate(pi.index.tolist()):
+                    matrix[c] = pi.values[s]
+                    thetas[:, c] = sol.tail[:, s]
+                assert np.array_equal(pi.matrix, matrix.reshape(loss.shape))
+                assert np.array_equal(sol.thetas, thetas.reshape(sol.thetas.shape))
+                assert not sol.thetas.flags.writeable and not pi.matrix.flags.writeable
+                # the dense constructors take the views back: the support is
+                # then the cells where pi or a tail measure is nonzero
+                dense = {"theta": sol.theta} if isinstance(sol, MesSolution) else {
+                    "thetas": sol.thetas}
+                again = dataclasses.replace(sol, coupling=Coupling(pi.matrix), **dense)
+                nonzero = (pi.matrix != 0.0) | (sol.thetas != 0.0).any(axis=0)
+                assert np.array_equal(again.coupling.index, np.flatnonzero(nonzero))
+                assert np.array_equal(again.coupling.matrix, pi.matrix)
+                assert np.array_equal(again.thetas, sol.thetas)
+                verify_duality(again, loss, mu, nu)
+
+    @pytest.mark.parametrize("kind", ["lg200x400-mes", "ccr40-k16-msp"])
+    def test_solve_verify_encode_build_no_dense_view(self, kind):
+        if kind == "lg200x400-mes":
+            mu, nu, loss = build_gaussian_linear_instance(200, 400, 701)
+            sol = solve_mes(mu, nu, loss, 0.9)
+            mes_solution_to_dict(sol)
+        else:
+            mu, nu, loss = build_ccr_instance(DEFAULT_CCR_PARAMS, 40, 31)
+            sol = solve_msp(mu, nu, loss, discretize_spectrum(SpectralFunction.power_sqrt(), 16))
+            msp_solution_to_dict(sol)
+        verify_duality(sol, loss, mu, nu)
+        assert sol._dense == {} and sol.coupling._dense == {}
+        assert sol.tail.shape == (sol.grid.n_levels, sol.coupling.index.size)
+        assert sol.coupling.index.size == sol.active_cells
 
 
 class TestSolveMsp:
@@ -1270,3 +1373,43 @@ class TestVerifyDuality:
         reference = math.fsum(terms)
         report = verify_duality(sol, loss, mu, nu)
         assert report.primal_value == pytest.approx(reference, rel=1e-12, abs=0.0)
+
+    def test_negative_msp_tail_measure_rejected(self):
+        """A tail measure with a negative entry, its mass and density box
+        intact, fails the sign check, and its solution.json fails to load."""
+        mu = validate_marginal([0.5, 0.5])
+        loss = LossMatrix(np.ones((2, 2)))
+        sol = dataclasses.replace(solve_msp(mu, mu, loss, C2_GRID),
+                                  coupling=Coupling(np.full((2, 2), 0.25)),
+                                  thetas=np.full((2, 2, 2), 0.25))
+        assert verify_duality(sol, loss, mu, mu).primal_residuals["theta_sign"] == 0.0
+        bad = dataclasses.replace(sol, thetas=np.array([np.full((2, 2), 0.25),
+                                                        [[-0.1, 0.5], [0.3, 0.3]]]))
+        with pytest.raises(CertificateInvalid, match="theta negative by 1.000e-01"):
+            verify_duality(bad, loss, mu, mu)
+        with pytest.raises(NegativeWeight, match="theta entry -0.1"):
+            msp_solution_from_dict(msp_solution_to_dict(bad))
+
+    @pytest.mark.parametrize("solved, checked", [((2, 3), (2, 2)), ((1, 3), (2, 3))])
+    def test_solution_off_the_instance_names_the_coupling(self, solved, checked):
+        rng = np.random.default_rng(9)
+        mu, nu, loss = (validate_marginal(rng.dirichlet(np.ones(solved[0]))),
+                        validate_marginal(rng.dirichlet(np.ones(solved[1]))),
+                        LossMatrix(rng.normal(size=solved)))
+        sol = solve_mes(mu, nu, loss, 0.5)
+        mu2, nu2 = (validate_marginal(np.full(n, 1.0 / n)) for n in checked)
+        with pytest.raises(DimensionMismatch, match=re.escape(f"coupling has shape {solved}")):
+            verify_duality(sol, LossMatrix(np.zeros(checked)), mu2, nu2)
+
+    @pytest.mark.parametrize("field", ["certificate.phi", "certificate.psi",
+                                       "certificate.beta", "certificate.beta0"])
+    def test_certificate_off_the_instance_names_the_field(self, field):
+        mu, nu, loss = two_by_two_sum()
+        sol = solve_msp(mu, nu, loss, C2_GRID)
+        cert = sol.certificate
+        bad = {"certificate.phi": {"phi": cert.phi[:1]}, "certificate.psi": {"psi": cert.psi[:1]},
+               "certificate.beta": {"beta": cert.beta[:1]},
+               "certificate.beta0": {"beta0": None}}[field]
+        with pytest.raises(DimensionMismatch, match=re.escape(field)):
+            verify_duality(dataclasses.replace(sol, certificate=dataclasses.replace(cert, **bad)),
+                           loss, mu, nu)

@@ -230,6 +230,44 @@ class TestMalformedInput:
         assert err.startswith("invalid input") and named in err
 
 
+class TestMalformedConfig:
+    """An experiment config the CLI cannot use exits 2, and stderr names the
+    field."""
+
+    BASE = {"generator": {"kind": "gaussian-linear", "n_x": 4, "n_y": 4, "seed": 5},
+            "alpha": 0.8, "replications": 2, "seed": 9, "threads": 1}
+
+    @pytest.mark.parametrize("command, change, named", [
+        ("clt", {"generator": {"kind": "ccr", "n": "x"}}, "'generator.n'"),
+        ("clt", {"alpha": None}, "'alpha' is missing"),
+        ("clt", {"replications": "many"}, "'replications'"),
+        ("clt", {"generator": {"kind": "gaussian-linear", "n_x": 4}},
+         "'generator.n_y' is missing"),
+        ("clt", {"threads": "x"}, "'threads'"),
+        ("clt", {"generator": {"kind": "ccr", "n": 4, "params": {"bogus": 1}}},
+         "'generator.params'"),
+        ("clt", {"generator": [4, 4]}, "'generator'"),
+        ("clt", {"seed": "x"}, "'seed'"),
+        ("stability", {"steps": "x"}, "'steps'"),
+        ("stability", {"r": "x"}, "'r'"),
+    ], ids=["ccr-n", "no-alpha", "replications", "no-n_y", "threads", "ccr-params",
+            "generator-list", "seed", "steps", "r"])
+    def test_field(self, tmp_path, capsys, command, change, named):
+        cfg = {k: v for k, v in {**self.BASE, **change}.items() if v is not None}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main([command, str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid input (InvalidParams)") and named in err
+
+    @pytest.mark.parametrize("command", ["clt", "stability"])
+    def test_config_that_is_no_object(self, tmp_path, capsys, command):
+        path = tmp_path / "cfg.json"
+        path.write_text("[1, 2]")
+        assert main([command, str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "config must be a JSON object" in capsys.readouterr().err
+
+
 class TestCltWorkers:
     """The worker pool is capped by the CPUs and by the chunks of
     replications; a fake pool records the cap and maps in process, so these

@@ -14,6 +14,7 @@ from riskbound.core import (
     InvalidSpectrum,
     LossMatrix,
     NegativeWeight,
+    NumericalFailure,
     ProbabilityVector,
     SpectralFunction,
     SpectralGrid,
@@ -80,6 +81,56 @@ class TestCoupling:
     def test_negative_entry_rejected(self):
         with pytest.raises(NegativeWeight):
             Coupling(np.array([[0.6, -0.1], [0.3, 0.2]]))
+
+
+class TestCouplingSupport:
+    """A coupling holds its support: the sorted row-major flat indices of
+    its cells and the mass on each; ``matrix`` is a dense view."""
+
+    @pytest.mark.parametrize("index, values, error, words", [
+        ([0, 4], [0.5, 0.5], DimensionMismatch, "increase strictly within"),
+        ([-1, 3], [0.5, 0.5], DimensionMismatch, "increase strictly within"),
+        ([3, 0], [0.5, 0.5], DimensionMismatch, "increase strictly within"),
+        ([0, 0, 3], [0.25, 0.25, 0.5], DimensionMismatch, "increase strictly within"),
+        ([0, 3], [0.5], DimensionMismatch, "2 indices for 1 values"),
+        ([0.0, 3.0], [0.5, 0.5], DimensionMismatch, "integers"),
+        ([0, 3], [np.nan, 0.5], NumericalFailure, "non-finite"),
+        ([0, 3], [1.0 + 2e-9, -2e-9], NegativeWeight, "below"),
+    ], ids=["beyond", "negative-index", "unsorted", "duplicate", "length", "float-index",
+            "nan", "negative-mass"])
+    def test_bad_support_rejected(self, index, values, error, words):
+        with pytest.raises(error, match=words):
+            Coupling.from_support((2, 2), np.asarray(index), np.asarray(values))
+
+    @pytest.mark.parametrize("shape", [(2,), (0, 3), (2, 2, 1)])
+    def test_shape_must_be_nonempty_2d(self, shape):
+        with pytest.raises(DimensionMismatch, match="shape"):
+            Coupling.from_support(shape, np.array([0]), np.array([1.0]))
+
+    def test_negative_mass_within_tolerance_is_clipped_and_kept(self):
+        pi = Coupling.from_support((2, 3), np.array([0, 2, 4]), np.array([0.5, -1e-10, 0.5]))
+        assert pi.index.tolist() == [0, 2, 4] and pi.values.tolist() == [0.5, 0.0, 0.5]
+        assert np.array_equal(pi.matrix, Coupling(np.array([[0.5, 0.0, -1e-10],
+                                                           [0.0, 0.5, 0.0]])).matrix)
+
+    def test_dense_view_equals_the_dense_array(self):
+        rng = np.random.default_rng(3)
+        m = rng.random((4, 5)) * (rng.random((4, 5)) < 0.4)
+        dense = Coupling(m)
+        assert dense.index.tolist() == np.flatnonzero(m).tolist()
+        sparse = Coupling.from_support(m.shape, dense.index, dense.values)
+        assert "matrix" not in sparse._dense
+        for pi in (dense, sparse):
+            assert np.array_equal(pi.matrix, m)
+            assert not pi.matrix.flags.writeable and not pi.values.flags.writeable
+        assert sparse._dense["matrix"] is sparse.matrix  # built once, then cached
+
+    def test_marginal_residuals_on_the_support(self):
+        m = np.array([[0.2, 0.0, 0.1], [0.0, 0.3, 0.4]])
+        mu, nu = validate_marginal(m.sum(axis=1)), validate_marginal(m.sum(axis=0))
+        pi = Coupling.from_support(m.shape, np.flatnonzero(m), m[m != 0])
+        assert max(pi.marginal_residuals(mu, nu)) <= 1e-15
+        pi.require_marginals(mu, nu)
 
 
 class TestSpectralFunction:
