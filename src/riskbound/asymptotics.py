@@ -4,11 +4,10 @@ Sampling-error asymptotics for the worst-case Expected Shortfall value.
 When both supports are finite, the optimal value as a function of the
 marginal weight vectors is a piecewise-linear concave min over dual
 vertices, hence Hadamard directionally differentiable.  The directional
-derivative along a simplex-tangent direction (d_mu, d_nu) is computed here
-as a second-stage LP: minimize  phi . d_mu + psi . d_nu  over the optimal
-face of the dual of ``build_msp_lp`` on the Dirac grid (dual feasibility,
-objective pinned at the optimal value, phi[0] = 0), held in one warm model
-whose objective alone changes per direction; no dual vertex is enumerated.
+derivative along a simplex-tangent direction (d_mu, d_nu), the minimum of
+phi . d_mu + psi . d_nu over the optimal face of the MES dual, is read off
+the certificate of one ``solve_mes`` at (mu + h d_mu, nu + h d_nu) (see
+:class:`DualFace`); no LP model of the face is built.
 
 ``simulate_error_distribution`` replays the finite-sample experiment
 (empirical marginals, full re-solve), while ``simulate_limit_distribution``
@@ -26,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .core import (
     DimensionMismatch,
@@ -39,13 +37,14 @@ from .core import (
     _require_alpha,
     check_instance,
 )
-from .bounds import build_msp_lp, solve_mes
-from .lpsolver import LinearProgram, LpModel, solve_lp
+from .bounds import solve_mes
+from .lpsolver import solve_lp  # noqa: F401  unused; perfbench/tracing.py wraps this name
 from .losses import normal_cdf
 from .rng import box_muller, make_rng, substream
 
 _TANGENT_TOL = 1e-9
 _FACE_TOL = 1e-7
+_STEP_TRIES = 6
 _LINEARITY_PROBES = 4
 
 
@@ -101,30 +100,15 @@ def multinomial_covariance(p: ProbabilityVector) -> np.ndarray:
     return np.diag(w) - np.outer(w, w)
 
 
-def _dual_face(lp: LinearProgram, value: float) -> LpModel:
-    """The optimal face of the dual of ``lp``, held in one model with a zero
-    objective: dual feasibility A^T y >= c over the rows [a_eq; a_ub], with
-    free a_eq duals and nonnegative a_ub duals, the face row
-    [b_eq, b_ub] . y <= value + _FACE_TOL, and y[0] = 0.  These are the
-    dual's bound-sign rules only because every variable of ``lp`` has
-    bounds [0, inf) and its sense is max, as for ``build_msp_lp``."""
-    a = sp.vstack([lp.a_eq, lp.a_ub], format="csc")
-    b = np.concatenate([lp.b_eq, lp.b_ub])
-    lb = np.concatenate([[0.0], np.full(lp.b_eq.size - 1, -np.inf), np.zeros(lp.b_ub.size)])
-    ub = np.concatenate([[0.0], np.full(b.size - 1, np.inf)])
-    return LpModel(LinearProgram(sense="min", c=np.zeros(b.size),
-                                 a_ub=sp.vstack([-a.T, b[None, :]], format="csr"),
-                                 b_ub=np.concatenate([-lp.c, [value + _FACE_TOL]]), lb=lb, ub=ub))
-
-
 class DualFace:
-    """The optimal face of the dual of ``build_msp_lp`` on the Dirac grid at
-    ``alpha``: phi and psi over the row and column sums of pi, beta over the
-    Theta mass, one nonnegative dual per density row.  Construction solves
-    the instance once (unless ``value`` is supplied); :meth:`derivative`
-    changes only the objective of the one face model, so every direction
-    after the first re-solves from the last basis.
-    """
+    """The optimal face of the MES dual at ``alpha``: the certificates that
+    cover every cell with dual value V at (mu, nu).  Construction solves the
+    instance once (unless ``value`` is supplied).  :meth:`derivative` solves
+    at (mu + h d_mu, nu + h d_nu).  The cover does not involve the marginals,
+    so that certificate is dual feasible at (mu, nu), on the face once its
+    dual value there is V (within ``_FACE_TOL``), and for h below the first
+    kink of V along d it minimizes d over the face (parametric LP); else h
+    shrinks by 16, at most ``_STEP_TRIES`` times."""
 
     def __init__(self, mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMatrix,
                  alpha: float, value: float | None = None):
@@ -138,8 +122,6 @@ class DualFace:
             value = solve_mes(mu, nu, loss, alpha).value
         self.value = float(value)
         self._nx, self._ny = loss.shape
-        self._model = _dual_face(build_msp_lp(mu, nu, loss, SpectralGrid.dirac(self.alpha)),
-                                 self.value)
 
     def derivative(self, d_mu: np.ndarray, d_nu: np.ndarray) -> float:
         d_mu = np.asarray(d_mu, dtype=float)
@@ -157,12 +139,20 @@ class DualFace:
         # the dual face is unbounded in the matching potential
         d_mu = np.where((self.mu.weights == 0.0), np.maximum(d_mu, 0.0), d_mu)
         d_nu = np.where((self.nu.weights == 0.0), np.maximum(d_nu, 0.0), d_nu)
-        self._model.set_cost(np.concatenate(
-            [d_mu, d_nu, np.zeros(self._model.n_vars - self._nx - self._ny)]))
-        sol = solve_lp(self._model)
-        if sol.status != "optimal":
-            raise NumericalFailure(f"dual-face LP terminated with status {sol.status}")
-        return float(sol.objective)
+        w = np.concatenate([self.mu.weights, self.nu.weights])
+        d = np.concatenate([d_mu, d_nu])
+        falling = d < 0.0
+        h = min(1e-3 / scale, 0.5 * float(np.min(w[falling] / -d[falling], initial=np.inf)))
+        grid = SpectralGrid.dirac(self.alpha)
+        for _ in range(_STEP_TRIES):
+            # renormalized against the round-off in the sums of d_mu and d_nu
+            mu_h, nu_h = (ProbabilityVector(w / w.sum()) for w in
+                          (self.mu.weights + h * d_mu, self.nu.weights + h * d_nu))
+            cert = solve_mes(mu_h, nu_h, self.loss, self.alpha).certificate
+            if cert.value(self.mu, self.nu, grid) <= self.value + _FACE_TOL:
+                return float(cert.phi @ d_mu + cert.psi @ d_nu)
+            h /= 16.0
+        raise NumericalFailure(f"no certificate on the optimal face down to step {16.0 * h:.3e}")
 
     def asymmetry(self, d_mu: np.ndarray, d_nu: np.ndarray) -> float:
         """V'(d) + V'(-d); zero iff the derivative is linear along +-d."""
@@ -170,8 +160,8 @@ class DualFace:
 
     def linearity_diagnostic(self, seed: int = 0) -> dict:
         """Probe the face for dual ties along ``_LINEARITY_PROBES`` random
-        directions; a sizeable asymmetry on any certifies a non-singleton face.
-        The threshold sits well above the face-tolerance noise floor (~1e-6)."""
+        directions; an asymmetry above 1e-5 on any certifies a non-singleton
+        face."""
         rng = make_rng(seed)
         worst = 0.0
         for _ in range(_LINEARITY_PROBES):

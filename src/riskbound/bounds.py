@@ -41,8 +41,7 @@ master is priced with the duals HiGHS returns for it.  A degenerate master
 cell uncovered; pricing admits that cell, and a master over every cell has
 duals that cover them all, so the loop still ends in a certificate.  A
 program restricted to some cells exists only as such an appended master;
-``build_msp_lp`` assembles the whole program, for the MPS export and the
-dual face of ``asymptotics``.
+``build_msp_lp`` assembles the whole program, for the MPS export alone.
 
 The primal stays on its support from the master to the caller.  The
 master's optimal couplings are basic solutions, on a few of the N_X N_Y
@@ -299,8 +298,7 @@ def build_mes_lp(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMatrix,
 def build_msp_lp(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMatrix,
                  grid: SpectralGrid) -> LinearProgram:
     """Single-pi, per-level-Theta lift of the spectral objective over every
-    cell of the instance: the program the CLI exports as MPS and whose dual
-    :class:`riskbound.asymptotics.DualFace` holds.
+    cell of the instance: the program the CLI exports as MPS.
 
     Variables are pi, then Theta^1 .. Theta^K, each over the cells
     row-major; rows are the row and column sums of pi, one Theta-mass row

@@ -106,9 +106,15 @@ def _object(value) -> dict:
     return value
 
 
+def _flag(value) -> bool:
+    if isinstance(value, bool):
+        return value
+    raise TypeError(f"expected true or false, got {value!r}")
+
+
 def _field(obj: dict, name: str, convert, default=_REQUIRED, where: str = ""):
     """Config field ``name`` of ``obj`` through ``convert`` (``int``,
-    ``float``, ``_object``, ...), or ``default`` when it is missing; a
+    ``float``, ``_object``, ``_flag``, ...), or ``default`` when it is missing; a
     required field that is missing, or one that ``convert`` refuses, raises
     ``InvalidParams`` naming the field, prefixed by ``where``."""
     if name not in obj:
@@ -268,6 +274,8 @@ def cmd_clt(args) -> int:
     threads = (args.threads if args.threads is not None
                else _field(cfg, "threads", int, os.cpu_count() or 1))
     limit_draws = _field(cfg, "limit_draws", int, 0)
+    gev_overlay = _field(cfg, "gev_overlay", _flag, False)
+    face_diagnostics = _field(cfg, "dual_face_diagnostics", _flag, True)
     exp = asym.CltExperiment(
         mu=mu, nu=nu, loss=loss, alpha=alpha,
         n_x=_field(cfg, "sample_n_x", int, mu.size),
@@ -303,13 +311,13 @@ def cmd_clt(args) -> int:
     if sd > 0:
         overlays.append(("normal fit", lambda xs, m=mean, s=sd:
                          np.exp(-0.5 * ((xs - m) / s) ** 2) / (s * math.sqrt(2 * math.pi))))
-    if cfg.get("gev_overlay"):
+    if gev_overlay:
         from scipy.stats import genextreme
         shape, locp, scalep = genextreme.fit(deviations)
         summary["gev"] = {"shape": float(shape), "loc": float(locp), "scale": float(scalep)}
         overlays.append(("GEV fit", lambda xs, c=shape, l=locp, s=scalep:
                          genextreme.pdf(xs, c, loc=l, scale=s)))
-    if loss.values.size <= 400 and cfg.get("dual_face_diagnostics", True):
+    if face_diagnostics:
         diag = asym.DualFace(mu, nu, loss, alpha, value=true_value).linearity_diagnostic(
             seed=seed)
         summary["dual_face"] = diag

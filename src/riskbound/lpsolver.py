@@ -23,8 +23,7 @@ from the same way.  The column generation of :mod:`riskbound.bounds`
 starts each master so, from the staircase cells and their basis, and grows
 it between solves; its MES oracle appends every cell of one transport model
 at once and then changes only its cost.  The constructor's conversion of a
-:class:`LinearProgram` serves the whole programs handed to :func:`solve_lp`
-and the dual face of :mod:`riskbound.asymptotics`.
+:class:`LinearProgram` serves the whole programs handed to :func:`solve_lp`.
 
 The binding is private scipy API; ``scipy.optimize._highspy`` ships with
 scipy 1.15 and later, the floor ``pyproject.toml`` sets, and it is the only

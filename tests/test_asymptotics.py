@@ -6,6 +6,7 @@ from riskbound import asymptotics
 from riskbound.core import (
     DirectionNotTangent,
     LossMatrix,
+    NumericalFailure,
     TooFewSamples,
     validate_marginal,
 )
@@ -21,7 +22,7 @@ from riskbound.asymptotics import (
 )
 from riskbound.bounds import solve_mes
 from riskbound.losses import DEFAULT_CCR_PARAMS, build_ccr_instance
-from riskbound.lpsolver import LinearProgram, LpModel, solve_lp
+from riskbound.lpsolver import LinearProgram, solve_lp
 from riskbound.rng import box_muller, make_rng, substream
 
 from test_bounds import degenerate_instance
@@ -154,7 +155,7 @@ class TestHadamardDerivative:
             mu_t = validate_marginal(mu.weights + t * d_mu)
             nu_t = validate_marginal(nu.weights + t * d_nu)
             fd = (solve_mes(mu_t, nu_t, loss, a).value - v0) / t
-            assert deriv == pytest.approx(fd, abs=1e-3)
+            assert deriv == pytest.approx(fd, abs=1e-8)
 
     def test_unique_dual_antisymmetry(self):
         mu, nu, loss, a = unique_instance()
@@ -177,11 +178,11 @@ class TestHadamardDerivative:
         assert DualFace(mu, nu, loss, a).linearity_diagnostic(seed=4)["linear"]
 
 
-def hand_built_face_derivative(mu, nu, loss, alpha, value, d_mu, d_nu):
-    """The derivative over the MES dual face assembled by hand: phi, psi,
-    one rho >= 0 per cell and beta, with rho - (1-a)(phi + psi) <= 0,
-    -rho - beta <= -L, the face row phi.mu + psi.nu + beta <= V + 1e-7 and
-    phi[0] = 0."""
+def hand_built_mes_dual(mu, nu, loss, alpha, c, face_value=None):
+    """The MES dual assembled by hand, minimizing ``c``: phi, psi, one
+    rho >= 0 per cell and beta, with rho - (1-a)(phi + psi) <= 0,
+    -rho - beta <= -L and phi[0] = 0, plus the face row
+    phi.mu + psi.nu + beta <= face_value when one is given."""
     nx, ny = loss.shape
     n = nx * ny
     nv = nx + ny + n + 1
@@ -189,18 +190,38 @@ def hand_built_face_derivative(mu, nu, loss, alpha, value, d_mu, d_nu):
     ii = np.repeat(np.arange(nx), ny)
     jj = np.tile(np.arange(ny), nx)
     cell = np.arange(n)
-    rows = np.concatenate([cell, cell, cell, n + cell, n + cell, np.full(nx + ny + 1, 2 * n)])
-    cols = np.concatenate([nx + ny + cell, ii, nx + jj, nx + ny + cell, np.full(n, nv - 1),
-                           np.arange(nx), nx + np.arange(ny), [nv - 1]])
-    vals = np.concatenate([np.ones(n), -one_m_a * np.ones(2 * n), -np.ones(2 * n),
-                           mu.weights, nu.weights, [1.0]])
-    a_ub = sp.csr_matrix((vals, (rows, cols)), shape=(2 * n + 1, nv))
-    b_ub = np.concatenate([np.zeros(n), -loss.values.ravel(), [value + 1e-7]])
+    rows = np.concatenate([cell, cell, cell, n + cell, n + cell])
+    cols = np.concatenate([nx + ny + cell, ii, nx + jj, nx + ny + cell, np.full(n, nv - 1)])
+    vals = np.concatenate([np.ones(n), -one_m_a * np.ones(2 * n), -np.ones(2 * n)])
+    b_ub = np.concatenate([np.zeros(n), -loss.values.ravel()])
+    if face_value is not None:
+        rows = np.concatenate([rows, np.full(nx + ny + 1, 2 * n)])
+        cols = np.concatenate([cols, np.arange(nx), nx + np.arange(ny), [nv - 1]])
+        vals = np.concatenate([vals, mu.weights, nu.weights, [1.0]])
+        b_ub = np.concatenate([b_ub, [face_value]])
+    a_ub = sp.csr_matrix((vals, (rows, cols)), shape=(b_ub.size, nv))
     lb = np.concatenate([np.full(nx + ny, -np.inf), np.zeros(n), [-np.inf]])
     ub = np.full(nv, np.inf)
     lb[0] = ub[0] = 0.0
-    c = np.concatenate([d_mu, d_nu, np.zeros(n + 1)])
-    return solve_lp(LinearProgram(sense="min", c=c, a_ub=a_ub, b_ub=b_ub, lb=lb, ub=ub)).objective
+    return solve_lp(LinearProgram(sense="min", c=c, a_ub=a_ub, b_ub=b_ub, lb=lb, ub=ub))
+
+
+def slacked_face_derivative(mu, nu, loss, alpha, value, d_mu, d_nu):
+    """Min of phi.d_mu + psi.d_nu over the dual face slackened to V + 1e-7:
+    a lower bound on the derivative."""
+    c = np.concatenate([d_mu, d_nu, np.zeros(loss.values.size + 1)])
+    return hand_built_mes_dual(mu, nu, loss, alpha, c, face_value=value + 1e-7).objective
+
+
+def lexicographic_derivative(mu, nu, loss, alpha, value, d_mu, d_nu, t=1e-5):
+    """The whole hand-built dual minimized at b + t d, b = (mu, nu, 1): for t
+    below the first kink of the value along d its optimum lies on the face
+    and minimizes d there."""
+    b = np.concatenate([mu.weights, nu.weights, np.zeros(loss.values.size), [1.0]])
+    d = np.concatenate([d_mu, d_nu, np.zeros(loss.values.size + 1)])
+    y = hand_built_mes_dual(mu, nu, loss, alpha, b + t * d).x
+    assert y @ b <= value + 1e-7
+    return float(y @ d)
 
 
 def face_direction(rng, p):
@@ -221,32 +242,55 @@ class TestDualFaceProgram:
             face = DualFace(mu, nu, loss, a)
             for _ in range(3):
                 d_mu, d_nu = face_direction(rng, mu), face_direction(rng, nu)
-                ref = hand_built_face_derivative(mu, nu, loss, a, face.value, d_mu, d_nu)
-                assert face.derivative(d_mu, d_nu) == pytest.approx(ref, abs=1e-9)
+                ref = lexicographic_derivative(mu, nu, loss, a, face.value, d_mu, d_nu)
+                got = face.derivative(d_mu, d_nu)
+                assert got == pytest.approx(ref, abs=1e-9)
+                assert got >= slacked_face_derivative(mu, nu, loss, a, face.value,
+                                                      d_mu, d_nu) - 1e-9
 
-    def test_warm_derivatives_equal_fresh_faces(self, monkeypatch):
+    @pytest.mark.parametrize("alpha", [0.5 + 1e-7, 0.5 - 1e-7])
+    def test_one_face_near_a_kink(self, alpha):
+        # the kink lies about 1e-7 away in alpha, so the reference steps below it
+        mu, nu, loss, _ = tie_instance()
+        face = DualFace(mu, nu, loss, alpha)
+        rng = np.random.default_rng(0)
+        for _ in range(50):
+            d_mu, d_nu = tangent_direction(rng, 2), tangent_direction(rng, 2)
+            ref = lexicographic_derivative(mu, nu, loss, alpha, face.value, d_mu, d_nu, t=1e-8)
+            assert face.derivative(d_mu, d_nu) == pytest.approx(ref, abs=1e-9)
+
+    def test_one_certified_solve_per_derivative(self, monkeypatch):
         mu, nu, loss = build_ccr_instance(DEFAULT_CCR_PARAMS, 60, 31)
-        solves = []
+        calls = {"solve_mes": 0, "solve_lp": 0}
 
-        def spy(model):
-            sol = solve_lp(model)
-            solves.append((model, sol.iterations))
-            return sol
+        def spy(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
 
-        monkeypatch.setattr(asymptotics, "solve_lp", spy)
-        warm = DualFace(mu, nu, loss, 0.9)
+        monkeypatch.setattr(asymptotics, "solve_mes", spy("solve_mes", asymptotics.solve_mes))
+        monkeypatch.setattr(asymptotics, "solve_lp", spy("solve_lp", asymptotics.solve_lp))
+        face = DualFace(mu, nu, loss, 0.9)
         rng = np.random.default_rng(60)
-        fresh_its, warm_solves = [], []
         for _ in range(20):
-            d_mu, d_nu = tangent_direction(rng, mu.size), tangent_direction(rng, nu.size)
-            fresh = DualFace(mu, nu, loss, 0.9, value=warm.value).derivative(d_mu, d_nu)
-            fresh_its.append(solves[-1][1])
-            assert warm.derivative(d_mu, d_nu) == pytest.approx(fresh, abs=1e-9)
-            warm_solves.append(solves[-1])
-        # one model, re-solved from its last basis
-        assert isinstance(warm_solves[0][0], LpModel)
-        assert all(model is warm_solves[0][0] for model, _ in warm_solves)
-        assert np.median([its for _, its in warm_solves[1:]]) < np.median(fresh_its)
+            before = calls["solve_mes"]
+            face.derivative(tangent_direction(rng, mu.size), tangent_direction(rng, nu.size))
+            assert calls["solve_mes"] == before + 1
+        assert calls["solve_lp"] == 0
+
+    def test_off_face_certificates_raise_after_the_last_step(self, monkeypatch):
+        mu, nu, loss, a = unique_instance()
+        face = DualFace(mu, nu, loss, a)
+        solves = []
+        monkeypatch.setattr(asymptotics, "_FACE_TOL", -1.0)
+        monkeypatch.setattr(asymptotics, "solve_mes",
+                            lambda *args: solves.append(args) or solve_mes(*args))
+        with pytest.raises(NumericalFailure, match="no certificate on the optimal face"):
+            face.derivative(np.array([0.1, -0.1]), np.array([-0.2, 0.2]))
+        assert len(solves) == asymptotics._STEP_TRIES
+        steps = [args[0].weights[0] - mu.weights[0] for args in solves]
+        assert steps[1:] == pytest.approx([s / 16.0 for s in steps[:-1]], rel=1e-6)
 
 
 class TestErrorSimulation:

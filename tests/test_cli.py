@@ -179,6 +179,15 @@ class TestCltCommand:
     def test_missing_config(self, capsys):
         assert main(["clt", "/nonexistent/config.json"]) == 1
 
+    def test_dual_face_diagnostic_on_1800_cells(self, tmp_path):
+        cfg = self.make_config(tmp_path, replications=8,
+                               generator={"kind": "gaussian-linear", "n_x": 30, "n_y": 60,
+                                          "seed": 5})
+        out = tmp_path / "out"
+        assert main(["clt", str(cfg), "--out", str(out)]) == 0
+        face = json.loads((out / "summary.json").read_text())["dual_face"]
+        assert set(face) == {"max_asymmetry", "linear"}
+
 
 class TestStabilityCommand:
     def test_sweep_csv(self, tmp_path):
@@ -248,10 +257,12 @@ class TestMalformedConfig:
          "'generator.params'"),
         ("clt", {"generator": [4, 4]}, "'generator'"),
         ("clt", {"seed": "x"}, "'seed'"),
+        ("clt", {"dual_face_diagnostics": "no"}, "'dual_face_diagnostics'"),
+        ("clt", {"gev_overlay": "false"}, "'gev_overlay'"),
         ("stability", {"steps": "x"}, "'steps'"),
         ("stability", {"r": "x"}, "'r'"),
     ], ids=["ccr-n", "no-alpha", "replications", "no-n_y", "threads", "ccr-params",
-            "generator-list", "seed", "steps", "r"])
+            "generator-list", "seed", "face-diagnostics", "gev-overlay", "steps", "r"])
     def test_field(self, tmp_path, capsys, command, change, named):
         cfg = {k: v for k, v in {**self.BASE, **change}.items() if v is not None}
         path = tmp_path / "cfg.json"
