@@ -46,14 +46,14 @@ from .core import (
     discretize_spectrum,
     load_instance,
 )
+from .lpsolver import write_mps
+from .rng import GENERATOR_NAME
+from .svgplot import histogram_svg
 
 # validation failures count as "infeasible input" (exit 2); anything else
 # that goes wrong is a plain error (exit 1)
 _INFEASIBLE_INPUT = (NegativeWeight, SumNotOne, Empty, AlphaOutOfRange,
                      InvalidSpectrum, DimensionMismatch, InvalidParams, DomainError)
-from .lpsolver import write_mps
-from .rng import GENERATOR_NAME
-from .svgplot import histogram_svg
 
 log = logging.getLogger("riskbound")
 

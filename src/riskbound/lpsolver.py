@@ -1,6 +1,6 @@
 """
 Linear programming layer: one LP engine, a persistent model of it, and the
-transport model of the MES oracle.  Every optimal solve returns primal values, row
+transport model of the MES oracle.  Every solve returns primal values, row
 duals, and reduced costs, and is certified against feasibility /
 complementary-slackness / duality-gap residuals before being handed back.
 
@@ -10,25 +10,22 @@ HiGHS's dual simplex (Huangfu & Hall 2018), called through the binding that
 scipy bundles (``scipy.optimize._highspy``), with presolve on and primal and
 dual feasibility tolerances of 1e-9.  Every solve runs on an
 :class:`LpModel`: one HiGHS model plus a column-wise mirror of the program
-it holds, against which the solve is certified.  :func:`solve_lp` gives a
-:class:`LinearProgram` a fresh model.  A caller that solves a sequence of
-programs differing only slightly keeps one model and edits it in place
-between solves: :meth:`LpModel.append` adds columns and ``<=`` rows, and
+it holds, against which the solve is certified.  A model starts on its
+equality rows alone, optionally with a starting basis that HiGHS gets right
+after the model and starts its first solve from; every column, each in
+[0, inf), and every ``<=`` row arrive by :meth:`LpModel.append`, and
 :meth:`LpModel.set_cost` replaces the objective.  HiGHS then re-solves from
 the basis it already holds, with the primal simplex and without presolve.
-:meth:`LpModel.empty` starts a model on its equality rows alone, for a
-caller that builds every column by appends, optionally with a starting
-basis that HiGHS gets right after the model and starts its first solve
-from the same way.  The column generation of :mod:`riskbound.bounds`
-starts each master so, from the staircase cells and their basis, and grows
-it between solves; its MES oracle appends every cell of one transport model
-at once and then changes only its cost.  The constructor's conversion of a
-:class:`LinearProgram` serves the whole programs handed to :func:`solve_lp`.
+The column generation of :mod:`riskbound.bounds` starts each master so,
+from the staircase cells and their basis, and grows it between solves; its
+MES oracle appends every cell of one transport model at once and then
+changes only its cost.  Both models are feasible and bounded by
+construction, so any HiGHS status other than optimal is a failure.
 
 The binding is private scipy API; ``scipy.optimize._highspy`` ships with
 scipy 1.15 and later, the floor ``pyproject.toml`` sets, and it is the only
-route to the engine.  :meth:`LpModel.program` returns the program a model
-holds, for a cold re-solve or an export.
+route to the engine.  :class:`LinearProgram` is the export type of the
+whole lifted program: :func:`write_mps` writes it, and no solve takes it.
 
 The MES oracle of :mod:`riskbound.bounds` (``brute_force_mes``) runs on the
 same engine as the lifted programs it checks.  Its independence rests on
@@ -40,16 +37,15 @@ for callers is ``bounds.solve_transport``, the certified column generation
 on the grid without levels.
 
 Dual sign convention: duals are reported for the problem *as posed*, so
-that  objective == duals_eq . b_eq + duals_ub . b_ub + bound terms.  For a
-maximization this makes duals of binding <=-rows nonnegative.
+that  objective == duals_eq . b_eq + duals_ub . b_ub.  For a maximization
+this makes duals of binding <=-rows nonnegative.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cache
 from itertools import combinations, islice
-from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -73,11 +69,7 @@ GAP_TOL = 1e-7
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """min/max  c.x  s.t.  a_ub x <= b_ub,  a_eq x = b_eq,  lb <= x <= ub.
-
-    ``>=`` rows must be negated into ``<=`` rows by the caller (or use
-    :meth:`from_rows`).  Bounds use ``-inf``/``+inf`` for free directions.
-    """
+    """min/max  c.x  s.t.  a_ub x <= b_ub,  a_eq x = b_eq,  x >= 0."""
 
     sense: str
     c: np.ndarray
@@ -85,8 +77,6 @@ class LinearProgram:
     b_ub: np.ndarray | None = None
     a_eq: sp.csr_matrix | None = None
     b_eq: np.ndarray | None = None
-    lb: np.ndarray | None = None
-    ub: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if self.sense not in ("max", "min"):
@@ -110,76 +100,28 @@ class LinearProgram:
                 if b.shape != (a.shape[0],) or not np.all(np.isfinite(b)):
                     raise DimensionMismatch(f"b{name[1:]} does not match {name}")
                 object.__setattr__(self, "b" + name[1:], b)
-        lb = np.full(n, 0.0) if self.lb is None else np.asarray(self.lb, dtype=float)
-        ub = np.full(n, np.inf) if self.ub is None else np.asarray(self.ub, dtype=float)
-        if lb.shape != (n,) or ub.shape != (n,):
-            raise DimensionMismatch("bounds do not match the number of variables")
-        if np.any(lb > ub):
-            raise DimensionMismatch("lower bound exceeds upper bound")
-        object.__setattr__(self, "lb", lb)
-        object.__setattr__(self, "ub", ub)
 
     @property
     def n_vars(self) -> int:
         return int(self.c.size)
-
-    @property
-    def n_rows(self) -> int:
-        m = 0
-        if self.a_ub is not None:
-            m += self.a_ub.shape[0]
-        if self.a_eq is not None:
-            m += self.a_eq.shape[0]
-        return m
-
-    @classmethod
-    def from_rows(cls, sense: str, c: Sequence[float],
-                  rows: Sequence[tuple[Sequence[int], Sequence[float], str, float]],
-                  lb: Sequence[float] | None = None,
-                  ub: Sequence[float] | None = None) -> "LinearProgram":
-        """Build from sparse row triplets ``(indices, values, relation, rhs)``
-        with relation in {'<=', '=', '>='}."""
-        c = np.asarray(c, dtype=float)
-        n = c.size
-        ub_r, ub_c, ub_v, ub_b = [], [], [], []
-        eq_r, eq_c, eq_v, eq_b = [], [], [], []
-        for idx, vals, rel, rhs in rows:
-            idx = list(idx)
-            vals = [float(v) for v in vals]
-            if rel == "=":
-                eq_r += [len(eq_b)] * len(idx); eq_c += idx; eq_v += vals; eq_b.append(float(rhs))
-            elif rel == "<=":
-                ub_r += [len(ub_b)] * len(idx); ub_c += idx; ub_v += vals; ub_b.append(float(rhs))
-            elif rel == ">=":
-                ub_r += [len(ub_b)] * len(idx); ub_c += idx
-                ub_v += [-v for v in vals]; ub_b.append(-float(rhs))
-            else:
-                raise DimensionMismatch(f"unknown relation {rel!r}")
-        a_ub = sp.csr_matrix((ub_v, (ub_r, ub_c)), shape=(len(ub_b), n)) if ub_b else None
-        a_eq = sp.csr_matrix((eq_v, (eq_r, eq_c)), shape=(len(eq_b), n)) if eq_b else None
-        return cls(sense=sense, c=c, a_ub=a_ub, b_ub=np.array(ub_b) if ub_b else None,
-                   a_eq=a_eq, b_eq=np.array(eq_b) if eq_b else None,
-                   lb=None if lb is None else np.asarray(lb, dtype=float),
-                   ub=None if ub is None else np.asarray(ub, dtype=float))
 
 
 @dataclass(frozen=True)
 class LpSolution:
     """Certified solver output.
 
-    For ``status == 'optimal'`` the stored residuals satisfy the module
-    contract (primal/dual feasibility and complementary slackness <= 1e-8,
-    duality gap <= 1e-7); :func:`solve_lp` raises ``NumericalFailure``
-    otherwise.  ``duals_ub``/``duals_eq`` follow the sign convention in the
-    module docstring; ``reduced_costs`` match the posed sense.
+    The stored residuals satisfy the module contract (primal/dual
+    feasibility and complementary slackness <= 1e-8, duality gap <= 1e-7);
+    :func:`solve_lp` raises ``NumericalFailure`` otherwise.
+    ``duals_ub``/``duals_eq`` follow the sign convention in the module
+    docstring; ``reduced_costs`` match the posed sense.
     """
 
-    status: str
     objective: float
-    x: np.ndarray | None
-    duals_ub: np.ndarray | None
-    duals_eq: np.ndarray | None
-    reduced_costs: np.ndarray | None
+    x: np.ndarray
+    duals_ub: np.ndarray
+    duals_eq: np.ndarray
+    reduced_costs: np.ndarray
     residuals: dict = field(default_factory=dict)
     iterations: int = 0
     engine: str = ""
@@ -190,15 +132,11 @@ class LpSolution:
 # ---------------------------------------------------------------------------
 
 _HIGHS_TOL = 1e-9               # HiGHS primal and dual feasibility tolerances
-_HIGHS_OPTIONS = (("output_flag", False), ("solver", "simplex"),
+_HIGHS_OPTIONS = (("output_flag", False), ("solver", "simplex"), ("presolve", "on"),
                   ("primal_feasibility_tolerance", _HIGHS_TOL),
                   ("dual_feasibility_tolerance", _HIGHS_TOL))
 _DUAL_SIMPLEX, _PRIMAL_SIMPLEX = 1, 4     # HiGHS simplex_strategy values
 AT_LOWER, BASIC, AT_UPPER = 0, 1, 2       # HiGHS HighsBasisStatus codes
-
-
-def _stack(parts, dtype=float) -> np.ndarray:
-    return np.concatenate([np.zeros(0, dtype=dtype), *parts]).astype(dtype, copy=False)
 
 
 def _check_status(status, what: str) -> None:
@@ -210,56 +148,35 @@ class LpModel:
     """A linear program held by one HiGHS model, kept between solves and
     edited in place.
 
-    Rows are the program's ``a_eq`` rows, then its ``a_ub`` rows.  The model
-    mirrors the program HiGHS holds column-wise (CSC buffers ``start``,
-    ``index``, ``value``), so that :func:`solve_lp` certifies every solve
-    against exactly that program, and appending columns only concatenates
-    buffers.  The HiGHS model itself is passed at the first solve; after it,
-    every edit goes to both, and HiGHS re-solves from the basis it holds.
+    The model starts on the equality rows ``x = b_eq`` over no columns: the
+    columns, each with bounds [0, inf), and any ``<=`` rows arrive by
+    :meth:`append`, the ``<=`` rows numbered after the equality rows.  The
+    model mirrors the program HiGHS holds column-wise (CSC buffers
+    ``start``, ``index``, ``value``), so that :func:`solve_lp` certifies
+    every solve against exactly that program, and appending columns only
+    concatenates buffers.  The HiGHS model itself is passed at the first
+    solve; after it, every edit goes to both, and HiGHS re-solves from the
+    basis it holds.
+
+    ``basis``, when given, is a starting basis for the first solve: one
+    ``HighsBasisStatus`` code per column and per row the model holds by
+    then, rows in the model's order.  It is handed to HiGHS right after the
+    model, and :attr:`seeded` records whether HiGHS took it; a refused basis
+    leaves the model to solve cold.
     """
 
-    def __init__(self, lp: LinearProgram) -> None:
-        self.sense = lp.sense
-        self.c, self.lb, self.ub = lp.c, lp.lb, lp.ub
-        self.b_eq = lp.b_eq if lp.a_eq is not None else np.zeros(0)
-        self.b_ub = lp.b_ub if lp.a_ub is not None else np.zeros(0)
-        blocks = [a for a in (lp.a_eq, lp.a_ub) if a is not None]
-        n = lp.n_vars
-        rows = np.repeat(np.arange(lp.n_rows, dtype=np.int32),
-                         _stack([np.diff(a.indptr) for a in blocks], np.int32))
-        cols = _stack([a.indices for a in blocks], np.int32)
-        order = np.argsort(cols, kind="stable")
-        self._start = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum(np.bincount(cols, minlength=n), out=self._start[1:])
-        self._index = rows[order]
-        self._value = _stack([a.data for a in blocks])[order]
-        self._highs = None
-        self._basis = None
-        self.seeded = False
-
-    @classmethod
-    def empty(cls, sense: str, b_eq, basis: tuple | None = None) -> "LpModel":
-        """A model of the equality rows ``x = b_eq`` over no columns yet:
-        the columns, and any ``<=`` rows, arrive by :meth:`append`.
-
-        ``basis``, when given, is a starting basis for the first solve: one
-        ``HighsBasisStatus`` code per column and per row the model holds by
-        then, rows in the model's order.  It is handed to HiGHS right after
-        the model, and :attr:`seeded` records whether HiGHS took it; a
-        refused basis leaves the model to solve cold."""
+    def __init__(self, sense: str, b_eq, basis: tuple | None = None) -> None:
         if sense not in ("max", "min"):
             raise DimensionMismatch(f"sense must be 'max' or 'min', got {sense!r}")
-        model = cls.__new__(cls)
-        model.sense = sense
-        model.c = model.lb = model.ub = model.b_ub = np.zeros(0)
-        model.b_eq = np.asarray(b_eq, dtype=float)
-        model._start = np.zeros(1, dtype=np.int32)
-        model._index = np.zeros(0, dtype=np.int32)
-        model._value = np.zeros(0)
-        model._highs = None
-        model._basis = basis
-        model.seeded = False
-        return model
+        self.sense = sense
+        self.c = self.b_ub = np.zeros(0)
+        self.b_eq = np.asarray(b_eq, dtype=float)
+        self._start = np.zeros(1, dtype=np.int32)
+        self._index = np.zeros(0, dtype=np.int32)
+        self._value = np.zeros(0)
+        self._highs = None
+        self._basis = basis
+        self.seeded = False
 
     @property
     def n_vars(self) -> int:
@@ -277,18 +194,6 @@ class LpModel:
         """Row activities ``A x`` of the held program, rows as in the model."""
         per_entry = self._value * np.repeat(x, np.diff(self._start))
         return np.bincount(self._index, weights=per_entry, minlength=self.n_rows)
-
-    def program(self) -> LinearProgram:
-        """The program the model holds, as a :class:`LinearProgram`, to be
-        solved cold or exported apart from the model."""
-        a = sp.csc_matrix((self._value, self._index, self._start),
-                          shape=(self.n_rows, self.n_vars)).tocsr()
-        m_eq = self.b_eq.size
-        return LinearProgram(sense=self.sense, c=self.c,
-                             a_eq=a[:m_eq] if m_eq else None, b_eq=self.b_eq if m_eq else None,
-                             a_ub=a[m_eq:] if self.b_ub.size else None,
-                             b_ub=self.b_ub if self.b_ub.size else None,
-                             lb=self.lb, ub=self.ub)
 
     def set_cost(self, c) -> None:
         """Replace the objective; nothing else changes."""
@@ -333,8 +238,6 @@ class LpModel:
                                               index, value), "new columns")
         nnz = self._index.size
         self.c = np.concatenate([self.c, c])
-        self.lb = np.concatenate([self.lb, np.zeros(a)])
-        self.ub = np.concatenate([self.ub, np.full(a, np.inf)])
         self.b_ub = np.concatenate([self.b_ub, b_ub])
         self._start = np.concatenate([self._start[:-1], nnz + start, [nnz + index.size]]
                                      ).astype(np.int32)
@@ -349,8 +252,8 @@ class LpModel:
         n = self.n_vars
         _check_status(highs.passModel(
             n, self.n_rows, self._index.size, int(_highspy.MatrixFormat.kColwise),
-            int(_highspy.ObjSense.kMinimize), 0.0, self._sign * self.c, self.lb, self.ub,
-            np.concatenate([self.b_eq, np.full(self.b_ub.size, -np.inf)]),
+            int(_highspy.ObjSense.kMinimize), 0.0, self._sign * self.c, np.zeros(n),
+            np.full(n, np.inf), np.concatenate([self.b_eq, np.full(self.b_ub.size, -np.inf)]),
             np.concatenate([self.b_eq, self.b_ub]),
             self._start[:-1], self._index, self._value, np.zeros(n, dtype=np.int32)),
             "model")
@@ -365,37 +268,26 @@ class LpModel:
         return highs
 
 
-def _highs_run(model: LpModel, presolve: bool):
+def _highs_run(model: LpModel):
     """Run HiGHS on the model's min-sense program, passing it at the first
-    run.  A cold model runs the dual simplex.  A model that holds a basis,
-    from its last solve or the starting basis passed with it, starts from
-    it, and HiGHS then skips presolve whatever ``presolve`` says.  Appended columns enter that basis at zero,
-    so a new cost, or new rows with a nonnegative right-hand side, leave it
-    primal feasible, and the model re-solves with the primal simplex."""
+    run.  A cold model runs the dual simplex, after presolve.  A model that
+    holds a basis, from its last solve or the starting basis passed with
+    it, starts from it and skips presolve.  Appended columns enter that
+    basis at zero, so a new cost, or new rows with a nonnegative right-hand
+    side, leave it primal feasible, and the model re-solves with the primal
+    simplex."""
     if model._highs is None:
         model._highs = model._pass()
     highs = model._highs
     warm = highs.getBasis().valid
     highs.setOptionValue("simplex_strategy", _PRIMAL_SIMPLEX if warm else _DUAL_SIMPLEX)
-    highs.setOptionValue("presolve", "on" if presolve else "off")
     highs.run()
     return highs
 
 
 def _solve_highs(model: LpModel) -> LpSolution:
-    highs = _highs_run(model, presolve=True)
+    highs = _highs_run(model)
     status = highs.getModelStatus()
-    if status == _highspy.HighsModelStatus.kUnboundedOrInfeasible:
-        # presolve can stop before it tells the two apart; the simplex cannot
-        highs = _highs_run(model, presolve=False)
-        status = highs.getModelStatus()
-    iterations = int(highs.getInfo().simplex_iteration_count)
-    no_solution = {_highspy.HighsModelStatus.kInfeasible: "infeasible",
-                   _highspy.HighsModelStatus.kUnbounded: "unbounded"}
-    if status in no_solution:
-        return LpSolution(status=no_solution[status], objective=np.nan, x=None,
-                          duals_ub=None, duals_eq=None, reduced_costs=None,
-                          iterations=iterations, engine="highs")
     if status != _highspy.HighsModelStatus.kOptimal:
         raise NumericalFailure(
             f"HiGHS terminated abnormally: {highs.modelStatusToString(status)}")
@@ -404,10 +296,9 @@ def _solve_highs(model: LpModel) -> LpSolution:
     x = np.asarray(res.col_value, dtype=float)
     y = sign * np.asarray(res.row_dual, dtype=float)
     m_eq = model.b_eq.size
-    return LpSolution(status="optimal", objective=float(model.c @ x), x=x,
-                      duals_ub=y[m_eq:], duals_eq=y[:m_eq],
+    return LpSolution(objective=float(model.c @ x), x=x, duals_ub=y[m_eq:], duals_eq=y[:m_eq],
                       reduced_costs=sign * np.asarray(res.col_dual, dtype=float),
-                      iterations=iterations, engine="highs")
+                      iterations=int(highs.getInfo().simplex_iteration_count), engine="highs")
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +307,8 @@ def _solve_highs(model: LpModel) -> LpSolution:
 
 
 def _certify(model: LpModel, sol: LpSolution) -> dict:
-    """Residuals in the min-sense canonical form; see module contract."""
+    """Residuals in the min-sense canonical form, every column in [0, inf);
+    see module contract."""
     sign = model._sign
     x = sol.x
     c = sign * model.c
@@ -428,52 +320,33 @@ def _certify(model: LpModel, sol: LpSolution) -> dict:
     slack = model.b_ub - act[m_eq:]
     primal = max(float(np.abs(act[:m_eq] - model.b_eq).max(initial=0.0)),
                  float(np.maximum(-slack, 0.0).max(initial=0.0)),
-                 float(np.maximum(model.lb - x, 0.0).max(initial=0.0)),
-                 float(np.maximum(x - model.ub, 0.0).max(initial=0.0)))
-    cs = float(np.abs(y_ub * slack).max(initial=0.0))
-    dual_obj = float(y_eq @ model.b_eq) + float(y_ub @ model.b_ub)
-    dual = float(np.maximum(y_ub, 0.0).max(initial=0.0))  # min-sense: y_ub <= 0
-    lb_f = np.isfinite(model.lb)
-    ub_f = np.isfinite(model.ub)
-    # reduced-cost sign conditions given bound structure
-    free = ~lb_f & ~ub_f
-    dual = max(dual, float(np.abs(rc[free]).max(initial=0.0)))
-    dual = max(dual, float(np.maximum(-rc[lb_f & ~ub_f], 0.0).max(initial=0.0)))
-    dual = max(dual, float(np.maximum(rc[ub_f & ~lb_f], 0.0).max(initial=0.0)))
-    pos = np.clip(rc, 0.0, None)
-    neg = np.clip(rc, None, 0.0)
-    dual_obj += float(np.sum(pos[lb_f] * model.lb[lb_f]) + np.sum(neg[ub_f] * model.ub[ub_f]))
-    gap_at_lb = np.abs(pos * np.where(lb_f, x - model.lb, np.abs(x)))
-    gap_at_ub = np.abs(neg * np.where(ub_f, model.ub - x, np.abs(x)))
-    cs = max(cs, float(np.maximum(gap_at_lb, gap_at_ub).max(initial=0.0)))
-    gap = abs(float(c @ x) - dual_obj)
+                 float(np.maximum(-x, 0.0).max(initial=0.0)))
+    # min-sense: y_ub <= 0 and reduced costs >= 0
+    dual = max(float(np.maximum(y_ub, 0.0).max(initial=0.0)),
+               float(np.maximum(-rc, 0.0).max(initial=0.0)))
+    cs = max(float(np.abs(y_ub * slack).max(initial=0.0)),
+             float(np.abs(rc * x).max(initial=0.0)))
+    gap = abs(float(c @ x) - (float(y_eq @ model.b_eq) + float(y_ub @ model.b_ub)))
     return {"primal": primal, "dual": dual, "compslack": cs, "gap": gap}
 
 
-def solve_lp(lp: LinearProgram | LpModel) -> LpSolution:
-    """Solve and certify a linear program.
+def solve_lp(model: LpModel) -> LpSolution:
+    """Solve and certify a live model as it stands, from the basis of its
+    last solve.
 
-    A :class:`LinearProgram` is solved on a fresh :class:`LpModel`; a live
-    model is re-solved as it stands, from the basis of its last solve.
-    Either way the solution is certified against the program the model
-    holds.  Raises ``NumericalFailure`` when the optimal solution cannot
-    meet the residual contract (the failing residuals are reported in the
-    message).
+    The solution is certified against the program the model holds.  Raises
+    ``NumericalFailure`` when HiGHS ends in any status but optimal (named in
+    the message), or when the optimal solution cannot meet the residual
+    contract (the failing residuals are reported in the message).
     """
-    model = lp if isinstance(lp, LpModel) else LpModel(lp)
     sol = _solve_highs(model)
-    if sol.status != "optimal":
-        return sol
     residuals = _certify(model, sol)
     if (residuals["primal"] > PRIMAL_RES_TOL or residuals["dual"] > DUAL_RES_TOL
             or residuals["compslack"] > CS_RES_TOL or residuals["gap"] > GAP_TOL):
         raise NumericalFailure(
             f"optimal solve failed certification: {residuals} (engine {sol.engine})"
         )
-    return LpSolution(status=sol.status, objective=sol.objective, x=sol.x,
-                      duals_ub=sol.duals_ub, duals_eq=sol.duals_eq,
-                      reduced_costs=sol.reduced_costs, residuals=residuals,
-                      iterations=sol.iterations, engine=sol.engine)
+    return replace(sol, residuals=residuals)
 
 
 # ---------------------------------------------------------------------------
@@ -497,8 +370,8 @@ class _Transport:
         self.keep_i = np.nonzero(mu.weights > 0.0)[0]
         self.keep_j = np.nonzero(nu.weights > 0.0)[0]
         mm, nn = self.keep_i.size, self.keep_j.size
-        self.model = LpModel.empty(sense, np.concatenate([mu.weights[self.keep_i],
-                                                          nu.weights[self.keep_j]]))
+        self.model = LpModel(sense, np.concatenate([mu.weights[self.keep_i],
+                                                    nu.weights[self.keep_j]]))
         # cell (i, j) enters rows i and mm + j
         ci, cj = np.divmod(np.arange(mm * nn), nn)
         self.model.append(np.zeros(mm * nn), 2 * np.arange(mm * nn),
@@ -509,8 +382,6 @@ class _Transport:
         """Certified solution and the full plan for the cost matrix ``cost``."""
         self.model.set_cost(cost[np.ix_(self.keep_i, self.keep_j)].ravel())
         sol = solve_lp(self.model)
-        if sol.status != "optimal":
-            raise NumericalFailure(f"transport solve returned {sol.status}")
         plan = np.zeros(self.shape)
         plan[np.ix_(self.keep_i, self.keep_j)] = sol.x.reshape(self.keep_i.size,
                                                                self.keep_j.size)
@@ -681,7 +552,7 @@ def write_mps(lp: LinearProgram, path, name: str = "RISKLP", exact: bool = False
     field, and row and column names have ``MPS_NAME_DIGITS`` digits; a
     program with more rows of a kind or more columns than those digits can
     number raises ``ProblemTooLarge``.  With ``exact=True`` every
-    coefficient, right-hand side and bound is printed as ``repr(float(v))``,
+    coefficient and right-hand side is printed as ``repr(float(v))``,
     which reads back bit for bit; such a file is free MPS, because a number
     may outgrow its fixed field, and names widen as their numbers need.
 
@@ -692,8 +563,7 @@ def write_mps(lp: LinearProgram, path, name: str = "RISKLP", exact: bool = False
     valid bytes a length mask keeps.  Each column lists its cost first, then
     its nonzeros by row, two entries per line.  The file is the same, byte
     for byte, as one written entry by entry with the formats above.  BOUNDS
-    lists only the variables without the default bounds [0, inf), line by
-    line.
+    is empty: every variable has the default bounds [0, inf).
     """
     sign = 1.0 if lp.sense == "min" else -1.0
     m_eq = lp.a_eq.shape[0] if lp.a_eq is not None else 0
@@ -756,22 +626,8 @@ def write_mps(lp: LinearProgram, path, name: str = "RISKLP", exact: bool = False
             fh.write(_mps_lines(b"    RHS       ", _mps_pick(row_table, rows), b"  ",
                                 _mps_pick(numbers, number_of[nnz + lo:nnz + lo + rows.size]),
                                 b"\n"))
-        bounds = ["BOUNDS"]
-        # variables with the MPS default bounds [0, inf) are not listed
-        for j in np.nonzero((lp.lb != 0.0) | np.isfinite(lp.ub))[0].tolist():
-            xname = f"X{j + 1:0{MPS_NAME_DIGITS}d}"
-            l, u = float(lp.lb[j]), float(lp.ub[j])
-            if not np.isfinite(l) and not np.isfinite(u):
-                bounds.append(f" FR BND       {xname:<8s}")
-                continue
-            if not np.isfinite(l):
-                bounds.append(f" MI BND       {xname:<8s}")
-            elif l != 0.0:
-                bounds.append(f" LO BND       {xname:<8s}  {fmt(l):<12s}")
-            if np.isfinite(u):
-                bounds.append(f" UP BND       {xname:<8s}  {fmt(u):<12s}")
-        bounds.append("ENDATA")
-        fh.write(("\n".join(bounds) + "\n").encode("utf-8"))
+        # every variable has the MPS default bounds [0, inf)
+        fh.write(b"BOUNDS\nENDATA\n")
 
 
 __all__ = [

@@ -22,9 +22,10 @@ from riskbound.asymptotics import (
 )
 from riskbound.bounds import solve_mes
 from riskbound.losses import DEFAULT_CCR_PARAMS, build_ccr_instance
-from riskbound.lpsolver import LinearProgram, solve_lp
+from riskbound.lpsolver import LinearProgram
 from riskbound.rng import box_muller, make_rng, substream
 
+from lp_reference import reference_solve
 from test_bounds import degenerate_instance
 
 
@@ -182,7 +183,8 @@ def hand_built_mes_dual(mu, nu, loss, alpha, c, face_value=None):
     """The MES dual assembled by hand, minimizing ``c``: phi, psi, one
     rho >= 0 per cell and beta, with rho - (1-a)(phi + psi) <= 0,
     -rho - beta <= -L and phi[0] = 0, plus the face row
-    phi.mu + psi.nu + beta <= face_value when one is given."""
+    phi.mu + psi.nu + beta <= face_value when one is given; solved by the
+    linprog reference."""
     nx, ny = loss.shape
     n = nx * ny
     nv = nx + ny + n + 1
@@ -203,14 +205,15 @@ def hand_built_mes_dual(mu, nu, loss, alpha, c, face_value=None):
     lb = np.concatenate([np.full(nx + ny, -np.inf), np.zeros(n), [-np.inf]])
     ub = np.full(nv, np.inf)
     lb[0] = ub[0] = 0.0
-    return solve_lp(LinearProgram(sense="min", c=c, a_ub=a_ub, b_ub=b_ub, lb=lb, ub=ub))
+    return reference_solve(LinearProgram(sense="min", c=c, a_ub=a_ub, b_ub=b_ub),
+                           bounds=np.column_stack([lb, ub]))
 
 
 def slacked_face_derivative(mu, nu, loss, alpha, value, d_mu, d_nu):
     """Min of phi.d_mu + psi.d_nu over the dual face slackened to V + 1e-7:
     a lower bound on the derivative."""
     c = np.concatenate([d_mu, d_nu, np.zeros(loss.values.size + 1)])
-    return hand_built_mes_dual(mu, nu, loss, alpha, c, face_value=value + 1e-7).objective
+    return hand_built_mes_dual(mu, nu, loss, alpha, c, face_value=value + 1e-7)["objective"]
 
 
 def lexicographic_derivative(mu, nu, loss, alpha, value, d_mu, d_nu, t=1e-5):
@@ -219,7 +222,7 @@ def lexicographic_derivative(mu, nu, loss, alpha, value, d_mu, d_nu, t=1e-5):
     and minimizes d there."""
     b = np.concatenate([mu.weights, nu.weights, np.zeros(loss.values.size), [1.0]])
     d = np.concatenate([d_mu, d_nu, np.zeros(loss.values.size + 1)])
-    y = hand_built_mes_dual(mu, nu, loss, alpha, b + t * d).x
+    y = hand_built_mes_dual(mu, nu, loss, alpha, b + t * d)["x"]
     assert y @ b <= value + 1e-7
     return float(y @ d)
 

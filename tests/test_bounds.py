@@ -46,6 +46,8 @@ from riskbound.losses import DEFAULT_CCR_PARAMS, build_ccr_instance, build_gauss
 from riskbound.riskmeasures import DiscreteLaw, es_tail_average, law_from_coupling, var
 from riskbound.lpsolver import LinearProgram, LpModel, _Transport, solve_lp
 
+from lp_reference import assert_model_holds, reference_solve
+
 # the mixed grid of acceptance criterion C2: a u = 0 atom plus two levels
 C2_GRID = SpectralGrid(z0=0.4, levels=np.array([0.3, 0.7]), weights=np.array([0.3, 0.3]))
 # sigma == 1: the expectation alone, plain optimal transport
@@ -112,7 +114,7 @@ def desk_instance(rng):
 
 
 def whole_lp_value(lp):
-    return solve_lp(lp).objective
+    return reference_solve(lp)["objective"]
 
 
 def coo_msp_lp(mu, nu, loss, grid, cells=None):
@@ -145,9 +147,9 @@ class TestBuildMesLp:
         nu = validate_marginal([1.0])
         loss = LossMatrix(np.array([[3.7]]))
         lp = build_mes_lp(mu, nu, loss, 0.5)
-        sol = solve_lp(lp)
-        assert sol.objective == pytest.approx(3.7, abs=1e-9)
-        assert np.allclose(sol.x, [1.0, 1.0], atol=1e-9)
+        ref = reference_solve(lp)
+        assert ref["objective"] == pytest.approx(3.7, abs=1e-9)
+        assert np.allclose(ref["x"], [1.0, 1.0], atol=1e-9)
 
     def test_constraint_counts_two_by_two(self):
         mu, nu, loss = two_by_two_sum()
@@ -426,8 +428,8 @@ class TestStaircaseBasis:
         basis = bounds._staircase_basis(mass, loss.values[ci, cj], grid, *loss.shape)
         model = bounds._staircase_master(mu, nu, loss, grid, ci, cj, mass)
         seeded = solve_lp(model)
-        cold = solve_lp(coo_msp_lp(mu, nu, loss, grid, (ci, cj)))
-        assert seeded.objective == pytest.approx(cold.objective, rel=1e-12, abs=1e-12)
+        cold = reference_solve(coo_msp_lp(mu, nu, loss, grid, (ci, cj)))
+        assert seeded.objective == pytest.approx(cold["objective"], rel=1e-12, abs=1e-12)
         spans = ci.size == mu.size + nu.size - 1
         assert (basis is not None) == spans == model.seeded
         if spans:
@@ -453,10 +455,7 @@ class TestStaircaseBasis:
         for mu, nu, loss, grid in cases:
             ci, cj, mass = bounds._staircase(mu, nu, bounds._mean_loss_order(mu, nu, loss))
             master = bounds._staircase_master(mu, nu, loss, grid, ci, cj, mass)
-            whole = LpModel(coo_msp_lp(mu, nu, loss, grid, (ci, cj)))
-            for name in ("c", "lb", "ub", "b_eq", "b_ub", "_start", "_index", "_value"):
-                got, want = getattr(master, name), getattr(whole, name)
-                assert got.dtype == want.dtype and np.array_equal(got, want), name
+            assert_model_holds(master, coo_msp_lp(mu, nu, loss, grid, (ci, cj)))
 
     def test_info_line_names_the_staircase_order(self, caplog):
         # x + y on labelled supports is modular: label order on the grid
@@ -1221,19 +1220,14 @@ class TestTreeRound:
             return sol
 
         made = []
-        init, empty = LpModel.__init__, LpModel.empty.__func__
+        init = LpModel.__init__
 
-        def spy_init(self, lp):
-            made.append("init")
-            init(self, lp)
-
-        def spy_empty(cls, *args, **kwargs):
-            made.append("empty")
-            return empty(cls, *args, **kwargs)
+        def spy_init(self, *args, **kwargs):
+            made.append("model")
+            init(self, *args, **kwargs)
 
         monkeypatch.setattr(bounds, "solve_lp", spy_solve)
         monkeypatch.setattr(LpModel, "__init__", spy_init)
-        monkeypatch.setattr(LpModel, "empty", classmethod(spy_empty))
         # a label-order Wasserstein distance: no HiGHS model at all
         rng = np.random.default_rng(24)
         x = rng.normal(size=60)
@@ -1258,7 +1252,7 @@ class TestTreeRound:
                 sol = solve_one()
             assert ", first master seeded," in caplog.records[-1].getMessage()
             assert sol.rounds > 1 and len(calls) == sol.rounds
-            assert calls[0] and made == ["empty"]
+            assert calls[0] and made == ["model"]
 
 
 class TestEngineArgument:

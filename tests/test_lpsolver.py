@@ -4,7 +4,6 @@ import itertools
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.optimize import linprog
 
 from riskbound import bounds, lpsolver
 from riskbound.bounds import build_mes_lp, build_msp_lp
@@ -27,166 +26,22 @@ from riskbound.lpsolver import (
     transport_polytope_vertices,
     write_mps,
 )
-from test_bounds import C2_GRID, coo_msp_lp, degenerate_instance, random_instance
+from lp_reference import assert_model_holds, model_program, reference_solve
+from test_bounds import (
+    C2_GRID,
+    FLAT_GRID,
+    coo_msp_lp,
+    degenerate_instance,
+    desk_instance,
+    random_instance,
+)
 
 
-def box_lp():
+def box_model():
     # max x + y  s.t.  x <= 1, y <= 1, x,y >= 0
-    return LinearProgram.from_rows(
-        "max", [1.0, 1.0],
-        rows=[([0], [1.0], "<=", 1.0), ([1], [1.0], "<=", 1.0)],
-    )
-
-
-def reference_solve(lp):
-    """The same program through ``scipy.optimize.linprog``'s HiGHS dual
-    simplex, whose assembly and sign mapping are scipy's, not
-    :func:`solve_lp`'s: objective, then row duals and reduced costs in the
-    sign convention of :class:`lpsolver.LpSolution`."""
-    sign = 1.0 if lp.sense == "min" else -1.0
-    res = linprog(sign * lp.c, A_ub=lp.a_ub, b_ub=lp.b_ub, A_eq=lp.a_eq, b_eq=lp.b_eq,
-                  bounds=np.column_stack([lp.lb, lp.ub]), method="highs-ds",
-                  options={"primal_feasibility_tolerance": 1e-9,
-                           "dual_feasibility_tolerance": 1e-9})
-    assert res.status == 0, res.message
-    return {"objective": float(lp.c @ res.x),
-            "duals_eq": sign * res.eqlin.marginals, "duals_ub": sign * res.ineqlin.marginals,
-            "reduced_costs": sign * (res.lower.marginals + res.upper.marginals)}
-
-
-class TestSolveLp:
-    def test_textbook_corner(self):
-        sol = solve_lp(box_lp())
-        assert sol.status == "optimal"
-        assert sol.objective == pytest.approx(2.0, abs=1e-9)
-        assert np.allclose(sol.x, [1.0, 1.0], atol=1e-9)
-        assert sol.residuals["gap"] <= 1e-7
-
-    def test_infeasible(self):
-        lp = LinearProgram.from_rows(
-            "max", [1.0],
-            rows=[([0], [1.0], ">=", 1.0), ([0], [1.0], "<=", 0.0)],
-        )
-        assert solve_lp(lp).status == "infeasible"
-
-    def test_unbounded(self):
-        lp = LinearProgram(sense="max", c=np.array([1.0]))
-        assert solve_lp(lp).status == "unbounded"
-
-    def test_equality_and_free_variables(self):
-        # min x - 2z  s.t.  x + y = 1,  z - y <= 2,  y >= 0, x free, z free
-        lp = LinearProgram.from_rows(
-            "min", [1.0, 0.0, -2.0],
-            rows=[([0, 1], [1.0, 1.0], "=", 1.0), ([2, 1], [1.0, -1.0], "<=", 2.0)],
-            lb=[-np.inf, 0.0, -np.inf], ub=[np.inf, np.inf, np.inf],
-        )
-        # x = 1 - y, obj = 1 - y - 2z, z <= 2 + y  ->  obj >= 1 - y - 4 - 2y,
-        # unbounded in y.
-        assert solve_lp(lp).status == "unbounded"
-
-    def test_bounded_variables_and_flips(self):
-        # max 3a + b  with a in [0, 2], b in [-1, 1], a + b <= 2
-        lp = LinearProgram.from_rows(
-            "max", [3.0, 1.0],
-            rows=[([0, 1], [1.0, 1.0], "<=", 2.0)],
-            lb=[0.0, -1.0], ub=[2.0, 1.0],
-        )
-        sol = solve_lp(lp)
-        assert sol.objective == pytest.approx(6.0 - 1.0 + 1.0, abs=1e-9)
-        assert np.allclose(sol.x, [2.0, 0.0], atol=1e-9)
-
-    def test_determinism(self):
-        rng = np.random.default_rng(17)
-        c = rng.normal(size=12)
-        a = rng.normal(size=(6, 12))
-        lp = LinearProgram(sense="max", c=c, a_ub=sp.csr_matrix(a),
-                           b_ub=rng.uniform(1.0, 2.0, size=6),
-                           lb=np.zeros(12), ub=np.full(12, 2.0))
-        s1 = solve_lp(lp)
-        s2 = solve_lp(lp)
-        assert s1.objective == s2.objective
-        assert np.array_equal(s1.x, s2.x)
-        assert s1.iterations == s2.iterations
-
-    def test_cross_engine_agreement(self):
-        # scipy's linprog is the reference for the binding
-        rng = np.random.default_rng(3)
-        for _ in range(40):
-            n = int(rng.integers(2, 10))
-            m = int(rng.integers(1, 8))
-            c = rng.normal(size=n)
-            a = rng.normal(size=(m, n))
-            b = rng.uniform(0.5, 2.0, size=m)
-            lp = LinearProgram(sense="max", c=c, a_ub=sp.csr_matrix(a), b_ub=b,
-                               lb=np.zeros(n), ub=np.full(n, rng.uniform(1.0, 5.0)))
-            sol = solve_lp(lp)
-            assert sol.status == "optimal"
-            assert sol.objective == pytest.approx(reference_solve(lp)["objective"], abs=1e-7)
-
-    def test_strong_duality_certified_every_solve(self):
-        rng = np.random.default_rng(29)
-        for _ in range(50):
-            n = int(rng.integers(2, 8))
-            m = int(rng.integers(1, 6))
-            lp = LinearProgram(sense="min", c=rng.normal(size=n),
-                               a_ub=sp.csr_matrix(rng.normal(size=(m, n))),
-                               b_ub=rng.uniform(0.5, 2.0, size=m),
-                               lb=np.zeros(n), ub=np.full(n, 3.0))
-            sol = solve_lp(lp)
-            assert sol.status == "optimal"
-            assert sol.residuals["gap"] <= 1e-7
-            assert sol.residuals["primal"] <= 1e-8
-            assert sol.residuals["dual"] <= 1e-8
-
-
-class TestEngine:
-    def test_mixed_rows_keep_their_duals(self):
-        # equality rows come first in the HiGHS model; duals must map back
-        lp = LinearProgram.from_rows(
-            "max", [1.0, 2.0, 0.5],
-            rows=[([0, 1], [1.0, 1.0], "<=", 3.0), ([1, 2], [1.0, 1.0], "=", 2.0),
-                  ([0, 2], [1.0, -1.0], ">=", -1.0)],
-            lb=[0.0, 0.0, 0.0], ub=[2.0, np.inf, np.inf])
-        ref = reference_solve(lp)
-        sol = solve_lp(lp)
-        assert sol.objective == pytest.approx(ref["objective"], abs=1e-9)
-        assert np.allclose(sol.duals_eq, ref["duals_eq"], atol=1e-9)
-        assert np.allclose(sol.duals_ub, ref["duals_ub"], atol=1e-9)
-        assert np.allclose(sol.reduced_costs, ref["reduced_costs"], atol=1e-9)
-
-    @pytest.mark.parametrize("kind", ["infeasible", "unbounded"])
-    def test_undecided_presolve_is_resolved_without_it(self, kind, monkeypatch):
-        run = lpsolver._highs_run
-        presolve_flags = []
-
-        class Undecided:
-            def __init__(self, highs):
-                self.highs = highs
-
-            def getModelStatus(self):
-                return lpsolver._highspy.HighsModelStatus.kUnboundedOrInfeasible
-
-            def __getattr__(self, name):
-                return getattr(self.highs, name)
-
-        def spy(lp, presolve):
-            presolve_flags.append(presolve)
-            return Undecided(run(lp, presolve)) if presolve else run(lp, presolve)
-
-        monkeypatch.setattr(lpsolver, "_highs_run", spy)
-        if kind == "infeasible":
-            lp = LinearProgram.from_rows("max", [1.0], rows=[([0], [1.0], ">=", 1.0),
-                                                             ([0], [1.0], "<=", 0.0)])
-        else:
-            lp = LinearProgram(sense="max", c=np.array([1.0]))
-        assert solve_lp(lp).status == kind
-        assert presolve_flags == [True, False]
-
-    def test_whole_lifted_lp_reports_iterations(self):
-        mu, nu, loss = build_ccr_instance(DEFAULT_CCR_PARAMS, 40, 31)
-        sol = solve_lp(build_mes_lp(mu, nu, loss, 0.9))
-        assert sol.engine == "highs"
-        assert sol.iterations > 0
+    model = LpModel("max", np.zeros(0))
+    model.append(np.ones(2), np.array([0, 1]), np.array([0, 1]), np.ones(2), np.ones(2))
+    return model
 
 
 def random_weights(rng, size):
@@ -196,6 +51,146 @@ def random_weights(rng, size):
     if w.sum() == 0.0:
         w[int(rng.integers(size))] = 1.0
     return validate_marginal(w / w.sum())
+
+
+def whole_master(mu, nu, loss, grid):
+    """A model on the marginal and Theta-mass rows grown by one append of
+    every cell: the lifted program of ``grid``, feasible for any marginals."""
+    model = LpModel("max", np.concatenate([mu.weights, nu.weights, np.ones(grid.n_levels)]))
+    ci, cj = np.divmod(np.arange(loss.values.size), loss.shape[1])
+    model.append(*bounds._lifted_columns(ci, cj, loss, grid, model.n_rows))
+    return model
+
+
+def transport_models(rng, count):
+    """Oracle transport models over random marginals with zero atoms, in
+    either sense, each under two random costs: ``(model, rows of mu and
+    nu)``, once per cost, ready to solve."""
+    for _ in range(count):
+        m, n = (int(v) for v in rng.integers(1, 8, size=2))
+        transport = lpsolver._Transport(random_weights(rng, m), random_weights(rng, n),
+                                        str(rng.choice(["max", "min"])))
+        for _ in range(2):
+            transport.model.set_cost(rng.normal(size=transport.model.n_vars))
+            yield transport.model, (transport.keep_i.size, transport.keep_j.size)
+
+
+def grown_masters(rng, count):
+    """Seeded staircase masters of random desk-shaped instances on a Dirac,
+    the C2 or the flat grid, grown by :func:`bounds._lifted_columns` with
+    two random batches of the other cells: ``(model, rows of mu and nu)``,
+    once per state, ready to solve."""
+    for _ in range(count):
+        mu, nu, loss, alpha = desk_instance(rng)
+        grid = (SpectralGrid.dirac(alpha), C2_GRID, FLAT_GRID)[int(rng.integers(3))]
+        ci, cj, mass = bounds._staircase(mu, nu, bounds._mean_loss_order(mu, nu, loss))
+        model = bounds._staircase_master(mu, nu, loss, grid, ci, cj, mass)
+        yield model, (mu.size, nu.size)
+        rest = rng.permutation(np.setdiff1d(np.arange(loss.values.size), ci * loss.shape[1] + cj))
+        for batch in np.array_split(rest, 2):
+            if batch.size:
+                bi, bj = np.divmod(batch, loss.shape[1])
+                model.append(*bounds._lifted_columns(bi, bj, loss, grid, model.n_rows))
+                yield model, (mu.size, nu.size)
+
+
+def shift_free(duals_eq, m, n):
+    """Row duals with the free shift of the marginal rows taken out: adding
+    s to every row of mu and taking it from every row of nu moves no
+    reduced cost, so the first row of mu is pinned to 0."""
+    y = np.array(duals_eq, dtype=float)
+    s = y[0]
+    y[:m] -= s
+    y[m:m + n] += s
+    return y
+
+
+def assert_matches_reference(sol, model, marginals, atol, unique=True):
+    """A solve against the linprog reference on the program the model holds:
+    the objective, the row duals, and the reduced costs, which must be the
+    program's ``c - A^T y`` with the signs of an optimal dual.  The density
+    rows of cells without mass are degenerate, so on a master only the
+    marginal and Theta-mass rows have unique duals: ``unique=False``
+    compares those and checks the rest as an optimal dual, of the
+    reference's value, without comparing entries."""
+    lp = model_program(model)
+    ref = reference_solve(lp)
+    assert sol.objective == pytest.approx(ref["objective"], abs=atol)
+    assert np.allclose(shift_free(sol.duals_eq, *marginals),
+                       shift_free(ref["duals_eq"], *marginals), rtol=0.0, atol=atol)
+    if unique:
+        assert np.allclose(sol.duals_ub, ref["duals_ub"], rtol=0.0, atol=atol)
+        assert np.allclose(sol.reduced_costs, ref["reduced_costs"], rtol=0.0, atol=atol)
+    y_a = lp.a_eq.T @ sol.duals_eq + (0.0 if lp.a_ub is None else lp.a_ub.T @ sol.duals_ub)
+    assert np.allclose(sol.reduced_costs, lp.c - y_a, rtol=0.0, atol=atol)
+    sign = 1.0 if lp.sense == "min" else -1.0
+    assert (sign * sol.reduced_costs).min(initial=0.0) >= -atol
+    assert (sign * sol.duals_ub).max(initial=0.0) <= atol
+    dual_value = sol.duals_eq @ model.b_eq + sol.duals_ub @ model.b_ub
+    assert dual_value == pytest.approx(ref["objective"], abs=atol)
+
+
+class TestSolveLp:
+    def test_textbook_corner(self):
+        sol = solve_lp(box_model())
+        assert sol.objective == pytest.approx(2.0, abs=1e-9)
+        assert np.allclose(sol.x, [1.0, 1.0], atol=1e-9)
+        assert sol.residuals["gap"] <= 1e-7
+
+    @pytest.mark.parametrize("kind", ["infeasible", "unbounded"])
+    def test_any_status_but_optimal_raises(self, kind):
+        if kind == "infeasible":
+            # x = 1 and x <= 0
+            model = LpModel("max", np.ones(1))
+            model.append(np.ones(1), np.array([0]), np.array([0, 1]), np.ones(2), np.zeros(1))
+        else:
+            model = LpModel("max", np.zeros(0))
+            model.append(np.ones(1), np.array([0]), np.zeros(0), np.zeros(0), np.zeros(0))
+        with pytest.raises(NumericalFailure, match="HiGHS terminated abnormally"):
+            solve_lp(model)
+
+    def test_determinism(self):
+        # two builds of the same models solve bit for bit alike
+        for models in (transport_models, grown_masters):
+            for (a, _), (b, _) in zip(models(np.random.default_rng(17), 10),
+                                      models(np.random.default_rng(17), 10)):
+                s1, s2 = solve_lp(a), solve_lp(b)
+                assert s1.objective == s2.objective
+                assert s1.iterations == s2.iterations
+                for name in ("x", "duals_eq", "duals_ub", "reduced_costs"):
+                    assert np.array_equal(getattr(s1, name), getattr(s2, name)), name
+
+    def test_cross_engine_agreement(self):
+        # scipy's linprog is the reference for the binding
+        for model, marginals in transport_models(np.random.default_rng(3), 40):
+            assert_matches_reference(solve_lp(model), model, marginals, 1e-9)
+
+    def test_strong_duality_certified_every_solve(self):
+        for model, marginals in grown_masters(np.random.default_rng(29), 50):
+            sol = solve_lp(model)
+            assert sol.residuals["gap"] <= 1e-7
+            assert sol.residuals["primal"] <= 1e-8
+            assert sol.residuals["dual"] <= 1e-8
+            assert sol.residuals["compslack"] <= 1e-8
+            assert_matches_reference(sol, model, marginals, 1e-9, unique=False)
+
+
+class TestEngine:
+    def test_mixed_rows_keep_their_duals(self):
+        # equality rows come first in the HiGHS model, then the <= density
+        # rows; both duals must map back, in the posed sense.  With one row
+        # atom every cell carries mass, so every dual is unique.
+        rng = np.random.default_rng(5)
+        mu, nu = validate_marginal([1.0]), validate_marginal(rng.dirichlet(np.ones(6)))
+        model = whole_master(mu, nu, LossMatrix(rng.normal(size=(1, 6))), C2_GRID)
+        assert model.b_eq.size and model.b_ub.size
+        assert_matches_reference(solve_lp(model), model, (1, 6), 1e-9)
+
+    def test_whole_lifted_lp_reports_iterations(self):
+        mu, nu, loss = build_ccr_instance(DEFAULT_CCR_PARAMS, 40, 31)
+        sol = solve_lp(whole_master(mu, nu, loss, SpectralGrid.dirac(0.9)))
+        assert sol.engine == "highs"
+        assert sol.iterations > 0
 
 
 def lifted_permutation(sizes, K):
@@ -229,8 +224,8 @@ class TestLpModel:
                 if k == 0:
                     model = transport.model
                 assert transport.model is model
-                fresh = solve_lp(model.program())
-                assert sol.objective == pytest.approx(fresh.objective, abs=1e-9)
+                fresh = reference_solve(model_program(model))
+                assert sol.objective == pytest.approx(fresh["objective"], abs=1e-9)
                 value, _, _ = solve_transport(mu, nu, LossMatrix(cost), sense)
                 assert sol.objective == pytest.approx(value, abs=1e-9)
                 assert np.allclose(plan.sum(axis=1), mu.weights, atol=1e-9)
@@ -251,20 +246,24 @@ class TestLpModel:
             batches = [first] + [b for b in np.split(rest, cuts)[:2] if b.size]
             for grid in (SpectralGrid.dirac(a), C2_GRID):
                 ci, cj = np.divmod(batches[0], loss.shape[1])
-                model = LpModel(coo_msp_lp(mu, nu, loss, grid, (ci, cj)))
-                assert solve_lp(model).status == "optimal"
+                model = LpModel("max", np.concatenate([mu.weights, nu.weights,
+                                                       np.ones(grid.n_levels)]))
+                model.append(*bounds._lifted_columns(ci, cj, loss, grid, model.n_rows))
+                assert_model_holds(model, coo_msp_lp(mu, nu, loss, grid, (ci, cj)))
+                solve_lp(model)
                 for batch in batches[1:]:
                     bi, bj = np.divmod(batch, loss.shape[1])
                     model.append(*bounds._lifted_columns(bi, bj, loss, grid, model.n_rows))
-                    assert solve_lp(model).status == "optimal"
+                    solve_lp(model)
                 cells = np.divmod(np.concatenate(batches), loss.shape[1])
                 whole = coo_msp_lp(mu, nu, loss, grid, cells)
                 sol = solve_lp(model)
                 assert sol.iterations == 0      # solved already: the basis is kept
-                assert sol.objective == pytest.approx(solve_lp(whole).objective, abs=1e-9)
+                assert sol.objective == pytest.approx(reference_solve(whole)["objective"],
+                                                      abs=1e-9)
                 # the grown master is the whole program, permuted
                 col, row = lifted_permutation([b.size for b in batches], grid.n_levels)
-                held = model.program()
+                held = model_program(model)
                 assert np.array_equal(held.c[col], whole.c)
                 assert np.array_equal(held.a_eq.toarray()[:, col], whole.a_eq.toarray())
                 assert np.array_equal(held.a_ub.toarray()[row][:, col], whole.a_ub.toarray())
@@ -282,31 +281,70 @@ class TestLpModel:
         ci, cj = np.divmod(np.arange(6), 2)
         a_eq = sp.csr_matrix((np.ones(12), (np.concatenate([ci, 3 + cj]),
                                             np.tile(np.arange(6), 2))), shape=(5, 6))
-        ref = LpModel(LinearProgram(
-            sense=sense, c=cost[np.ix_(keep_i, keep_j)].ravel(), a_eq=a_eq,
-            b_eq=np.concatenate([mu.weights[keep_i], nu.weights[keep_j]])))
-        for name in ("c", "lb", "ub", "b_eq", "b_ub", "_start", "_index", "_value"):
-            got, want = getattr(transport.model, name), getattr(ref, name)
-            assert got.dtype == want.dtype and np.array_equal(got, want), name
-        assert sol.objective == solve_lp(ref).objective
+        ref = LinearProgram(sense=sense, c=cost[np.ix_(keep_i, keep_j)].ravel(), a_eq=a_eq,
+                            b_eq=np.concatenate([mu.weights[keep_i], nu.weights[keep_j]]))
+        assert_model_holds(transport.model, ref)
+        assert sol.objective == pytest.approx(reference_solve(ref)["objective"], abs=1e-12)
         assert not plan[1].any() and not plan[:, 0].any()
 
     def test_failed_certification_raises_on_a_live_model(self, monkeypatch):
         rng = np.random.default_rng(8)
         mu, nu, loss = random_instance(rng, max_side=4)
-        model = LpModel(build_msp_lp(mu, nu, loss, C2_GRID))
-        assert solve_lp(model).status == "optimal"
+        model = whole_master(mu, nu, loss, C2_GRID)
+        solve_lp(model)
         monkeypatch.setattr(lpsolver, "GAP_TOL", -1.0)
         model.set_cost(-model.c)
         with pytest.raises(NumericalFailure, match="certification"):
             solve_lp(model)
 
     def test_append_rejects_rows_outside_the_program(self):
-        model = LpModel(box_lp())
+        model = box_model()
         with pytest.raises(DimensionMismatch):
             model.append(np.ones(1), np.array([0]), np.array([3]), np.ones(1), np.zeros(1))
         with pytest.raises(DimensionMismatch):
             model.set_cost(np.ones(3))
+
+    @pytest.mark.parametrize("case, error", [
+        ("first offset", DimensionMismatch), ("falling offsets", DimensionMismatch),
+        ("offset past the entries", DimensionMismatch), ("unpaired values", DimensionMismatch),
+        ("cost", NumericalFailure), ("coefficient", NumericalFailure),
+        ("right-hand side", NumericalFailure)])
+    def test_append_rejects_malformed_columns(self, case, error):
+        # two columns over the two rows of the box and one new row
+        args = {"c": np.ones(2), "start": np.array([0, 2]), "index": np.array([0, 2, 1, 2]),
+                "value": np.ones(4), "b_ub": np.ones(1)}
+        bad = {"first offset": ("start", np.array([1, 2])),
+               "falling offsets": ("start", np.array([0, -1])),
+               "offset past the entries": ("start", np.array([0, 5])),
+               "unpaired values": ("value", np.ones(3)),
+               "cost": ("c", np.array([1.0, np.inf])),
+               "coefficient": ("value", np.array([1.0, np.nan, 1.0, 1.0])),
+               "right-hand side": ("b_ub", np.array([np.inf]))}[case]
+        args[bad[0]] = bad[1]
+        model = box_model()
+        with pytest.raises(error):
+            model.append(**args)
+        assert model.n_vars == 2 and model.n_rows == 2
+
+    def test_rejects_a_sense_but_max_or_min(self):
+        with pytest.raises(DimensionMismatch, match="sense"):
+            LpModel("maximize", np.ones(1))
+
+
+class TestLinearProgram:
+    @pytest.mark.parametrize("case, error", [
+        ("sense", DimensionMismatch), ("cost", NumericalFailure), ("columns", DimensionMismatch),
+        ("coefficient", NumericalFailure), ("right-hand side", DimensionMismatch)])
+    def test_rejects_malformed_programs(self, case, error):
+        fields = {"sense": "max", "c": np.ones(2), "a_eq": sp.csr_matrix([[1.0, 1.0]]),
+                  "b_eq": np.ones(1)}
+        bad = {"sense": ("sense", "maximize"), "cost": ("c", np.array([1.0, np.nan])),
+               "columns": ("a_eq", sp.csr_matrix([[1.0, 1.0, 1.0]])),
+               "coefficient": ("a_eq", sp.csr_matrix([[1.0, np.inf]])),
+               "right-hand side": ("b_eq", np.ones(2))}[case]
+        fields[bad[0]] = bad[1]
+        with pytest.raises(error):
+            LinearProgram(**fields)
 
 
 class TestTransport:
@@ -508,8 +546,6 @@ class TestMpsDump:
     PINNED_MPS = {
         ("ccr20_k8", False): (455296, "18d46b88f43cbd7692746fa612442247f36f873a54495b55cbea172afc718759"),
         ("ccr20_k8", True): (495424, "1da11ad0d6912febbbb7a87557cf1f8c223eeab6b0f159a6cc51e0874456d730"),
-        ("bounded", False): (1183, "089e109d75ddda1e83c8d9e6de92e64dde21df4b8eda203cc4be1fd0465db5d1"),
-        ("bounded", True): (1232, "b3f7658ffe7133f407a432c87ad6ed986a6fa714dd8e5c711f248b1327f951c4"),
         ("eq_only", False): (14221, "7f4bdad7ec0b6c38c331b88ddaedb165c1e21d9d588989161863ddc3f18a3f98"),
         ("eq_only", True): (16859, "d2ff93d84a1918adec7152a2b3470933304818ee8f57db8e3c071848d126da07"),
         ("ub_only", False): (14241, "fa43df0572dde71419fa830e6876397ee96565a35fe50c9e26756c67a81d30b8"),
@@ -521,25 +557,20 @@ class TestMpsDump:
         if kind == "ccr20_k8":
             grid = discretize_spectrum(SpectralFunction.power_sqrt(), 8)
             return build_msp_lp(*build_ccr_instance(DEFAULT_CCR_PARAMS, 20, 31), grid)
-        if kind == "bounded":
-            # FR, MI, LO and UP bounds, an explicit zero coefficient, a column
-            # with no entries and zero cost, one with a cost and no entries
-            return LinearProgram.from_rows(
-                "max", [1.5, -2.0 / 3.0, 0.0, 1e-12, 7.25e20, 0.0, -3.0, 0.1],
-                rows=[([0, 1, 2, 3], [1.0, 0.0, -0.125, 2.5e-7], "<=", 4.0),
-                      ([1, 3, 4, 6], [1.0 / 3.0, -1e5, 123456789.0, 2.0], "=", 0.0),
-                      ([0, 4, 6], [-1.0, 0.3, 1e-300], ">=", -1.0 / 7.0),
-                      ([3, 4], [0.5, -0.5], "=", 1e300)],
-                lb=[-np.inf, -np.inf, -2.5, 0.0, 1.0 / 3.0, 0.0, 0.0, 1.0],
-                ub=[np.inf, 10.0, 2.5, 4.0, np.inf, np.inf, 0.0, 1.0])
+        # 30 rows over 45 columns, all equalities or alternately <= and >=
+        # rows; a >= row is negated into a <= row
         m, n = 30, 45
-        rows = [([j for j in range(n) if (3 * i + 5 * j) % 7 < 2],
-                 [((i * 11 + j * 13) % 23 - 11) / 9.0 for j in range(n) if (3 * i + 5 * j) % 7 < 2],
-                 rel, (i % 5 - 2) / 3.0)
-                for i in range(m) for rel in ["=" if kind == "eq_only" else ("<=", ">=")[i % 2]]]
-        return LinearProgram.from_rows(
-            "min" if kind == "eq_only" else "max",
-            [((j * 17) % 19 - 9) / 7.0 for j in range(n)], rows=rows)
+        i, j = np.nonzero((3 * np.arange(m)[:, None] + 5 * np.arange(n)) % 7 < 2)
+        values = ((i * 11 + j * 13) % 23 - 11) / 9.0
+        rhs = (np.arange(m) % 5 - 2) / 3.0
+        if kind == "ub_only":
+            flip = np.where(np.arange(m) % 2, -1.0, 1.0)
+            values, rhs = values * flip[i], rhs * flip
+        a = sp.csr_matrix((values, (i, j)), shape=(m, n))
+        c = (np.arange(n) * 17 % 19 - 9) / 7.0
+        if kind == "eq_only":
+            return LinearProgram(sense="min", c=c, a_eq=a, b_eq=rhs)
+        return LinearProgram(sense="max", c=c, a_ub=a, b_ub=rhs)
 
     @pytest.mark.parametrize("exact", [False, True])
     def test_lifted_export_is_byte_identical(self, exact, tmp_path):
@@ -550,7 +581,7 @@ class TestMpsDump:
         assert (len(data), hashlib.sha256(data).hexdigest()) == self.LG50X100_MPS[exact]
 
     @pytest.mark.parametrize("exact", [False, True])
-    @pytest.mark.parametrize("kind", ["ccr20_k8", "bounded", "eq_only", "ub_only"])
+    @pytest.mark.parametrize("kind", ["ccr20_k8", "eq_only", "ub_only"])
     def test_export_is_byte_identical(self, kind, exact, tmp_path):
         path = tmp_path / "lp.mps"
         write_mps(self.pinned_lp(kind), path, exact=exact)
@@ -562,10 +593,13 @@ class TestMpsDump:
         # with two-digit names, 99 columns or rows of a kind fit and 100 do not
         monkeypatch.setattr(lpsolver, "MPS_NAME_DIGITS", 2)
         n, m = (100, 99) if overflow == "columns" else (99, 100)
-        rel = "<=" if overflow == "ub rows" else "="
-        lp = LinearProgram.from_rows(
-            "min", np.arange(1.0, n + 1.0),
-            rows=[([i % n, (i + 1) % n], [1.0, -2.0], rel, i + 1.0) for i in range(m)])
+        # row i: x[i % n] - 2 x[(i + 1) % n] against i + 1
+        rows = np.repeat(np.arange(m), 2)
+        cols = np.column_stack([np.arange(m) % n, (np.arange(m) + 1) % n]).ravel()
+        a = sp.csr_matrix((np.tile([1.0, -2.0], m), (rows, cols)), shape=(m, n))
+        kind = "ub" if overflow == "ub rows" else "eq"
+        lp = LinearProgram(sense="min", c=np.arange(1.0, n + 1.0),
+                           **{f"a_{kind}": a, f"b_{kind}": np.arange(1.0, m + 1.0)})
         path = tmp_path / "lp.mps"
         with pytest.raises(ProblemTooLarge, match="2-digit names"):
             write_mps(lp, path)
@@ -604,11 +638,8 @@ class TestMpsDump:
                                   random_state=int(rng.integers(1 << 30)))
                     a.data = values(a.nnz)
                     blocks[f"a_{name}"], blocks[f"b_{name}"] = a, values(m)
-            lb = np.where(rng.random(n) < 0.6, 0.0, np.where(rng.random(n) < 0.5, -np.inf,
-                                                              values(n)))
-            ub = np.where(rng.random(n) < 0.6, np.inf, np.maximum(lb, 0.0) + np.abs(values(n)))
             lp = LinearProgram(sense=("min", "max")[trial % 2], c=values(n) * (rng.random(n) < 0.7),
-                               lb=lb, ub=ub, **blocks)
+                               **blocks)
             digits, exact = int(rng.choice([1, 2, 7])), bool(trial % 3)
             monkeypatch.setattr(lpsolver, "MPS_NAME_DIGITS", digits)
             monkeypatch.setattr(lpsolver, "_MPS_CHUNK_LINES", int(rng.choice([1, 3, 2048])))
@@ -623,7 +654,9 @@ class TestMpsDump:
 
     def test_fixed_format_sections(self, tmp_path):
         path = tmp_path / "lp.mps"
-        write_mps(box_lp(), path, name="BOXLP")
+        box = LinearProgram(sense="max", c=np.ones(2), a_ub=sp.identity(2, format="csr"),
+                            b_ub=np.ones(2))
+        write_mps(box, path, name="BOXLP")
         text = path.read_text()
         lines = text.splitlines()
         assert lines[1].startswith("NAME")
@@ -637,10 +670,11 @@ class TestMpsDump:
         rng = np.random.default_rng(5)
         mu = validate_marginal(rng.dirichlet(np.ones(4)))
         nu = validate_marginal(rng.dirichlet(np.ones(5)))
-        bounded = LinearProgram.from_rows(
-            "max", [3.0, 1.0 / 3.0], rows=[([0, 1], [1.0, 0.1], "<=", 2.0 / 3.0)],
-            lb=[0.0, -0.7], ub=[2.0, np.inf])
-        for lp in (build_mes_lp(mu, nu, LossMatrix(rng.normal(size=(4, 5))), 0.9), bounded):
+        # max 3x + y/3  s.t.  x + y/10 <= 2/3,  x - y = -0.7
+        small = LinearProgram(sense="max", c=np.array([3.0, 1.0 / 3.0]),
+                              a_ub=sp.csr_matrix([[1.0, 0.1]]), b_ub=np.array([2.0 / 3.0]),
+                              a_eq=sp.csr_matrix([[1.0, -1.0]]), b_eq=np.array([-0.7]))
+        for lp in (build_mes_lp(mu, nu, LossMatrix(rng.normal(size=(4, 5))), 0.9), small):
             path = tmp_path / "lp.mps"
             write_mps(lp, path, exact=True)
             back = read_mps(path)
@@ -652,9 +686,8 @@ class TestMpsDump:
                                           getattr(lp, name).toarray())
                     rhs = "b" + name[1:]
                     assert np.array_equal(getattr(back, rhs), getattr(lp, rhs))
-            assert np.array_equal(back.lb, lp.lb) and np.array_equal(back.ub, lp.ub)
-            assert -solve_lp(back).objective == pytest.approx(solve_lp(lp).objective,
-                                                              abs=1e-9)
+            assert -reference_solve(back)["objective"] == pytest.approx(
+                reference_solve(lp)["objective"], abs=1e-9)
 
 
 def reference_mps(lp: LinearProgram, exact: bool, digits: int = 7) -> str:
@@ -690,26 +723,13 @@ def reference_mps(lp: LinearProgram, exact: bool, digits: int = 7) -> str:
     for rname, bv in zip(rnames, np.concatenate(b_all).tolist() if b_all else []):
         if bv != 0.0:
             lines.append(f"    RHS       {rname:<8s}  {fmt(bv):<12s}")
-    lines.append("BOUNDS")
-    for j in np.nonzero((lp.lb != 0.0) | np.isfinite(lp.ub))[0].tolist():
-        xname = f"X{j + 1:0{digits}d}"
-        l, u = lp.lb[j], lp.ub[j]
-        if not np.isfinite(l) and not np.isfinite(u):
-            lines.append(f" FR BND       {xname:<8s}")
-            continue
-        if not np.isfinite(l):
-            lines.append(f" MI BND       {xname:<8s}")
-        elif l != 0.0:
-            lines.append(f" LO BND       {xname:<8s}  {fmt(l):<12s}")
-        if np.isfinite(u):
-            lines.append(f" UP BND       {xname:<8s}  {fmt(u):<12s}")
-    lines.append("ENDATA")
+    lines += ["BOUNDS", "ENDATA"]
     return "\n".join(lines) + "\n"
 
 
 def read_mps(path) -> LinearProgram:
     """Parse a file written by ``write_mps`` back into a minimization."""
-    rows, entries, rhs, bound_lines = {}, [], {}, []
+    rows, entries, rhs = {}, [], {}
     section = None
     for line in path.read_text().splitlines():
         if not line.strip() or line.startswith("*"):
@@ -724,8 +744,8 @@ def read_mps(path) -> LinearProgram:
             entries += [(f[0], f[k], float(f[k + 1])) for k in range(1, len(f), 2)]
         elif section == "RHS":
             rhs.update((f[k], float(f[k + 1])) for k in range(1, len(f), 2))
-        elif section == "BOUNDS":
-            bound_lines.append(f)
+        else:
+            raise AssertionError(f"a line in section {section}: {line!r}")
     # names widen past their zero-padded digits, so shorter names come first
     by_number = dict(key=lambda s: (len(s), s))
     cols = {x: k for k, x in enumerate(sorted({e[0] for e in entries}, **by_number))}
@@ -740,16 +760,6 @@ def read_mps(path) -> LinearProgram:
             c[cols[x]] = v
         else:
             mats[rows[r]][index[rows[r]][r], cols[x]] = v
-    lb, ub = np.zeros(n), np.full(n, np.inf)
-    for kind, _, x, *v in bound_lines:
-        if kind in ("FR", "MI"):
-            lb[cols[x]] = -np.inf
-        if kind == "FR":
-            ub[cols[x]] = np.inf
-        elif kind == "LO":
-            lb[cols[x]] = float(v[0])
-        elif kind == "UP":
-            ub[cols[x]] = float(v[0])
     rhs_of = {kind: np.array([rhs.get(r, 0.0) for r in sorted(index[kind], key=index[kind].get)])
               for kind in ("E", "L")}
     return LinearProgram(
@@ -757,5 +767,4 @@ def read_mps(path) -> LinearProgram:
         a_eq=sp.csr_matrix(mats["E"]) if index["E"] else None,
         b_eq=rhs_of["E"] if index["E"] else None,
         a_ub=sp.csr_matrix(mats["L"]) if index["L"] else None,
-        b_ub=rhs_of["L"] if index["L"] else None,
-        lb=lb, ub=ub)
+        b_ub=rhs_of["L"] if index["L"] else None)
