@@ -78,7 +78,6 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .core import (
     CertificateInvalid,
@@ -92,6 +91,7 @@ from .core import (
     ProblemTooLarge,
     SpectralGrid,
     _DenseView,
+    _eq_by_value,
     _freeze,
     _label_coordinates,
     _require_alpha,
@@ -147,6 +147,8 @@ class DualCertificate:
     beta: float | np.ndarray
     rho: np.ndarray | None = None
     beta0: float | None = None
+
+    __eq__ = _eq_by_value
 
     def value(self, mu: ProbabilityVector, nu: ProbabilityVector, grid: SpectralGrid) -> float:
         """Dual objective on ``grid``, an upper bound on the primal value; on
@@ -213,7 +215,10 @@ class MesSolution:
     ``coupling.index``.  ``theta`` may be given that way, as (s,), or dense
     (N_X, N_Y); a dense theta with mass off the coupling's cells adds them
     to the coupling with zero mass.  Reading ``theta`` or ``thetas`` gives
-    the dense view, read-only, built on first read."""
+    the dense view, read-only, built on first read.  Two solutions are
+    ``==`` when all their fields are, the coupling and the tail measure
+    compared as the dense arrays they describe, so a solution read back
+    from ``solution.json`` equals the one written."""
 
     value: float
     coupling: Coupling
@@ -227,6 +232,8 @@ class MesSolution:
     iterations: int = 0         # HiGHS simplex iterations over all masters
     tail: np.ndarray = field(init=False, repr=False, compare=False)
     grid: SpectralGrid = field(init=False, repr=False, compare=False)
+
+    __eq__ = _eq_by_value
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "grid", SpectralGrid.dirac(self.alpha))
@@ -256,7 +263,8 @@ class MspSolution:
 
     As for :class:`MesSolution`, ``tail`` holds the tail measures on the
     coupling's cells, (K, s); ``thetas`` may be given so or dense
-    (K, N_X, N_Y), and reads as the dense view, built on first read."""
+    (K, N_X, N_Y), and reads as the dense view, built on first read; ``==``
+    compares as it does there."""
 
     value: float
     coupling: Coupling
@@ -270,6 +278,8 @@ class MspSolution:
     active_cells: int = 0       # cells in the last restricted master
     iterations: int = 0         # HiGHS simplex iterations over all masters
     tail: np.ndarray = field(init=False, repr=False, compare=False)
+
+    __eq__ = _eq_by_value
 
     def __post_init__(self) -> None:
         coupling, tail = _tail_on_cells(self.coupling, self._dense.pop("thetas"),
@@ -306,6 +316,8 @@ def build_msp_lp(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMatrix,
     cell.  The solves never build this program: each master holds it on its
     active cells, grown by appends of :func:`_lifted_columns`.
     """
+    import scipy.sparse as sp
+
     check_instance(mu, nu, loss)
     nx, ny = loss.shape
     n = nx * ny
@@ -792,14 +804,14 @@ def brute_force_mes(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMatr
         raise NumericalFailure(
             f"MES oracle: value {best!r} and certified lower bound {lower!r} differ")
     if loss.values.size <= 16:
-        shifted = np.maximum(L - beta_hat, 0.0)
-        values = [float((shifted * vert).sum()) for vert in transport_polytope_vertices(mu, nu)]
-        enum_value = max(values)
+        plans = transport_polytope_vertices(mu, nu)
+        enum_value = float((plans.reshape(len(plans), -1) @ np.maximum(L - beta_hat, 0.0).ravel()
+                            ).max())
         if abs(value - enum_value) > 1e-9 * max(1.0, float(np.abs(L).max())):
             raise NumericalFailure(
                 f"transport vertex enumeration disagrees with the LP: "
                 f"{enum_value} vs {value}")
-        checked = f"{len(values)} vertices cross-checked"
+        checked = f"{len(plans)} vertices cross-checked"
     else:
         checked = "no vertex enumeration above 16 cells"
     log.info("brute_force_mes: %d transport(s), beta %r, certified bracket width %.3e, %s",

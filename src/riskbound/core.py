@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Iterable, Sequence
 
 import numpy as np
@@ -121,6 +121,22 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _eq_by_value(self, other) -> bool:
+    """``==`` of a frozen dataclass that holds arrays: the same type and
+    equal compared fields, arrays by ``np.array_equal`` (shape and values),
+    anything else by ``==``.  The generated ``==`` would compare arrays
+    elementwise and raise numpy's ambiguous-truth ``ValueError``."""
+    if type(other) is not type(self):
+        return NotImplemented
+    for f in fields(self):
+        if f.compare:
+            a, b = getattr(self, f.name), getattr(other, f.name)
+            if not (np.array_equal(a, b) if isinstance(a, np.ndarray) or isinstance(b, np.ndarray)
+                    else a == b):
+                return False
+    return True
+
+
 @dataclass(frozen=True)
 class ProbabilityVector:
     """A finite marginal law: nonnegative weights summing to one.
@@ -132,6 +148,8 @@ class ProbabilityVector:
 
     weights: np.ndarray
     labels: tuple | None = None
+
+    __eq__ = _eq_by_value
 
     def __post_init__(self) -> None:
         w = np.asarray(self.weights, dtype=float)
@@ -195,6 +213,8 @@ class LossMatrix:
     """Loss values L(x_i, y_j) on the product of two finite supports."""
 
     values: np.ndarray
+
+    __eq__ = _eq_by_value
 
     def __post_init__(self) -> None:
         v = np.asarray(self.values, dtype=float)
@@ -284,12 +304,16 @@ class Coupling:
     ``shape``-sized view, read-only, built on first read.  ``Coupling(matrix)``
     takes a dense array, whose support is its nonzero cells;
     :meth:`from_support` takes the support form.  Either way entries must
-    be finite and no lower than -1e-9, and those below 0 are set to 0."""
+    be finite and no lower than -1e-9, and those below 0 are set to 0.
+    Couplings are ``==`` when their dense matrices are, whichever cells of
+    zero mass their supports list."""
 
     matrix: np.ndarray = _DenseView(lambda c: _spread(c.shape, c.index, c.values))
     shape: tuple[int, int] = field(init=False)
-    index: np.ndarray = field(init=False, repr=False)
-    values: np.ndarray = field(init=False, repr=False)
+    index: np.ndarray = field(init=False, repr=False, compare=False)
+    values: np.ndarray = field(init=False, repr=False, compare=False)
+
+    __eq__ = _eq_by_value
 
     def __post_init__(self) -> None:
         m = np.asarray(self._dense.pop("matrix"), dtype=float)
@@ -536,6 +560,8 @@ class SpectralGrid:
     levels: np.ndarray
     weights: np.ndarray
     gamma_weights: np.ndarray = field(init=False)
+
+    __eq__ = _eq_by_value
 
     def __post_init__(self) -> None:
         u = np.asarray(self.levels, dtype=float)

@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from .core import DomainError, InvalidParams, LossMatrix, ProbabilityVector, validate_marginal
 from .rng import box_muller, make_rng
@@ -19,9 +18,17 @@ _SQRT2 = math.sqrt(2.0)
 
 
 def normal_cdf(x):
-    """Standard normal distribution function via the erf route."""
-    return 0.5 * (1.0 + erf(np.asarray(x, dtype=float) / _SQRT2)) if np.ndim(x) \
-        else 0.5 * (1.0 + math.erf(float(x) / _SQRT2))
+    """Standard normal distribution function via the erf route: ``math.erf``
+    for a scalar, ``scipy.special.erf`` for an array.  scipy.special is
+    imported at the first array call, so that importing riskbound does not
+    load it: only the CCR instance generator, ``normal_inv_cdf`` and the
+    normality test evaluate the CDF on arrays.  The values are those of
+    a module-level import, bit for bit."""
+    if not np.ndim(x):
+        return 0.5 * (1.0 + math.erf(float(x) / _SQRT2))
+    from scipy.special import erf
+
+    return 0.5 * (1.0 + erf(np.asarray(x, dtype=float) / _SQRT2))
 
 
 def _normal_pdf(x):

@@ -24,8 +24,16 @@ construction, so any HiGHS status other than optimal is a failure.
 
 The binding is private scipy API; ``scipy.optimize._highspy`` ships with
 scipy 1.15 and later, the floor ``pyproject.toml`` sets, and it is the only
-route to the engine.  :class:`LinearProgram` is the export type of the
-whole lifted program: :func:`write_mps` writes it, and no solve takes it.
+route to the engine.  It is one extension module, ``_core``, and
+:func:`_load_highs` loads that file from scipy's ``optimize/_highspy``
+directory without running ``scipy/optimize/__init__.py``, which would
+import scipy.linalg, scipy.sparse, scipy.special and more that no solve
+uses (about 0.35 s and 44 MB of an import on a 2-core VM).  The module is registered under
+its canonical name, so a later ``import scipy.optimize`` reuses it, and a
+module already imported under that name is taken as it is: the extension
+is initialised once per process.  :class:`LinearProgram` is the export
+type of the whole lifted program: :func:`write_mps` writes it, and no solve
+takes it; scipy.sparse, its matrix type, is imported by those two alone.
 
 The MES oracle of :mod:`riskbound.bounds` (``brute_force_mes``) runs on the
 same engine as the lifted programs it checks.  Its independence rests on
@@ -43,13 +51,16 @@ this makes duals of binding <=-rows nonnegative.
 
 from __future__ import annotations
 
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass, field, replace
 from functools import cache
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from itertools import combinations, islice
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.optimize._highspy import _core as _highspy     # private scipy API
 
 from .core import (
     DimensionMismatch,
@@ -57,6 +68,36 @@ from .core import (
     ProbabilityVector,
     ProblemTooLarge,
 )
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
+
+
+def _load_highs():
+    """scipy's HiGHS binding, ``scipy.optimize._highspy._core``, loaded from
+    its file without importing the package ``scipy.optimize``, and
+    registered in ``sys.modules`` under that name; a module already there
+    is returned as it is."""
+    name = "scipy.optimize._highspy._core"
+    if name in sys.modules:
+        return sys.modules[name]
+    import scipy
+    where = os.path.join(os.path.dirname(scipy.__file__), "optimize", "_highspy")
+    spec = FileFinder(where, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(name)
+    if spec is None:
+        raise ImportError(f"scipy {scipy.__version__} has no HiGHS binding _core in {where}",
+                          name=name)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    try:
+        spec.loader.exec_module(module)
+    except BaseException:
+        del sys.modules[name]
+        raise
+    return module
+
+
+_highspy = _load_highs()        # private scipy API
 
 _VERTEX_CHUNK = 512             # candidate bases tested and solved per batch
 
@@ -79,6 +120,8 @@ class LinearProgram:
     b_eq: np.ndarray | None = None
 
     def __post_init__(self) -> None:
+        import scipy.sparse as sp
+
         if self.sense not in ("max", "min"):
             raise DimensionMismatch(f"sense must be 'max' or 'min', got {self.sense!r}")
         c = np.asarray(self.c, dtype=float)
@@ -418,8 +461,9 @@ def _cell_columns(m: int, n: int) -> np.ndarray:
     return np.hstack([np.repeat(np.eye(m), n, axis=0), np.tile(np.eye(n), (m, 1))])[:, :-1]
 
 
-def transport_polytope_vertices(mu: ProbabilityVector, nu: ProbabilityVector):
-    """Yield every basic feasible plan of the transportation polytope.
+def transport_polytope_vertices(mu: ProbabilityVector, nu: ProbabilityVector) -> np.ndarray:
+    """Every basic feasible plan of the transportation polytope, each once,
+    stacked: an array of shape (vertices, m, n).
 
     Basic solutions correspond to spanning trees of K_{m,n} with m+n-1
     support cells.  The trees of each shape are found once and kept as int8
@@ -427,9 +471,11 @@ def transport_polytope_vertices(mu: ProbabilityVector, nu: ProbabilityVector):
     about 90 KB over all shapes of at most 16 cells, the ones the oracle
     enumerates; larger shapes, up to 36 cells, are reached only by direct
     calls (5x5 holds 3.5 MB).  Each call solves the flows of the cached
-    bases in stacked batches of ``_VERTEX_CHUNK``, keeps the nonnegative
-    ones and yields each plan once.  Exponential: intended only for the
-    oracle cross-checks on tiny instances.
+    bases in stacked batches of ``_VERTEX_CHUNK`` and keeps the nonnegative
+    ones.  A degenerate vertex is the plan of several bases: plans equal
+    after rounding to 12 decimals are kept once, in the order the bases
+    first reach them.  Exponential: intended only for the oracle
+    cross-checks on tiny instances.
     """
     m, n = mu.size, nu.size
     if m * n > 36:
@@ -437,7 +483,7 @@ def transport_polytope_vertices(mu: ProbabilityVector, nu: ProbabilityVector):
     trees = _spanning_trees(m, n)
     cell_cols = _cell_columns(m, n)
     b = np.concatenate([mu.weights, nu.weights])[:-1]
-    seen = set()
+    found = []
     for start in range(0, trees.shape[0], _VERTEX_CHUNK):
         chunk = trees[start:start + _VERTEX_CHUNK]
         flows = np.linalg.solve(cell_cols[chunk].transpose(0, 2, 1),
@@ -446,13 +492,13 @@ def transport_polytope_vertices(mu: ProbabilityVector, nu: ProbabilityVector):
         chunk, flows = chunk[ok], flows[ok]
         plans = np.zeros((chunk.shape[0], m * n))
         np.put_along_axis(plans, chunk, flows, axis=1)
-        plans = plans.reshape(-1, m, n)
-        ok = np.abs(plans.sum(axis=1) - nu.weights).max(axis=1, initial=0.0) <= 1e-9
-        for plan in plans[ok]:
-            key = tuple(np.round(plan.ravel(), 12))
-            if key not in seen:
-                seen.add(key)
-                yield plan
+        ok = np.abs(plans.reshape(-1, m, n).sum(axis=1) - nu.weights).max(axis=1,
+                                                                          initial=0.0) <= 1e-9
+        found.append(plans[ok])
+    plans = np.concatenate(found)
+    # + 0.0 makes -0.0 and 0.0 one key
+    _, first = np.unique(np.round(plans, 12) + 0.0, axis=0, return_index=True)
+    return plans[np.sort(first)].reshape(-1, m, n)
 
 
 # ---------------------------------------------------------------------------
@@ -565,6 +611,8 @@ def write_mps(lp: LinearProgram, path, name: str = "RISKLP", exact: bool = False
     for byte, as one written entry by entry with the formats above.  BOUNDS
     is empty: every variable has the default bounds [0, inf).
     """
+    import scipy.sparse as sp
+
     sign = 1.0 if lp.sense == "min" else -1.0
     m_eq = lp.a_eq.shape[0] if lp.a_eq is not None else 0
     m_ub = lp.a_ub.shape[0] if lp.a_ub is not None else 0

@@ -27,6 +27,7 @@ from .core import (
     LossMatrix,
     ProbabilityVector,
     SpectralGrid,
+    _eq_by_value,
     _require_alpha,
     validate_marginal,
 )
@@ -40,6 +41,8 @@ class DiscreteLaw:
 
     losses: np.ndarray
     probs: ProbabilityVector
+
+    __eq__ = _eq_by_value
 
     def __post_init__(self) -> None:
         x = np.ascontiguousarray(self.losses, dtype=float)

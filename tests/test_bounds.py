@@ -599,8 +599,7 @@ class TestBruteForce:
         vertices = bounds.transport_polytope_vertices
 
         def off_by_a_millionth(mu, nu):
-            for plan in vertices(mu, nu):
-                yield plan * (1.0 + 1e-6)
+            return vertices(mu, nu) * (1.0 + 1e-6)
 
         monkeypatch.setattr(bounds, "transport_polytope_vertices", off_by_a_millionth)
         with pytest.raises(NumericalFailure, match="vertex enumeration disagrees"):
@@ -930,6 +929,63 @@ class TestSolutionJson:
         d["certificate"]["beta"] = [0.0] * length
         with pytest.raises(DimensionMismatch, match="certificate.beta has shape"):
             msp_solution_from_dict(d)
+
+
+class TestSolutionEquality:
+    """``==`` compares solutions, their parts and the input types by value:
+    scalars by ``==``, arrays by ``np.array_equal``, couplings and tail
+    measures as dense arrays."""
+
+    @pytest.mark.parametrize("kind", ["mes", "msp-c2", "msp-flat"])
+    def test_solution_read_back_equals_the_one_written(self, kind):
+        rng = np.random.default_rng(407)
+        listed_zero_mass = 0
+        for _ in range(20):
+            mu, nu, loss = degenerate_instance(rng)
+            sol = {"mes": lambda: solve_mes(mu, nu, loss, 0.7),
+                   "msp-c2": lambda: solve_msp(mu, nu, loss, C2_GRID),
+                   "msp-flat": lambda: solve_msp(mu, nu, loss, FLAT_GRID)}[kind]()
+            _, back = json_round_trip(sol)
+            listed_zero_mass += back.coupling.index.size < sol.coupling.index.size
+            assert sol == back and back == sol and not sol != back
+            assert sol == sol
+        # the staircase lists cells of zero mass that solution.json drops
+        assert listed_zero_mass > 0
+
+    @pytest.mark.parametrize("kind", ["mes", "msp"])
+    def test_one_changed_certificate_entry_is_unequal(self, kind):
+        mu, nu, loss = two_by_two_sum()
+        sol = solve_mes(mu, nu, loss, 0.5) if kind == "mes" else solve_msp(mu, nu, loss, C2_GRID)
+        _, back = json_round_trip(sol)
+        phi = sol.certificate.phi.copy()
+        phi[1] = np.nextafter(phi[1], np.inf)
+        changed = dataclasses.replace(back, certificate=dataclasses.replace(
+            back.certificate, phi=phi))
+        assert changed != sol and not changed == sol
+        assert changed.certificate != sol.certificate
+        assert dataclasses.replace(back, iterations=back.iterations + 1) != sol
+
+    def test_couplings_compare_as_dense_matrices(self):
+        listed = Coupling.from_support((2, 3), [0, 2, 4], [0.5, 0.0, 0.5])
+        assert listed == Coupling(np.array([[0.5, 0.0, 0.0], [0.0, 0.5, 0.0]]))
+        assert listed != Coupling.from_support((2, 3), [0, 4], [0.5, 0.25])
+        assert listed != Coupling.from_support((3, 2), [0, 3], [0.5, 0.5])
+        assert listed != listed.matrix.tolist()
+
+    def test_inputs_compare_by_value(self):
+        mu, nu, loss = two_by_two_sum()
+        assert mu == nu and mu != validate_marginal([0.25, 0.75])
+        assert mu != validate_marginal(mu.weights, labels=[0.0, 1.0])
+        assert loss == LossMatrix(loss.values.copy()) and loss != LossMatrix(loss.values[:1])
+        law = DiscreteLaw(np.array([0.0, 1.0]), mu)
+        assert law == DiscreteLaw(np.array([0.0, 1.0]), validate_marginal(mu.weights))
+        assert law != DiscreteLaw(np.array([0.0, 2.0]), mu)
+
+    def test_grids_compare_by_value(self):
+        assert SpectralGrid.dirac(0.9) == SpectralGrid(z0=0.0, levels=np.array([0.9]),
+                                                       weights=np.array([1.0]))
+        assert SpectralGrid.dirac(0.9) != SpectralGrid.dirac(0.8)
+        assert C2_GRID != FLAT_GRID
 
 
 class TestSupportForm:
