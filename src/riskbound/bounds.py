@@ -40,8 +40,8 @@ master is priced with the duals HiGHS returns for it.  A degenerate master
 (zero-mass cells in its basis) can return duals that leave some inactive
 cell uncovered; pricing admits that cell, and a master over every cell has
 duals that cover them all, so the loop still ends in a certificate.  A
-program restricted to some cells exists only as such an appended master;
-``build_msp_lp`` assembles the whole program, for the MPS export alone.
+program restricted to some cells exists only as such an appended master,
+and ``build_msp_lp`` builds the exported program from the same columns.
 
 The primal stays on its support from the master to the caller.  The
 master's optimal couplings are basic solutions, on a few of the N_X N_Y
@@ -136,10 +136,11 @@ class DualCertificate:
     The cover condition is phi_i + psi_j >= C^beta(x_i, y_j) on every cell.
     ``beta`` holds one entry per grid level (as beta(u_k)), and ``beta0``
     covers the u = 0 atom whenever z0 > 0.  For MES, the Dirac grid at
-    alpha, ``beta`` is a scalar and the condition reads
-    (1-alpha)(phi_i + psi_j) >= (L_ij - beta)+.  ``rho`` is never read: the
-    MES slack matrix of older certificates is always recoverable as
-    (L - beta)+, and the bound does not depend on it.
+    alpha, the condition reads (1-alpha)(phi_i + psi_j) >= (L_ij - beta)+.
+    phi, psi and beta are held as read-only copies, so the caller's arrays
+    stay writeable; a scalar beta is MES's one level.  ``rho`` is never
+    read: the MES slack matrix of older certificates is always recoverable
+    as (L - beta)+, and the bound does not depend on it.
     """
 
     phi: np.ndarray
@@ -150,11 +151,28 @@ class DualCertificate:
 
     __eq__ = _eq_by_value
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "phi", _freeze(np.array(self.phi, dtype=float)))
+        object.__setattr__(self, "psi", _freeze(np.array(self.psi, dtype=float)))
+        object.__setattr__(self, "beta", _freeze(np.array(self.beta, dtype=float, ndmin=1)))
+
     def value(self, mu: ProbabilityVector, nu: ProbabilityVector, grid: SpectralGrid) -> float:
         """Dual objective on ``grid``, an upper bound on the primal value; on
-        MES's Dirac grid it is phi . mu + psi . nu + 1.0 * beta, bit for bit."""
+        MES's Dirac grid it is phi . mu + psi . nu + 1.0 * beta, bit for bit.
+        The cover does not involve the marginals, so this bounds the optimum
+        at any marginals on the same supports, zero-mass atoms included.
+        phi, psi, beta and beta0 (when z0 > 0) must fit the marginals and
+        the grid, or ``DimensionMismatch`` names the field."""
+        for name, got, want in (("certificate.phi", self.phi.shape, mu.weights.shape),
+                                ("certificate.psi", self.psi.shape, nu.weights.shape),
+                                ("certificate.beta", self.beta.shape, grid.levels.shape)):
+            if got != want:
+                raise DimensionMismatch(f"{name} has shape {got}, but the instance and grid "
+                                        f"need {want}")
+        if grid.z0 > 0.0 and self.beta0 is None:
+            raise DimensionMismatch("certificate.beta0 is required when the grid has z0 > 0")
         base = float(self.phi @ mu.weights + self.psi @ nu.weights)
-        extra = float(np.dot(grid.weights, np.atleast_1d(self.beta))) if grid.n_levels else 0.0
+        extra = float(np.dot(grid.weights, self.beta))
         if grid.z0 > 0.0:
             extra += grid.z0 * float(self.beta0)
         return base + extra
@@ -313,33 +331,20 @@ def build_msp_lp(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMatrix,
     Variables are pi, then Theta^1 .. Theta^K, each over the cells
     row-major; rows are the row and column sums of pi, one Theta-mass row
     per level, then one density row Theta^k <= (1-u_k)^{-1} pi per level and
-    cell.  The solves never build this program: each master holds it on its
-    active cells, grown by appends of :func:`_lifted_columns`.
+    cell.  It is built by the masters' :func:`_lifted_columns` over every
+    cell, so the export is the program the masters solve.
     """
     import scipy.sparse as sp
 
     check_instance(mu, nu, loss)
     nx, ny = loss.shape
-    n = nx * ny
-    K = grid.n_levels
-    nvar = (K + 1) * n
-    # CSR straight from (data, indices, indptr): row i holds cells i*ny ..
-    # i*ny + ny - 1, row nx + j every ny-th cell from j, row nx + ny + k Theta^k
-    indptr = np.concatenate([ny * np.arange(nx + 1), n + nx * np.arange(1, ny + 1),
-                             2 * n + n * np.arange(1, K + 1)])
-    indices = np.concatenate([np.arange(n), np.arange(n).reshape(nx, ny).T.ravel(),
-                              n + np.arange(K * n)])
-    a_eq = sp.csr_matrix((np.ones((K + 2) * n), indices, indptr), shape=(nx + ny + K, nvar))
-    b_eq = np.concatenate([mu.weights, nu.weights, np.ones(K)])
-    # density row k * n + c:  Theta^k_c - (1 - u_k)^{-1} pi_c <= 0
-    ub_c = np.empty(2 * K * n, dtype=np.int64)
-    ub_c[0::2] = np.tile(np.arange(n), K)
-    ub_c[1::2] = n + np.arange(K * n)
-    ub_v = np.ones(2 * K * n)
-    ub_v[0::2] = -np.repeat(1.0 / (1.0 - grid.levels), n)
-    a_ub = sp.csr_matrix((ub_v, ub_c, 2 * np.arange(K * n + 1)), shape=(K * n, nvar))
-    return LinearProgram(sense="max", c=_lifted_cost(loss.values.ravel(), grid), a_ub=a_ub,
-                         b_ub=np.zeros(K * n), a_eq=a_eq, b_eq=b_eq)
+    n_eq = nx + ny + grid.n_levels
+    ci, cj = np.divmod(np.arange(nx * ny), ny)
+    c, start, index, value, b_ub = _lifted_columns(ci, cj, loss, grid, n_eq)
+    a = sp.csc_matrix((value, index, np.append(start, index.size)),
+                      shape=(n_eq + b_ub.size, c.size)).tocsr()
+    return LinearProgram(sense="max", c=c, a_ub=a[n_eq:], b_ub=b_ub, a_eq=a[:n_eq],
+                         b_eq=np.concatenate([mu.weights, nu.weights, np.ones(grid.n_levels)]))
 
 
 def _lifted_cost(lvec: np.ndarray, grid: SpectralGrid) -> np.ndarray:
@@ -352,8 +357,9 @@ def _lifted_columns(ci: np.ndarray, cj: np.ndarray, loss: LossMatrix, grid: Spec
     """The lifted program's columns over new cells, as :meth:`LpModel.append`
     takes them: pi, then Theta^1 .. Theta^K, each over the cells in order,
     with the cells' density rows numbered level-major from ``first_row``.
-    The layout is :func:`build_msp_lp`'s, so a master grown by appends over
-    every cell is that program with its columns and density rows permuted."""
+    On every cell in row-major order they are :func:`build_msp_lp`'s
+    program, so a master grown by appends over every cell is that program
+    with its columns and density rows permuted."""
     nx, ny = loss.shape
     a = ci.size
     K = grid.n_levels
@@ -516,17 +522,14 @@ def _staircase_master(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMa
 
 @dataclass(frozen=True)
 class _LiftedSolve:
-    """Full-instance primal and certificate data of one lifted solve; the
-    primal is held on the master's cells."""
+    """Full-instance primal and certificate of one lifted solve; the primal
+    is held on the master's cells."""
 
     value: float
-    index: np.ndarray           # the master's cells, sorted row-major flat indices (s,)
-    pi: np.ndarray              # (s,)
-    tail: np.ndarray            # (K, s)
-    phi: np.ndarray
-    psi: np.ndarray
-    beta: np.ndarray            # per level, beta(u_k)
-    beta0: float
+    coupling: Coupling          # on the master's cells
+    tail: np.ndarray            # (K, s), on the coupling's cells
+    certificate: DualCertificate
+    gap: float                  # |certificate value - value|
     rounds: int
     active_cells: int
     iterations: int
@@ -584,16 +587,16 @@ def _solve_lifted(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMatrix
     ci, cj, mass = _staircase(mu_r, nu_r, order)
     active = np.zeros((mm, nn), dtype=bool)
     active[ci, cj] = True
-    whole = {"mu": mu, "nu": nu, "loss": loss, "keep_i": keep_i, "keep_j": keep_j,
+    whole = {"mu": mu, "nu": nu, "loss": loss, "grid": grid, "keep_i": keep_i, "keep_j": keep_j,
              "gammas": gammas, "order": "mean-loss" if label is None else "label"}
     if K == 0:
         betas = np.array([beta0])
         lvec = loss_r.values[ci, cj]
         tree = _tree_potentials(ci, cj, order, _c_beta(lvec, gammas, betas))
         if tree is not None and not _entering_cells(loss_r, gammas, betas, *tree, active)[0].size:
-            return _whole_instance(ci, cj, mass[None], *tree, betas, rounds=1, iterations=0,
-                                   value=float(_lifted_cost(lvec, grid) @ mass),
-                                   first_round="tree", **whole)
+            return _whole_instance(ci, cj, mass[None], *tree, betas,
+                                   float(_lifted_cost(lvec, grid) @ mass), rounds=1,
+                                   iterations=0, first_round="tree", **whole)
     master = _staircase_master(mu_r, nu_r, loss_r, grid, ci, cj, mass)
     col = np.arange(master.n_vars).reshape(K + 1, ci.size)  # master column of pi / Theta^k
     rounds = iterations = 0
@@ -612,8 +615,8 @@ def _solve_lifted(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMatrix
         master.append(*_lifted_columns(add_i, add_j, loss_r, grid, master.n_rows))
         ci = np.concatenate([ci, add_i])
         cj = np.concatenate([cj, add_j])
-    return _whole_instance(ci, cj, sol.x[col], phi_r, psi_r, betas, rounds=rounds,
-                           iterations=iterations, value=float(sol.objective),
+    return _whole_instance(ci, cj, sol.x[col], phi_r, psi_r, betas, float(sol.objective),
+                           rounds=rounds, iterations=iterations,
                            first_round="seeded" if master.seeded else "cold", **whole)
 
 
@@ -625,9 +628,7 @@ def _entering_cells(loss_r: LossMatrix, gammas: np.ndarray, betas: np.ndarray,
     ``_CERT_FEAS_TOL``, as sorted row and column indices without repeats:
     none when the potentials cover the whole kept instance."""
     nn = loss_r.shape[1]
-    price = _c_beta(loss_r.values, gammas, betas)
-    price -= phi_r[:, None]
-    price -= psi_r[None, :]
+    price = _cover_excess(loss_r.values, gammas, betas, phi_r, psi_r)
     price[active] = -np.inf
     new_i = np.concatenate([np.arange(price.shape[0]), price.argmax(axis=0)])
     new_j = np.concatenate([price.argmax(axis=1), np.arange(nn)])
@@ -636,22 +637,22 @@ def _entering_cells(loss_r: LossMatrix, gammas: np.ndarray, betas: np.ndarray,
 
 
 def _whole_instance(ci: np.ndarray, cj: np.ndarray, x: np.ndarray, phi_r: np.ndarray,
-                    psi_r: np.ndarray, betas: np.ndarray, *, mu: ProbabilityVector,
-                    nu: ProbabilityVector, loss: LossMatrix, keep_i: np.ndarray,
-                    keep_j: np.ndarray, gammas: np.ndarray, **record) -> _LiftedSolve:
-    """A solve of the kept instance, mapped to the whole one.
+                    psi_r: np.ndarray, betas: np.ndarray, value: float, *,
+                    mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMatrix,
+                    grid: SpectralGrid, keep_i: np.ndarray, keep_j: np.ndarray,
+                    gammas: np.ndarray, **record) -> _LiftedSolve:
+    """A solve of the kept instance, of value ``value``, mapped to the whole one.
 
     ``x`` holds pi, then Theta^1 .. Theta^K, over the kept cells
     ``(ci, cj)``; every other cell is 0.  The cells are mapped back through
-    ``keep_i`` and ``keep_j`` and sorted once, into the support form that
-    the solution objects hold: no dense primal array is made.  Dropped atoms
-    get the smallest potentials that cover their cells against ``betas``
-    (beta0, then one per level), and the potentials are normalized to
-    phi[0] = 0: one certificate form for every exit of
+    ``keep_i`` and ``keep_j`` and sorted once, into the coupling's support
+    form: no dense primal array is made.  Dropped atoms get the smallest
+    potentials that cover their cells against ``betas`` (beta0, then one per
+    level), the potentials are normalized to phi[0] = 0, and the certificate
+    (beta0 only when z0 > 0) and its gap are formed for every exit of
     :func:`_solve_lifted`."""
     nx, ny = loss.shape
     dropped = keep_i.size < nx or keep_j.size < ny
-    n = ci.size
     if dropped:
         ci, cj = keep_i[ci], keep_j[cj]
     flat = ci * ny + cj
@@ -665,17 +666,19 @@ def _whole_instance(ci: np.ndarray, cj: np.ndarray, x: np.ndarray, phi_r: np.nda
         drop_i = np.flatnonzero(mu.weights == 0.0)
         drop_j = np.flatnonzero(nu.weights == 0.0)
         if drop_i.size:
-            cover = _c_beta(loss.values[drop_i].take(keep_j, axis=1), gammas, betas)
-            phi[drop_i] = (cover - psi[keep_j][None, :]).max(axis=1)
+            phi[drop_i] = _cover_excess(loss.values[drop_i].take(keep_j, axis=1), gammas, betas,
+                                        np.zeros(drop_i.size), psi[keep_j]).max(axis=1)
         if drop_j.size:
-            cover = _c_beta(loss.values[:, drop_j], gammas, betas)
-            psi[drop_j] = (cover - phi[:, None]).max(axis=0)
+            psi[drop_j] = _cover_excess(loss.values[:, drop_j], gammas, betas, phi,
+                                        np.zeros(drop_j.size)).max(axis=0)
     else:
         phi, psi = phi_r, psi_r
     shift = phi[0]
-    return _LiftedSolve(index=flat[order], pi=x[0], tail=x[1:], phi=phi - shift,
-                        psi=psi + shift, beta=betas[1:], beta0=float(betas[0]), active_cells=n,
-                        **record)
+    cert = DualCertificate(phi=phi - shift, psi=psi + shift, beta=betas[1:],
+                           beta0=float(betas[0]) if grid.z0 > 0.0 else None)
+    return _LiftedSolve(value=value, coupling=Coupling.from_support(loss.shape, flat[order], x[0]),
+                        tail=x[1:], certificate=cert, gap=abs(cert.value(mu, nu, grid) - value),
+                        active_cells=ci.size, **record)
 
 
 def _certified(sol, loss: LossMatrix, mu: ProbabilityVector, nu: ProbabilityVector,
@@ -715,11 +718,8 @@ def solve_mes(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMatrix,
     a = _require_alpha(alpha)
     grid = SpectralGrid.dirac(a)
     res = _solve_lifted(mu, nu, loss, grid)
-    cert = DualCertificate(phi=res.phi, psi=res.psi, beta=float(res.beta[0]))
-    gap = abs(cert.value(mu, nu, grid) - res.value)
-    sol = MesSolution(value=res.value,
-                      coupling=Coupling.from_support(loss.shape, res.index, res.pi),
-                      theta=res.tail[0], certificate=cert, gap=gap, alpha=a, rounds=res.rounds,
+    sol = MesSolution(value=res.value, coupling=res.coupling, theta=res.tail[0],
+                      certificate=res.certificate, gap=res.gap, alpha=a, rounds=res.rounds,
                       active_cells=res.active_cells, iterations=res.iterations)
     return _certified(sol, loss, mu, nu, res)
 
@@ -841,6 +841,15 @@ def _c_beta(values: np.ndarray, gammas, betas) -> np.ndarray:
     return out
 
 
+def _cover_excess(values: np.ndarray, gammas, betas, phi, psi) -> np.ndarray:
+    """C^beta_ij - phi_i - psi_j on the cells of ``values``: the one cover
+    evaluation of pricing, the dropped atoms' covers and verify_duality."""
+    out = _c_beta(values, gammas, betas)
+    out -= phi[:, None]
+    out -= psi[None, :]
+    return out
+
+
 def solve_msp(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMatrix,
               grid: SpectralGrid) -> MspSolution:
     """Maximum spectral measure against a grid, with an LP-certified dual.
@@ -857,15 +866,10 @@ def solve_msp(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMatrix,
     if loss.values.size * max(grid.n_levels, 1) > MSP_MAX_CELLS_TIMES_LEVELS:
         raise ProblemTooLarge("cells x levels exceeds the desk-scale envelope")
     res = _solve_lifted(mu, nu, loss, grid)
-    cert = DualCertificate(phi=res.phi, psi=res.psi, beta=res.beta,
-                           beta0=res.beta0 if grid.z0 > 0.0 else None)
-    gap = abs(cert.value(mu, nu, grid) - res.value)
-    coupling = Coupling.from_support(loss.shape, res.index, res.pi)
-    betas = var_levels(law_from_coupling(loss, coupling), grid.levels)
-    sol = MspSolution(value=res.value, coupling=coupling, thetas=res.tail,
-                      betas=betas, certificate=cert, gap=gap, grid=grid,
-                      rounds=res.rounds, active_cells=res.active_cells,
-                      iterations=res.iterations)
+    betas = var_levels(law_from_coupling(loss, res.coupling), grid.levels)
+    sol = MspSolution(value=res.value, coupling=res.coupling, thetas=res.tail, betas=betas,
+                      certificate=res.certificate, gap=res.gap, grid=grid, rounds=res.rounds,
+                      active_cells=res.active_cells, iterations=res.iterations)
     return _certified(sol, loss, mu, nu, res)
 
 
@@ -906,32 +910,24 @@ def verify_duality(sol: MesSolution | MspSolution, loss: LossMatrix,
     weak duality and the gap tolerance; raise ``CertificateInvalid`` with
     the violated constraints otherwise.
 
-    First the coupling, phi, psi and beta (and beta0 when z0 > 0) must fit
-    the instance and the grid, or ``DimensionMismatch`` names the field; the
-    tail measures live on the coupling's cells, so the coupling's check
-    covers them.  Every primal check runs on the support that the solution
-    holds, in O(cells of the coupling); only the cover check, the
-    certificate itself, runs over every cell.  Through its ``grid`` and
-    ``tail``, an MES solution is checked as MSP on the Dirac grid at alpha.
-    The cover residual is reported in loss units: max(C^beta - phi - psi)
-    divided by the largest of 1, z0 and the grid's gamma weights, the most
-    by which C^beta scales a loss.  For MES (gamma weight 1/(1-alpha)) this
-    is (1-alpha) max(C^beta - phi - psi), which is
-    max((L - beta)+ - (1-alpha)(phi + psi)) up to rounding.
+    First the coupling must fit the instance, and the certificate the
+    instance and the grid (:meth:`DualCertificate.value` checks it), or
+    ``DimensionMismatch`` names the field; the tail measures live on the
+    coupling's cells, so the coupling's check covers them.  Every primal
+    check runs on the support that the solution holds, in O(cells of the
+    coupling); only the cover check, the certificate itself, runs over every
+    cell.  Through its ``grid`` and ``tail``, an MES solution is checked as
+    MSP on the Dirac grid at alpha.  The cover residual is reported in loss
+    units: max(C^beta - phi - psi) divided by the largest of 1, z0 and the
+    grid's gamma weights, the most by which C^beta scales a loss.  For MES
+    (gamma weight 1/(1-alpha)) this is (1-alpha) max(C^beta - phi - psi),
+    which is max((L - beta)+ - (1-alpha)(phi + psi)) up to rounding.
     """
     check_instance(mu, nu, loss)
     grid, cert, pi, tail = sol.grid, sol.certificate, sol.coupling, sol.tail
-    nx, ny = loss.shape
-    for name, got, want in (("coupling", pi.shape, loss.shape),
-                            ("certificate.phi", np.shape(cert.phi), (nx,)),
-                            ("certificate.psi", np.shape(cert.psi), (ny,)),
-                            ("certificate.beta", np.shape(np.atleast_1d(cert.beta)),
-                             (grid.n_levels,))):
-        if got != want:
-            raise DimensionMismatch(f"{name} has shape {got}, but the instance and grid "
-                                    f"need {want}")
-    if grid.z0 > 0.0 and cert.beta0 is None:
-        raise DimensionMismatch("certificate.beta0 is required when the grid has z0 > 0")
+    if pi.shape != loss.shape:
+        raise DimensionMismatch(f"coupling has shape {pi.shape}, but the instance needs "
+                                f"{loss.shape}")
     unit = 1.0 / max(1.0, grid.z0, float(np.max(grid.gamma_weights, initial=0.0)))
     row_res, col_res = pi.marginal_residuals(mu, nu)
     # einsum, not BLAS: in some processes a threaded BLAS call costs
@@ -945,11 +941,9 @@ def verify_duality(sol: MesSolution | MspSolution, loss: LossMatrix,
     theta_sign = max(0.0, -float(tail.min(initial=0.0)))
     mass_res = float(np.abs(tail.sum(axis=1) - 1.0).max(initial=0.0))
     dual = cert.value(mu, nu, grid)
-    cover = _c_beta(loss.values, np.concatenate([[grid.z0], grid.gamma_weights]),
-                    np.concatenate([[cert.beta0 if grid.z0 > 0.0 else 0.0],
-                                    np.atleast_1d(cert.beta)]))
-    cover -= cert.phi[:, None]
-    cover -= cert.psi[None, :]
+    cover = _cover_excess(loss.values, np.concatenate([[grid.z0], grid.gamma_weights]),
+                          np.concatenate([[cert.beta0 if grid.z0 > 0.0 else 0.0], cert.beta]),
+                          cert.phi, cert.psi)
     cover_res = unit * float(cover.max(initial=0.0))
     violations: list[str] = []
     if cover_res > _CERT_FEAS_TOL:
@@ -1081,7 +1075,7 @@ def mes_solution_to_dict(sol: MesSolution) -> dict:
         "certificate": {
             "phi": sol.certificate.phi.tolist(),
             "psi": sol.certificate.psi.tolist(),
-            "beta": float(sol.certificate.beta),
+            "beta": float(sol.certificate.beta[0]),
         },
         "rounds": sol.rounds,
         "active_cells": sol.active_cells,
@@ -1109,7 +1103,7 @@ def msp_solution_to_dict(sol: MspSolution) -> dict:
     cert = {
         "phi": sol.certificate.phi.tolist(),
         "psi": sol.certificate.psi.tolist(),
-        "beta": np.atleast_1d(sol.certificate.beta).tolist(),
+        "beta": sol.certificate.beta.tolist(),
     }
     if sol.certificate.beta0 is not None:
         cert["beta0"] = float(sol.certificate.beta0)

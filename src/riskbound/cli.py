@@ -135,7 +135,7 @@ def _instance_file(cfg: dict):
 def parse_sigma_spec(spec: str, levels: int) -> tuple[SpectralFunction, SpectralGrid]:
     """Inline spectrum grammar: ``es:0.9`` | ``flat`` | ``power-sqrt`` |
     ``pc:b1,..,bm:l0,..,lm`` | ``table:u0,..,uk:s0,..,sk``.  A malformed
-    spec raises ``InvalidSpectrum`` naming it."""
+    or invalid spec raises ``InvalidSpectrum`` naming it."""
     spec = spec.strip()
     try:
         if spec.startswith("es:"):
@@ -153,9 +153,11 @@ def parse_sigma_spec(spec: str, levels: int) -> tuple[SpectralFunction, Spectral
             sf = SpectralFunction.table([float(v) for v in us.split(",")],
                                         [float(v) for v in ss.split(",")])
         else:
-            raise InvalidSpectrum(f"unknown sigma spec {spec!r}")
+            raise InvalidSpectrum("unknown kind")
     except ValueError:
         raise InvalidSpectrum(f"malformed sigma spec {spec!r}") from None
+    except InvalidSpectrum as exc:
+        raise InvalidSpectrum(f"sigma spec {spec!r}: {exc}") from None
     return sf, discretize_spectrum(sf, levels)
 
 

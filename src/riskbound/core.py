@@ -416,10 +416,10 @@ class SpectralFunction:
                 raise InvalidSpectrum("piecewise-constant sigma needs at least one level")
             if b.size != s.size - 1:
                 raise InvalidSpectrum("need exactly len(levels) - 1 interior breakpoints")
-            if b.size and (b.min() <= 0.0 or b.max() >= 1.0 or np.any(np.diff(b) <= 0.0)):
+            if b.size and not (b.min() > 0.0 and b.max() < 1.0 and np.all(np.diff(b) > 0.0)):
                 raise InvalidSpectrum("interior breakpoints must be strictly increasing in (0,1)")
-            if np.any(s < 0.0) or np.any(np.diff(s) < 0.0):
-                raise InvalidSpectrum("sigma levels must be nonnegative and nondecreasing")
+            if not np.all(np.isfinite(s)) or np.any(s < 0.0) or np.any(np.diff(s) < 0.0):
+                raise InvalidSpectrum("sigma levels must be finite, nonnegative and nondecreasing")
             edges = np.concatenate([[0.0], b, [1.0]])
             total = float(np.sum(s * np.diff(edges)))
             if abs(total - 1.0) > SIGMA_NORM_TOL:
@@ -431,10 +431,10 @@ class SpectralFunction:
             s = np.asarray(self.table_sigma, dtype=float)
             if u.ndim != 1 or u.size < 2 or u.shape != s.shape:
                 raise InvalidSpectrum("table needs matching u/sigma arrays with >= 2 nodes")
-            if u[0] != 0.0 or u[-1] != 1.0 or np.any(np.diff(u) <= 0.0):
+            if u[0] != 0.0 or u[-1] != 1.0 or not np.all(np.diff(u) > 0.0):
                 raise InvalidSpectrum("table nodes must increase strictly from 0 to 1")
-            if np.any(s < 0.0) or np.any(np.diff(s) < -1e-15):
-                raise InvalidSpectrum("table sigma must be nonnegative and nondecreasing")
+            if not np.all(np.isfinite(s)) or np.any(s < 0.0) or np.any(np.diff(s) < -1e-15):
+                raise InvalidSpectrum("table sigma must be finite, nonnegative and nondecreasing")
             total = float(np.trapezoid(s, u))
             if abs(total - 1.0) > SIGMA_NORM_TOL:
                 raise InvalidSpectrum(f"sigma integrates to {total}, not 1")
@@ -687,14 +687,17 @@ def sigma_to_dict(sf: SpectralFunction) -> dict[str, Any]:
 
 def _numbers(d: dict, name: str, error: type[RiskBoundError], prefix: str = "") -> np.ndarray:
     """Field ``name`` of a decoded JSON object as a float array; ``error``
-    naming the field when it is missing or not a (rectangular list of) number(s)."""
+    naming the field when it is missing or not (a rectangular list of) finite number(s)."""
     try:
-        return np.asarray(d[name], dtype=float)
+        out = np.asarray(d[name], dtype=float)
     except KeyError:
         raise error(f"missing field '{prefix}{name}'") from None
     except (TypeError, ValueError):
         raise error(f"field '{prefix}{name}' must be a number or a rectangular list of "
                     "numbers") from None
+    if not np.all(np.isfinite(out)):
+        raise error(f"field '{prefix}{name}' must hold finite numbers")
+    return out
 
 
 def sigma_from_dict(d: dict[str, Any]) -> SpectralFunction:

@@ -902,6 +902,16 @@ class TestSolutionJson:
         assert sol.certificate.rho is None
         verify_duality(sol, loss, mu, nu)
 
+    def test_scalar_beta_of_older_mes_files_reads_back_equal(self):
+        mu, nu, loss = two_by_two_sum()
+        sol = mes_solution_from_dict(copy.deepcopy(LEGACY_MES))
+        assert sol.certificate.beta.shape == (1,)
+        assert sol.certificate.beta[0] == LEGACY_MES["certificate"]["beta"]
+        d, back = json_round_trip(sol)
+        assert d["certificate"]["beta"] == LEGACY_MES["certificate"]["beta"]
+        assert back == sol
+        verify_duality(back, loss, mu, nu)
+
     def test_msp_solution_checks_theta_and_beta_shapes(self):
         mu, nu, loss = two_by_two_sum()
         sol = solve_msp(mu, nu, loss, C2_GRID)
@@ -1033,6 +1043,69 @@ class TestSupportForm:
         assert sol.coupling.index.size == sol.active_cells
 
 
+class TestCertificateForm:
+    """Every certificate holds phi, psi and one beta per grid level as
+    read-only float arrays, and bounds the optimum at any marginals on the
+    same supports."""
+
+    SOLVES = {"mes": lambda mu, nu, loss: solve_mes(mu, nu, loss, 0.7),
+              "msp-c2": lambda mu, nu, loss: solve_msp(mu, nu, loss, C2_GRID),
+              "msp-flat": lambda mu, nu, loss: solve_msp(mu, nu, loss, FLAT_GRID)}
+
+    @pytest.mark.parametrize("kind", ["mes", "msp-c2", "msp-flat"])
+    def test_beta_per_level_and_arrays_read_only(self, kind):
+        rng = np.random.default_rng(408)
+        for _ in range(10):
+            mu, nu, loss = degenerate_instance(rng)
+            sol = self.SOLVES[kind](mu, nu, loss)
+            cert = sol.certificate
+            assert cert.beta.shape == (sol.grid.n_levels,) and cert.beta.dtype == float
+            for name in ("phi", "psi", "beta"):
+                arr = getattr(cert, name)
+                assert not arr.flags.writeable, name
+                if arr.size:
+                    with pytest.raises(ValueError, match="read-only"):
+                        arr[0] = 5.0
+            # a replaced certificate is frozen too, and the solution still
+            # reads back equal to the one written
+            phi = cert.phi + 1.0
+            again = dataclasses.replace(cert, phi=phi)
+            assert not again.phi.flags.writeable and again != cert
+            assert phi.flags.writeable          # the certificate froze a copy
+            assert dataclasses.replace(again, phi=cert.phi) == cert
+            _, back = json_round_trip(sol)
+            assert back == sol and not back.certificate.phi.flags.writeable
+
+    def test_scalar_beta_is_the_one_level_of_mes(self):
+        mu, nu, loss = two_by_two_sum()
+        cert = DualCertificate(phi=[0.0, 2.0], psi=[0.0, 2.0], beta=0.0)
+        assert cert.beta.shape == (1,) and cert == DualCertificate(
+            phi=np.array([0.0, 2.0]), psi=np.array([0.0, 2.0]), beta=np.zeros(1))
+        assert cert.value(mu, nu, SpectralGrid.dirac(0.5)) == 2.0
+        with pytest.raises(DimensionMismatch, match="certificate.beta has shape"):
+            cert.value(mu, nu, C2_GRID)
+
+    @given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+           kind=st.sampled_from(["mes", "msp-c2", "msp-flat"]))
+    @settings(max_examples=60, deadline=None)
+    def test_certificate_bounds_the_value_at_other_marginals(self, seed, kind):
+        """The cover condition does not involve the marginals, so one
+        certificate bounds the optimum at every pair of marginals on the
+        same supports, zero-mass atoms included."""
+        rng = np.random.default_rng(seed)
+        mu, nu, loss = degenerate_instance(rng, max_side=6)
+        cert = self.SOLVES[kind](mu, nu, loss).certificate
+        marginals = []
+        for size in loss.shape:
+            w = rng.dirichlet(np.ones(size))
+            w[rng.random(size) < 0.3] = 0.0
+            w[int(rng.integers(size))] += 0.1
+            marginals.append(validate_marginal(w / w.sum()))
+        other = self.SOLVES[kind](*marginals, loss)
+        tol = 1e-9 * max(1.0, float(np.abs(loss.values).max()))
+        assert cert.value(*marginals, other.grid) >= other.value - tol
+
+
 class TestSolveMsp:
     def test_dirac_grid_equals_mes(self):
         """MES is MSP on the Dirac grid, bit for bit: same value, gap,
@@ -1053,11 +1126,11 @@ class TestSolveMsp:
             assert np.array_equal(mes.thetas, msp.thetas)
             mc, pc = mes.certificate, msp.certificate
             assert np.array_equal(mc.phi, pc.phi) and np.array_equal(mc.psi, pc.psi)
-            assert mc.beta == pc.beta[0]
+            assert np.array_equal(mc.beta, pc.beta) and mc.beta.shape == (1,)
             assert verify_duality(mes, loss, mu, nu) == verify_duality(msp, loss, mu, nu)
             # the formula of the MES-only branch DualCertificate.value once had
             assert mc.value(mu, nu, mes.grid) == \
-                float(mc.phi @ mu.weights + mc.psi @ nu.weights) + mc.beta
+                float(mc.phi @ mu.weights + mc.psi @ nu.weights) + mc.beta[0]
 
     def test_flat_grid_equals_transport(self):
         rng = np.random.default_rng(14)
@@ -1451,15 +1524,19 @@ class TestVerifyDuality:
         with pytest.raises(DimensionMismatch, match=re.escape(f"coupling has shape {solved}")):
             verify_duality(sol, LossMatrix(np.zeros(checked)), mu2, nu2)
 
+    @pytest.mark.parametrize("check", ["verify_duality", "value"])
     @pytest.mark.parametrize("field", ["certificate.phi", "certificate.psi",
                                        "certificate.beta", "certificate.beta0"])
-    def test_certificate_off_the_instance_names_the_field(self, field):
+    def test_certificate_off_the_instance_names_the_field(self, field, check):
         mu, nu, loss = two_by_two_sum()
         sol = solve_msp(mu, nu, loss, C2_GRID)
         cert = sol.certificate
-        bad = {"certificate.phi": {"phi": cert.phi[:1]}, "certificate.psi": {"psi": cert.psi[:1]},
-               "certificate.beta": {"beta": cert.beta[:1]},
-               "certificate.beta0": {"beta0": None}}[field]
+        bad = dataclasses.replace(cert, **{
+            "certificate.phi": {"phi": cert.phi[:1]}, "certificate.psi": {"psi": cert.psi[:1]},
+            "certificate.beta": {"beta": cert.beta[:1]},
+            "certificate.beta0": {"beta0": None}}[field])
         with pytest.raises(DimensionMismatch, match=re.escape(field)):
-            verify_duality(dataclasses.replace(sol, certificate=dataclasses.replace(cert, **bad)),
-                           loss, mu, nu)
+            if check == "value":
+                bad.value(mu, nu, C2_GRID)
+            else:
+                verify_duality(dataclasses.replace(sol, certificate=bad), loss, mu, nu)

@@ -214,7 +214,9 @@ class TestStabilityCommand:
 class TestMalformedInput:
     """Input the CLI cannot parse exits 2, and stderr names what is wrong."""
 
-    @pytest.mark.parametrize("spec", ["pc:0.5", "es:abc", "table:0,1", "pc:0.5:1,x"])
+    @pytest.mark.parametrize("spec", ["pc:0.5", "es:abc", "table:0,1", "pc:0.5:1,x",
+                                      "pc:0.5:0.5,nan", "table:0,0.5,1:0.5,nan,1.5", "pc:inf:1,1",
+                                      "pc:0.5:0.5,1", "bogus"])
     def test_sigma_spec(self, comonotone_instance, tmp_path, capsys, spec):
         assert main(["msp", str(comonotone_instance), "--sigma-spec", spec,
                      "--out", str(tmp_path / "o")]) == 2
@@ -229,8 +231,15 @@ class TestMalformedInput:
         ([0.5, 0.5], "instance"),
         ({"mu": [0.5, 0.5], "nu": [0.5, 0.5], "loss": [[0.0, 1.0], [1.0, 2.0]],
           "x_support": 5}, "'x_support'"),
+        ({"mu": [0.5, float("nan")], "nu": [0.5, 0.5], "loss": [[0.0, 1.0], [1.0, 2.0]]},
+         "'mu'"),
+        ({"mu": [0.5, 0.5], "nu": [0.5, 0.5], "loss": [[0.0, float("inf")], [1.0, 2.0]]},
+         "'loss'"),
+        ({"mu": [0.5, 0.5], "nu": [0.5, 0.5], "loss": [[0.0, 1.0], [1.0, 2.0]],
+          "sigma": {"kind": "table", "u": [0, 0.5, 1], "sigma": [0.5, float("nan"), 1.5]}},
+         "'sigma.sigma'"),
     ], ids=["ragged-loss", "string-weight", "table-without-sigma", "top-level-list",
-            "scalar-support"])
+            "scalar-support", "nan-weight", "infinite-loss", "nan-sigma"])
     def test_instance(self, tmp_path, capsys, payload, named):
         inst = tmp_path / "inst.json"
         inst.write_text(json.dumps(payload))

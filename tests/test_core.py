@@ -146,6 +146,21 @@ class TestSpectralFunction:
         with pytest.raises(InvalidSpectrum):
             SpectralFunction.piecewise_constant([0.5], [1.5, 0.5])
 
+    @pytest.mark.parametrize("make, words", [
+        (lambda: SpectralFunction.piecewise_constant([0.5], [0.5, np.nan]), "must be finite"),
+        (lambda: SpectralFunction.piecewise_constant([np.nan], [0.5, 1.5]), "breakpoints must"),
+        (lambda: SpectralFunction.piecewise_constant([], [np.inf]), "levels must be finite"),
+        (lambda: SpectralFunction.table([0.0, 0.5, 1.0], [0.5, np.nan, 1.5]),
+         "sigma must be finite"),
+        (lambda: SpectralFunction.table([0.0, np.nan, 1.0], [1.0, 1.0, 1.0]),
+         "nodes must increase"),
+        (lambda: SpectralFunction.table([0.0, 1.0], [1.0, np.inf]), "sigma must be finite"),
+    ], ids=["pc-nan-level", "pc-nan-breakpoint", "pc-inf-level", "table-nan-sigma",
+            "table-nan-u", "table-inf-sigma"])
+    def test_non_finite_parameters_rejected(self, make, words):
+        with pytest.raises(InvalidSpectrum, match=words):
+            make()
+
     def test_flat_sigma(self):
         sf = SpectralFunction.flat()
         assert sf.z0 == 1.0
@@ -327,3 +342,20 @@ class TestInstanceRoundTrip:
     def test_dimension_mismatch_detected(self):
         with pytest.raises(DimensionMismatch):
             instance_from_dict({"mu": [0.5, 0.5], "nu": [1.0], "loss": [[1.0], [2.0], [3.0]]})
+
+    @pytest.mark.parametrize("field, value, error", [
+        ("mu", [0.5, float("nan")], DimensionMismatch),
+        ("nu", [float("inf"), 0.5], DimensionMismatch),
+        ("loss", [[0.0, float("nan")], [1.0, 2.0]], DimensionMismatch),
+        ("sigma.levels", [0.5, float("nan")], InvalidSpectrum),
+        ("sigma.breakpoints", [float("-inf")], InvalidSpectrum),
+    ])
+    def test_non_finite_field_rejected_by_name(self, field, value, error):
+        d = {"mu": [0.5, 0.5], "nu": [0.5, 0.5], "loss": [[0.0, 1.0], [1.0, 2.0]],
+             "sigma": {"kind": "piecewise-constant", "breakpoints": [0.5],
+                       "levels": [0.5, 1.5]}}
+        *parent, key = field.split(".")
+        (d[parent[0]] if parent else d)[key] = value
+        # Python's json reads NaN and Infinity; they must not get through
+        with pytest.raises(error, match=re.escape(f"field '{field}' must hold finite numbers")):
+            instance_from_dict(json.loads(json.dumps(d)))
