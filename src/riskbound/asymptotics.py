@@ -35,6 +35,7 @@ from .core import (
     SpectralGrid,
     TooFewSamples,
     _require_alpha,
+    _seal,
     check_instance,
 )
 from .bounds import solve_mes
@@ -91,7 +92,7 @@ def sample_empirical(p: ProbabilityVector, n: int, rng: np.random.Generator
     if n < 1:
         raise DimensionMismatch("sample size must be positive")
     counts = rng.multinomial(n, p.weights)
-    return ProbabilityVector(counts.astype(float) / n, labels=p.labels)
+    return ProbabilityVector(_seal(counts.astype(float) / n), labels=p.labels)
 
 
 def multinomial_covariance(p: ProbabilityVector) -> np.ndarray:
@@ -146,7 +147,7 @@ class DualFace:
         grid = SpectralGrid.dirac(self.alpha)
         for _ in range(_STEP_TRIES):
             # renormalized against the round-off in the sums of d_mu and d_nu
-            mu_h, nu_h = (ProbabilityVector(w / w.sum()) for w in
+            mu_h, nu_h = (ProbabilityVector(_seal(w / w.sum())) for w in
                           (self.mu.weights + h * d_mu, self.nu.weights + h * d_nu))
             cert = solve_mes(mu_h, nu_h, self.loss, self.alpha).certificate
             if cert.value(self.mu, self.nu, grid) <= self.value + _FACE_TOL:

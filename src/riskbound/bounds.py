@@ -95,6 +95,7 @@ from .core import (
     _freeze,
     _label_coordinates,
     _require_alpha,
+    _seal,
     _spread,
     _support,
     check_instance,
@@ -137,10 +138,10 @@ class DualCertificate:
     ``beta`` holds one entry per grid level (as beta(u_k)), and ``beta0``
     covers the u = 0 atom whenever z0 > 0.  For MES, the Dirac grid at
     alpha, the condition reads (1-alpha)(phi_i + psi_j) >= (L_ij - beta)+.
-    phi, psi and beta are held as read-only copies, so the caller's arrays
-    stay writeable; a scalar beta is MES's one level.  ``rho`` is never
-    read: the MES slack matrix of older certificates is always recoverable
-    as (L - beta)+, and the bound does not depend on it.
+    phi, psi and beta are held read-only, as copies of writeable arrays, so
+    the caller's arrays stay writeable; a scalar beta is MES's one level.
+    ``rho`` is never read: the MES slack matrix of older certificates is
+    always recoverable as (L - beta)+, and the bound does not depend on it.
     """
 
     phi: np.ndarray
@@ -152,9 +153,9 @@ class DualCertificate:
     __eq__ = _eq_by_value
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "phi", _freeze(np.array(self.phi, dtype=float)))
-        object.__setattr__(self, "psi", _freeze(np.array(self.psi, dtype=float)))
-        object.__setattr__(self, "beta", _freeze(np.array(self.beta, dtype=float, ndmin=1)))
+        object.__setattr__(self, "phi", _freeze(self.phi))
+        object.__setattr__(self, "psi", _freeze(self.psi))
+        object.__setattr__(self, "beta", _freeze(np.atleast_1d(self.beta)))
 
     def value(self, mu: ProbabilityVector, nu: ProbabilityVector, grid: SpectralGrid) -> float:
         """Dual objective on ``grid``, an upper bound on the primal value; on
@@ -220,7 +221,7 @@ def _tail_on_cells(coupling: Coupling, theta, lead: tuple, name: str):
                                 f"or {lead + coupling.index.shape} on the coupling's cells")
     if not np.all(np.isfinite(tail)):
         raise NumericalFailure(f"{name} contains non-finite entries")
-    return coupling, _freeze(tail)
+    return coupling, _seal(tail)
 
 
 @dataclass(frozen=True)
@@ -343,7 +344,14 @@ def build_msp_lp(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMatrix,
     c, start, index, value, b_ub = _lifted_columns(ci, cj, loss, grid, n_eq)
     a = sp.csc_matrix((value, index, np.append(start, index.size)),
                       shape=(n_eq + b_ub.size, c.size)).tocsr()
-    return LinearProgram(sense="max", c=c, a_ub=a[n_eq:], b_ub=b_ub, a_eq=a[:n_eq],
+    # each row block holds views of a's buffers: a row slice of a, or the
+    # views handed to the constructor, would copy the smaller block's
+    a_eq, a_ub = sp.csr_matrix((n_eq, c.size)), sp.csr_matrix((b_ub.size, c.size))
+    for block, lo in ((a_eq, 0), (a_ub, n_eq)):
+        first, last = a.indptr[lo], a.indptr[lo + block.shape[0]]
+        block.data, block.indices = a.data[first:last], a.indices[first:last]
+        block.indptr = a.indptr[lo:lo + block.shape[0] + 1] - first
+    return LinearProgram(sense="max", c=c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq,
                          b_eq=np.concatenate([mu.weights, nu.weights, np.ones(grid.n_levels)]))
 
 
@@ -460,8 +468,7 @@ def _label_order(mu: ProbabilityVector, nu: ProbabilityVector, keep_i: np.ndarra
     is on the line) up to ``_MONGE_ULPS`` ulps of max|L|, the rounding of
     such a loss where its mixed differences are 0.  A wrong verdict costs
     rounds, not the certificate."""
-    x, y = (None if p.labels is None else _label_coordinates([p.labels[k] for k in keep])
-            for p, keep in ((mu, keep_i), (nu, keep_j)))
+    x, y = _label_coordinates(mu, keep_i), _label_coordinates(nu, keep_j)
     if x is None or y is None:
         return None
     rows, cols = np.argsort(x, kind="stable"), np.argsort(y, kind="stable")
@@ -574,10 +581,10 @@ def _solve_lifted(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMatrix
     dropped = keep_i.size < nx or keep_j.size < ny
     # the masters see the kept weights renormalized, which can move a sum
     # that is off 1.0 by an ulp even when no atom is dropped
-    mu_r = ProbabilityVector(mu.weights[keep_i])
-    nu_r = ProbabilityVector(nu.weights[keep_j])
+    mu_r = ProbabilityVector(_seal(mu.weights[keep_i]))
+    nu_r = ProbabilityVector(_seal(nu.weights[keep_j]))
     # a row take, then a column take: C-ordered, as the mean-loss sums need
-    loss_r = LossMatrix(loss.values[keep_i].take(keep_j, axis=1)) if dropped else loss
+    loss_r = LossMatrix(_seal(loss.values[keep_i].take(keep_j, axis=1))) if dropped else loss
     mm, nn = loss_r.shape
     # the u = 0 atom is covered exactly by any beta0 below the whole loss range
     beta0 = float(loss.values.min() - 1.0)
@@ -629,6 +636,9 @@ def _entering_cells(loss_r: LossMatrix, gammas: np.ndarray, betas: np.ndarray,
     none when the potentials cover the whole kept instance."""
     nn = loss_r.shape[1]
     price = _cover_excess(loss_r.values, gammas, betas, phi_r, psi_r)
+    if price.max() <= _CERT_FEAS_TOL:
+        none = np.zeros(0, dtype=np.int64)
+        return none, none
     price[active] = -np.inf
     new_i = np.concatenate([np.arange(price.shape[0]), price.argmax(axis=0)])
     new_j = np.concatenate([price.argmax(axis=1), np.arange(nn)])
@@ -891,7 +901,7 @@ def solve_transport(mu: ProbabilityVector, nu: ProbabilityVector, cost: LossMatr
     if sense not in ("max", "min"):
         raise InvalidParams(f"sense must be 'max' or 'min', got {sense!r}")
     sign = 1.0 if sense == "max" else -1.0
-    sol = solve_msp(mu, nu, cost if sense == "max" else LossMatrix(-cost.values), _FLAT)
+    sol = solve_msp(mu, nu, cost if sense == "max" else LossMatrix(_seal(-cost.values)), _FLAT)
     cert = sol.certificate
     return (sign * sol.value, sol.coupling,
             (sign * cert.phi, sign * (cert.psi + cert.beta0)))

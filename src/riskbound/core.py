@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from typing import Any, Iterable, Sequence
 
 import numpy as np
@@ -115,10 +116,26 @@ class DomainError(RiskBoundError):
 # ---------------------------------------------------------------------------
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    out = np.ascontiguousarray(a, dtype=float)
+def _freeze(a) -> np.ndarray:
+    """``a`` as a read-only C-contiguous float array that only its holder
+    reaches: an array that is already read-only is taken as it is (copied
+    only to make it contiguous float), anything else is copied, so the
+    caller's array stays writeable and changing it later changes nothing
+    held.  A constructor that wraps a fresh temporary passes it through
+    :func:`_seal` first, which spares the copy."""
+    if isinstance(a, np.ndarray) and not a.flags.writeable:
+        out = np.ascontiguousarray(a, dtype=float)
+    else:
+        out = np.array(a, dtype=float, order="C")
     out.flags.writeable = False
     return out
+
+
+def _seal(a: np.ndarray) -> np.ndarray:
+    """``a``, a fresh C-contiguous float array that nothing else holds, made
+    read-only: held as :func:`_freeze` would hold it, without the copy."""
+    a.flags.writeable = False
+    return a
 
 
 def _eq_by_value(self, other) -> bool:
@@ -164,7 +181,7 @@ class ProbabilityVector:
         if dev >= WEIGHT_TOL:
             raise SumNotOne(f"weights sum to {s!r}, deviation {dev:.3e} >= {WEIGHT_TOL}")
         if dev != 0.0:
-            w = w / s
+            w = _seal(w / s)
         if self.labels is not None and len(self.labels) != w.size:
             raise DimensionMismatch(
                 f"{len(self.labels)} labels for {w.size} weights"
@@ -179,6 +196,17 @@ class ProbabilityVector:
     @property
     def size(self) -> int:
         return int(self.weights.size)
+
+    @cached_property
+    def _line(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """Which labels are ints or floats, and those labels as coordinates
+        on the line (0 for the others); None without labels.  Built on
+        first use and kept: see :func:`_label_coordinates`."""
+        if self.labels is None:
+            return None
+        numeric = np.array([isinstance(v, (int, float)) for v in self.labels])
+        x = np.array([v if ok else 0.0 for v, ok in zip(self.labels, numeric)], dtype=float)
+        return _seal(numeric), _seal(x)
 
 
 def validate_marginal(weights: Sequence[float], labels: Sequence | None = None) -> ProbabilityVector:
@@ -200,12 +228,18 @@ def _require_alpha(alpha: float, allow_zero: bool = False) -> float:
     return float(alpha)
 
 
-def _label_coordinates(labels: Sequence | None) -> np.ndarray | None:
-    """The labels as support coordinates on the line when every one is an
-    int or a float; None when there are no labels or one is not a number."""
-    if labels is not None and all(isinstance(v, (int, float)) for v in labels):
-        return np.asarray(labels, dtype=float)
-    return None
+def _label_coordinates(p: ProbabilityVector, keep: np.ndarray | None = None
+                       ) -> np.ndarray | None:
+    """The labels of the atoms ``keep`` of ``p``, all of them by default, as
+    support coordinates on the line when every one of those is an int or a
+    float; None when ``p`` has no labels or one of those is not a number.
+    The coordinates are derived once per marginal."""
+    if p._line is None:
+        return None
+    numeric, x = p._line
+    if keep is None:
+        return x if numeric.all() else None
+    return x[keep] if numeric[keep].all() else None
 
 
 @dataclass(frozen=True)
@@ -258,7 +292,7 @@ class _DenseView:
             raise AttributeError(self.name)
         views = obj.__dict__["_dense"]
         if self.name not in views:
-            views[self.name] = _freeze(self.build(obj))
+            views[self.name] = _seal(self.build(obj))
         return views[self.name]
 
     def __set__(self, obj, value) -> None:
@@ -342,7 +376,7 @@ class Coupling:
         index.flags.writeable = False
         object.__setattr__(self, "shape", (int(shape[0]), int(shape[1])))
         object.__setattr__(self, "index", index)
-        object.__setattr__(self, "values", _freeze(np.where(values < 0.0, 0.0, values)))
+        object.__setattr__(self, "values", _seal(np.where(values < 0.0, 0.0, values)))
 
     def marginal_residuals(self, mu: ProbabilityVector, nu: ProbabilityVector
                            ) -> tuple[float, float]:
@@ -580,7 +614,7 @@ class SpectralGrid:
         object.__setattr__(self, "z0", float(self.z0))
         object.__setattr__(self, "levels", _freeze(u))
         object.__setattr__(self, "weights", _freeze(w))
-        object.__setattr__(self, "gamma_weights", _freeze(w / (1.0 - u)))
+        object.__setattr__(self, "gamma_weights", _seal(w / (1.0 - u)))
 
     @property
     def n_levels(self) -> int:
@@ -592,13 +626,13 @@ class SpectralGrid:
 
         Every solve builds one, so the fields are set directly: with alpha in
         (0,1) the checks of ``__post_init__`` hold by construction."""
-        u = np.array([_require_alpha(alpha)])
-        w = np.ones(1)
+        u = _seal(np.array([_require_alpha(alpha)]))
+        w = _seal(np.ones(1))
         grid = object.__new__(cls)
         object.__setattr__(grid, "z0", 0.0)
-        object.__setattr__(grid, "levels", _freeze(u))
-        object.__setattr__(grid, "weights", _freeze(w))
-        object.__setattr__(grid, "gamma_weights", _freeze(w / (1.0 - u)))
+        object.__setattr__(grid, "levels", u)
+        object.__setattr__(grid, "weights", w)
+        object.__setattr__(grid, "gamma_weights", _seal(w / (1.0 - u)))
         return grid
 
 
@@ -738,9 +772,9 @@ def instance_to_dict(mu: ProbabilityVector, nu: ProbabilityVector, loss: LossMat
     }
     if sigma is not None:
         out["sigma"] = sigma_to_dict(sigma)
-    if _label_coordinates(mu.labels) is not None:
+    if _label_coordinates(mu) is not None:
         out["x_support"] = list(mu.labels)
-    if _label_coordinates(nu.labels) is not None:
+    if _label_coordinates(nu) is not None:
         out["y_support"] = list(nu.labels)
     return out
 

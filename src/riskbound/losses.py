@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, InvalidParams, LossMatrix, ProbabilityVector, validate_marginal
+from .core import (DomainError, InvalidParams, LossMatrix, ProbabilityVector, _seal,
+                   validate_marginal)
 from .rng import box_muller, make_rng
 
 _SQRT2 = math.sqrt(2.0)
@@ -127,7 +128,7 @@ def build_gaussian_linear_instance(n_x: int, n_y: int, seed: int
     y = box_muller(rng, n_y)
     mu = validate_marginal(np.full(n_x, 1.0 / n_x), labels=x.tolist())
     nu = validate_marginal(np.full(n_y, 1.0 / n_y), labels=y.tolist())
-    loss = LossMatrix(x[:, None] + y[None, :])
+    loss = LossMatrix(_seal(x[:, None] + y[None, :]))
     return mu, nu, loss
 
 
@@ -146,7 +147,7 @@ def build_ccr_instance(params: CcrParams, n: int, seed: int
     y1 = params.mu1 + params.sigma1 * z[:, 0]
     y2 = (params.mu2 + params.sigma2
           * (params.r * z[:, 0] + math.sqrt(1.0 - params.r ** 2) * z[:, 1]))
-    loss = LossMatrix(vasicek_ccr_loss(x[:, None], y1[None, :], y2[None, :], params))
+    loss = LossMatrix(_seal(vasicek_ccr_loss(x[:, None], y1[None, :], y2[None, :], params)))
     mu = validate_marginal(np.full(n, 1.0 / n), labels=x.tolist())
     nu = validate_marginal(np.full(n, 1.0 / n),
                            labels=[(float(a), float(b)) for a, b in zip(y1, y2)])

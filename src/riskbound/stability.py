@@ -38,6 +38,7 @@ from .core import (
     ProbabilityVector,
     SpectralGrid,
     _label_coordinates,
+    _seal,
     grid_sigma_norm,
     validate_marginal,
 )
@@ -79,17 +80,17 @@ def wasserstein_discrete(p: ProbabilityVector, q: ProbabilityVector,
     top = float(np.abs(cost).max())
     if top == 0.0:
         return 0.0
-    value = top * solve_transport(p, q, LossMatrix(cost / top), "min")[0]
+    value = top * solve_transport(p, q, LossMatrix(_seal(cost / top)), "min")[0]
     return float(value ** (1.0 / r)) if value > 0.0 else 0.0
 
 
 def ground_from_labels(p: ProbabilityVector) -> LossMatrix:
     """|x_i - x_j| when numeric support coordinates are available, else the
     discrete 0/1 metric."""
-    x = _label_coordinates(p.labels)
+    x = _label_coordinates(p)
     if x is not None:
-        return LossMatrix(np.abs(x[:, None] - x[None, :]))
-    return LossMatrix(1.0 - np.eye(p.size))
+        return LossMatrix(_seal(np.abs(x[:, None] - x[None, :])))
+    return LossMatrix(_seal(1.0 - np.eye(p.size)))
 
 
 def lipschitz_estimate(loss: LossMatrix, ground_x: LossMatrix, ground_y: LossMatrix) -> float:
@@ -156,7 +157,7 @@ def _solve_value(mu, nu, loss, alpha_or_grid) -> float:
 
 def _mix_with_uniform(p: ProbabilityVector, eps: float) -> ProbabilityVector:
     w = (1.0 - eps) * p.weights + eps / p.size
-    return ProbabilityVector(w / w.sum(), labels=p.labels)
+    return ProbabilityVector(_seal(w / w.sum()), labels=p.labels)
 
 
 def _trend_slope(eps: np.ndarray, dv: np.ndarray) -> float:

@@ -337,6 +337,14 @@ class TestColumnGeneration:
                 for name in ("data", "indices", "indptr"):
                     assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
+    def test_row_blocks_are_views_of_one_buffer(self):
+        mu, nu, loss = two_by_two_sum()
+        lp = build_msp_lp(mu, nu, loss, C2_GRID)
+        for name in ("data", "indices"):
+            eq, ub = getattr(lp.a_eq, name), getattr(lp.a_ub, name)
+            assert eq.base is not None and eq.base is ub.base, name
+            assert eq.size + ub.size == eq.base.size
+
     def test_linear_program_keeps_the_csr_blocks_it_is_given(self):
         mu, nu, loss = two_by_two_sum()
         lp = build_msp_lp(mu, nu, loss, C2_GRID)
@@ -1540,3 +1548,27 @@ class TestVerifyDuality:
                 bad.value(mu, nu, C2_GRID)
             else:
                 verify_duality(dataclasses.replace(sol, certificate=bad), loss, mu, nu)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_pricing_matches_the_full_scan(seed):
+    # the early exit of _entering_cells against the scan it skips, on
+    # potentials that cover every cell and on ones that leave cells violated
+    rng = np.random.default_rng([41, seed])
+    values = rng.normal(size=(6, 9))
+    gammas, betas = np.array([0.3, 0.7]), np.array([values.min() - 1.0, 0.2])
+    active = rng.random(values.shape) < 0.3
+    cover = bounds._c_beta(values, gammas, betas)
+    for slack in (0.0, 0.5, -0.5):
+        phi = cover.max(axis=1) + slack * rng.random(6)
+        psi = np.zeros(9)
+        price = cover - phi[:, None] - psi
+        price[active] = -np.inf
+        new_i = np.concatenate([np.arange(6), price.argmax(axis=0)])
+        new_j = np.concatenate([price.argmax(axis=1), np.arange(9)])
+        hit = price[new_i, new_j] > bounds._CERT_FEAS_TOL
+        want = np.divmod(np.unique(new_i[hit] * 9 + new_j[hit]), 9)
+        got = bounds._entering_cells(LossMatrix(values), gammas, betas, phi, psi, active)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+        assert bool(want[0].size) == (slack < 0.0)

@@ -19,6 +19,7 @@ from riskbound.core import (
     SpectralFunction,
     SpectralGrid,
     SumNotOne,
+    _label_coordinates,
     coupling_between,
     discretize_spectrum,
     grid_sigma_norm,
@@ -61,6 +62,35 @@ class TestValidateMarginal:
         w = np.asarray(raw)
         pv = validate_marginal(w / w.sum())
         assert abs(pv.weights.sum() - 1.0) <= 1e-12
+
+
+class TestHeldArrays:
+    def test_the_callers_arrays_stay_writeable_and_apart(self):
+        w, loss = np.array([0.25, 0.75]), np.zeros((2, 2))
+        levels, weights = np.array([0.5]), np.array([0.6])
+        pv, lm, grid = validate_marginal(w), LossMatrix(loss), SpectralGrid(0.4, levels, weights)
+        assert all(a.flags.writeable for a in (w, loss, levels, weights))
+        w[:], loss[0, 0], levels[0], weights[0] = 0.5, 7.0, 0.9, 0.1
+        assert pv.weights.tolist() == [0.25, 0.75] and not lm.values.any()
+        assert grid.levels.tolist() == [0.5] and grid.weights.tolist() == [0.6]
+        for held in (pv.weights, lm.values, grid.levels, grid.weights, grid.gamma_weights):
+            assert not held.flags.writeable
+
+    def test_a_read_only_array_is_held_without_a_copy(self):
+        w, loss = np.array([0.25, 0.75]), np.zeros((2, 2))
+        w.flags.writeable = loss.flags.writeable = False
+        assert validate_marginal(w).weights is w and LossMatrix(loss).values is loss
+
+    def test_label_coordinates_count_the_kept_atoms_only(self):
+        p = validate_marginal([0.5, 0.0, 0.5], labels=[2.0, "far", 1])
+        assert _label_coordinates(p) is None
+        assert _label_coordinates(p, np.array([0, 2])).tolist() == [2.0, 1.0]
+        assert _label_coordinates(p, np.array([1])) is None
+        # derived once, then kept with the marginal
+        assert p._line is p._line
+        assert _label_coordinates(validate_marginal([1.0])) is None
+        q = validate_marginal([0.5, 0.5], labels=[3, 1.5])
+        assert _label_coordinates(q).tolist() == [3.0, 1.5]
 
 
 class TestCoupling:

@@ -652,6 +652,34 @@ class TestMpsDump:
             write_mps(lp, path, exact=exact)
             assert path.read_text() == reference_mps(lp, exact, digits)
 
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("kinds", [("eq",), ("ub",), ("eq", "ub")])
+    def test_raw_csr_blocks_match_the_per_entry_writer(self, kinds, exact, tmp_path):
+        # rows with unsorted columns, stored zeros and duplicate entries, two
+        # of which cancel; columns 2 and 4 end up empty, column 6 has a cost only
+        def raw():
+            return sp.csr_matrix((np.array([2.0, 0.0, -1.5, 1.0, 3.0, 2.0, 0.25, 0.0, 4.0, -4.0]),
+                                  np.array([4, 1, 2, 0, 4, 0, 2, 1, 1, 1]),
+                                  np.array([0, 3, 6, 10])), shape=(3, 6))
+
+        blocks = {}
+        for kind in kinds:
+            blocks[f"a_{kind}"], blocks[f"b_{kind}"] = raw(), np.array([1.0, 0.0, -2.5])
+        lp = LinearProgram(sense="max", c=np.array([1.5, 0.0, -2.0, 0.0, 0.0, 7.0]), **blocks)
+        before = [(a.data.copy(), a.indices.copy(), a.indptr.copy())
+                  for a in (lp.a_eq, lp.a_ub) if a is not None]
+        path = tmp_path / "lp.mps"
+        write_mps(lp, path, exact=exact)
+        text = path.read_text()
+        assert text == reference_mps(lp, exact)
+        lines = text.splitlines()
+        assert not any(x in line for line in lines for x in ("X0000002", "X0000004"))
+        assert [line.split()[1] for line in lines if "X0000006" in line] == ["COST"]
+        # the caller's buffers are left as they were: unsorted, zeros stored
+        for a, old in zip((a for a in (lp.a_eq, lp.a_ub) if a is not None), before):
+            for got, want in zip((a.data, a.indices, a.indptr), old):
+                assert np.array_equal(got, want)
+
     def test_fixed_format_sections(self, tmp_path):
         path = tmp_path / "lp.mps"
         box = LinearProgram(sense="max", c=np.ones(2), a_ub=sp.identity(2, format="csr"),
